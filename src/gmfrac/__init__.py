@@ -1,7 +1,7 @@
 """Closed-form calculus for matrix-fractional support functions.
 
 The library evaluates the support function of constrained quadratic graph
-sets ``{(Y, -1/2 Y Y^T) : A Y = B}`` in closed form via pseudoinverse KKT
+sets ``{(Y, -1/2 Y Y^T) : A Y = B}`` in closed form via null-space KKT
 solves, and provides the surrounding convex geometry: subspace-restricted
 PSD cones and their polars, the closed convex hull with explicit
 convex-combination witnesses, normal cones and subdifferentials, polar and

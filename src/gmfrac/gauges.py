@@ -124,7 +124,7 @@ def eval_gauge(point, pair):
         return GaugeResult(finite=True, value=0.0)
     # critical matrix = pinv(-Y^T W^+ Y); its smallest nonzero singular
     # value is 1 / lambda_max(reduced)
-    inv = np.where(keep, np.divide(1.0, lam, where=keep), 0.0)
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
     critical = symmetrize((vr @ q * inv) @ (vr @ q).T)
     sigma_min = 1.0 / top
     return GaugeResult(

@@ -52,6 +52,8 @@ class PrimalPoint:
         if self.Y.ndim == 1:
             self.Y = self.Y.reshape(-1, 1)
         self.W = symmetrize(self.W)
+        if not (np.all(np.isfinite(self.Y)) and np.all(np.isfinite(self.W))):
+            raise ValueError("Y and W must have finite entries")
         if self.Y.shape[0] != self.W.shape[0]:
             raise ValueError(
                 f"Y has {self.Y.shape[0]} rows but W is {self.W.shape[0]}x{self.W.shape[1]}"
@@ -175,8 +177,9 @@ def caratheodory_witness(point, pair, epsilon, rng=None, z_jitter=0.0):
 
     The construction decomposes ``-(1/2 Y Y^T + W)`` into at most
     ``N = n(n+1)/2 + 1`` rank-one terms ``mu_i v_i v_i^T`` with ``v_i`` in
-    ``ker A`` (eigendecomposition of the projected gap matrix, padded with
-    zero terms up to N), then forms components
+    ``ker A`` (eigendecomposition of the projected gap matrix; eigenvalues
+    at most ``rank_tol`` times the largest count as zero, and zero terms pad
+    the list up to N), then forms components
 
         Y_1     = Z0 + (Y - Z0) / sqrt(1 - eps),
         Y_{i+1} = Z_i + [ sqrt(2 mu_i / lam) v_i, 0, ..., 0 ],
@@ -223,6 +226,9 @@ def caratheodory_witness(point, pair, epsilon, rng=None, z_jitter=0.0):
     w, q = np.linalg.eigh(projected)
     mu = np.maximum(w[::-1], 0.0)
     vecs = q[:, ::-1]
+    # eigenvectors of rounding-level eigenvalues may leave ker A, and the
+    # sqrt(2 mu / lam) scaling below would blow them up into infeasibility
+    significant = mu > pair.tol.rank_tol * mu.max(initial=0.0)
 
     lam = epsilon / count
     weights = np.full(count + 1, lam)
@@ -239,7 +245,7 @@ def caratheodory_witness(point, pair, epsilon, rng=None, z_jitter=0.0):
         if z_jitter > 0.0 and k > 0:
             z_i = z0 + z_jitter * (pair.kernel.basis @ gen.standard_normal((k, m)))
         comp = z_i.copy()
-        if i < n and mu[i] > 0.0:
+        if i < n and significant[i]:
             comp = comp.copy()
             comp[:, 0] += np.sqrt(2.0 * mu[i] / lam) * vecs[:, i]
         components[i + 1] = comp

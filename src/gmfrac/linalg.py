@@ -106,9 +106,12 @@ class SubspaceBasis:
         if M.shape[1] == 0:
             return cls.zero_subspace(n)
         u, s, _ = np.linalg.svd(M)
-        r = int(np.sum(s > tol.rank_tol * s[0])) if s.size and s[0] > 0 else 0
-        q = u[:, :r].copy()
-        return cls(dim_ambient=n, basis=q, projector=symmetrize(q @ q.T))
+        return cls.spanned_by(u[:, : _svd_rank(s, tol)].copy())
+
+    @classmethod
+    def spanned_by(cls, q):
+        """The subspace spanned by the orthonormal columns of ``q``."""
+        return cls(dim_ambient=q.shape[0], basis=q, projector=symmetrize(q @ q.T))
 
     @classmethod
     def full_space(cls, n):
@@ -161,8 +164,14 @@ def sym_pinv(M, tol=DEFAULT_TOL):
     if w.size == 0:
         return np.zeros_like(np.asarray(M, float))
     cutoff = tol.rank_tol * np.abs(w).max()
-    inv = np.where(np.abs(w) > cutoff, np.divide(1.0, w, where=np.abs(w) > cutoff), 0.0)
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=np.abs(w) > cutoff)
     return symmetrize((q * inv) @ q.T)
+
+
+def _svd_rank(s, tol):
+    # numerical rank from descending singular values: the ``rank_tol`` cutoff
+    # relative to the largest, and rank 0 for an all-zero spectrum
+    return int(np.sum(s > tol.rank_tol * s[0])) if s.size and s[0] > 0 else 0
 
 
 def kernel_basis(A, tol=DEFAULT_TOL):
@@ -177,12 +186,9 @@ def kernel_basis(A, tol=DEFAULT_TOL):
         raise ValueError(f"expected a 2-D constraint matrix, got shape {A.shape}")
     p, n = A.shape
     if p == 0:
-        q = np.eye(n)
-    else:
-        _, s, vh = np.linalg.svd(A)
-        r = int(np.sum(s > tol.rank_tol * s[0])) if s[0] > 0 else 0
-        q = vh[r:].T.copy()
-    return SubspaceBasis(dim_ambient=n, basis=q, projector=symmetrize(q @ q.T))
+        return SubspaceBasis.spanned_by(np.eye(n))
+    _, s, vh = np.linalg.svd(A)
+    return SubspaceBasis.spanned_by(vh[_svd_rank(s, tol) :].T.copy())
 
 
 def range_inclusion(C, M, tol=DEFAULT_TOL):
@@ -210,6 +216,13 @@ def range_inclusion(C, M, tol=DEFAULT_TOL):
     )
 
 
+def _compress(V, subspace):
+    # the k-by-k form sym(Q^T V Q) of V on the subspace, whose spectrum every
+    # cone and domain test reads
+    q = subspace.basis
+    return symmetrize(q.T @ symmetrize(V) @ q)
+
+
 def psd_on_subspace(V, subspace, strict=False, tol=DEFAULT_TOL):
     """Test whether the quadratic form of ``V`` is nonnegative on a subspace.
 
@@ -219,9 +232,7 @@ def psd_on_subspace(V, subspace, strict=False, tol=DEFAULT_TOL):
     """
     if subspace.dim == 0:
         return True
-    q = subspace.basis
-    block = symmetrize(q.T @ symmetrize(V) @ q)
-    lam_min = float(np.linalg.eigvalsh(block)[0])
+    lam_min = float(np.linalg.eigvalsh(_compress(V, subspace))[0])
     if strict:
         return lam_min > tol.psd_tol
     return lam_min >= -tol.psd_tol

@@ -58,9 +58,15 @@ def in_normal_cone(dual, base, pair):
     """
     if not in_hull(base, pair):
         raise PreconditionError("normal cone is only defined at hull points")
-    V = dual.V
-    if not in_cone(V, pair.kernel, tol=pair.tol):
+    if not in_cone(dual.V, pair.kernel, tol=pair.tol):
         return False
+    return _normal_conditions(dual, base, pair)
+
+
+def _normal_conditions(dual, base, pair):
+    # complementarity and P (X - V Y) = 0: the normal-cone conditions left
+    # once hull membership of the base and the cone test on V are known
+    V = dual.V
     gap = _gap(base)
     comp = frobenius_inner(V, gap)
     comp_scale = max(1.0, float(np.linalg.norm(V)) * float(np.linalg.norm(gap)))
@@ -100,7 +106,9 @@ def in_subdifferential(candidate, dual, pair):
     """Subdifferential membership of ``(Y, W)`` at a domain point ``(X, V)``.
 
     Equivalent to hull membership plus normal-cone membership of the dual at
-    the candidate.
+    the candidate.  The domain test already places ``V`` in the cone, so of
+    the normal-cone conditions only complementarity and ``P (X - V Y) = 0``
+    remain to check.
 
     Raises
     ------
@@ -111,4 +119,4 @@ def in_subdifferential(candidate, dual, pair):
         raise PreconditionError("dual point is outside the support-function domain")
     if not in_hull(candidate, pair):
         return False
-    return in_normal_cone(dual, candidate, pair)
+    return _normal_conditions(dual, candidate, pair)

@@ -4,11 +4,25 @@ The central object is the support function of the graph set
 
     { (Y, -1/2 Y Y^T) : A Y = B },
 
-evaluated at a dual point ``(X, V)``.  On its domain the value has the
-closed form ``1/2 tr( (X; B)^T M(V)^+ (X; B) )`` where ``M(V)`` is the
-saddle (KKT) matrix ``[[V, A^T], [A, 0]]`` of the underlying equality
-constrained quadratic program, and the pseudoinverse solve simultaneously
-produces the maximizer ``Y*`` and dual multiplier ``Z*``.
+evaluated at a dual point ``(X, V)``: the supremum of the concave quadratic
+``<X, Y> - 1/2 <V, Y Y^T>`` over the affine manifold ``{A Y = B}``.  On its
+domain the value has the closed form ``1/2 tr( (X; B)^T M(V)^+ (X; B) )``
+where ``M(V)`` is the saddle (KKT) matrix ``[[V, A^T], [A, 0]]`` of that
+equality-constrained quadratic program.
+
+The value is computed by the null-space method for equality-constrained
+QPs (Nocedal & Wright, *Numerical Optimization*, 16.2) rather than by a
+pseudoinverse of ``M(V)``.  Write ``Y = Y0 + Q G`` with ``Y0`` the
+minimum-norm solution of ``A Y = B`` and ``Q`` an orthonormal basis of
+``ker A``; the problem becomes the unconstrained maximization of
+``<R, G> - 1/2 <H, G G^T>`` with the k-by-k reduced Hessian ``H = Q^T V Q``
+and ``R = Q^T (X - V Y0)``.  One eigendecomposition of ``H`` then decides
+the domain (``H >= 0`` and ``rge R`` inside ``rge H``) and gives the
+maximizer ``Y* = Y0 + Q H^+ R``; the multiplier ``Z*`` is the minimum-norm
+solution of ``A^T Z = X - V Y*``.  Both pieces of ``A`` this needs, ``Q``
+and ``Y0``, come from the single SVD taken when the :class:`ConstraintPair`
+is built.  :func:`saddle_matrix` builds ``M(V)`` for checking the result
+against the closed form.
 """
 
 from dataclasses import dataclass
@@ -18,13 +32,12 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    SubspaceBasis,
+    _compress,
+    _svd_rank,
     frobenius_inner,
-    kernel_basis,
-    range_inclusion,
-    sym_pinv,
     symmetrize,
 )
-from .cones import in_cone
 
 __all__ = [
     "InfeasiblePairError",
@@ -62,9 +75,12 @@ class ConstraintPair:
 
     Notes
     -----
-    The orthonormal kernel basis of ``A`` and the minimum-norm solution of
-    ``A Y = B`` are computed once and cached; all downstream operations read
-    them from here.
+    One SVD of ``A`` gives its rank, the feasibility test, the orthonormal
+    kernel basis and the minimum-norm solution of ``A Y = B``; these are
+    computed once and cached, and all downstream operations read them from
+    here.  Of the range side of the SVD only ``U_r`` (p-by-r) and the
+    nonzero singular values are kept, enough for the minimum-norm solution
+    of ``A^T Z = C``.
     """
 
     def __init__(self, A, B, tol=DEFAULT_TOL):
@@ -81,26 +97,30 @@ class ConstraintPair:
         self.A = A
         self.B = B
         self.tol = tol
-        self._check_feasible()
-        self.kernel = kernel_basis(A, tol=tol)
-        if self.p == 0:
-            self._min_norm = np.zeros((self.n, self.m))
-        else:
-            self._min_norm = np.linalg.lstsq(A, B, rcond=tol.rank_tol)[0]
-
-    def _check_feasible(self):
-        if self.p == 0 or not np.any(self.B):
+        p, n = A.shape
+        if p == 0:
+            self.kernel = SubspaceBasis.spanned_by(np.eye(n))
+            self._min_norm = np.zeros((n, self.m))
+            self._range_basis = np.zeros((0, 0))
+            self._range_sv = np.zeros(0)
             return
-        u, s, _ = np.linalg.svd(self.A)
-        r = int(np.sum(s > self.tol.rank_tol * s[0])) if s[0] > 0 else 0
-        ur = u[:, :r]
-        resid = self.B - ur @ (ur.T @ self.B)
-        if float(np.linalg.norm(resid)) > self.tol.range_tol * max(
-            1.0, float(np.linalg.norm(self.B))
-        ):
-            raise InfeasiblePairError(
-                "rge B is not contained in rge A: the manifold {A Y = B} is empty"
-            )
+        u, s, vh = np.linalg.svd(A)
+        r = _svd_rank(s, tol)
+        # copies, so that the full p-by-p and n-by-n factors are freed here
+        ur = u[:, :r].copy()
+        sr = s[:r].copy()
+        if np.any(B):
+            resid = B - ur @ (ur.T @ B)
+            if float(np.linalg.norm(resid)) > tol.range_tol * max(
+                1.0, float(np.linalg.norm(B))
+            ):
+                raise InfeasiblePairError(
+                    "rge B is not contained in rge A: the manifold {A Y = B} is empty"
+                )
+        self.kernel = SubspaceBasis.spanned_by(vh[r:].T.copy())
+        self._min_norm = vh[:r].T @ ((ur.T @ B) / sr[:, None])
+        self._range_basis = ur
+        self._range_sv = sr
 
     @property
     def p(self):
@@ -118,6 +138,12 @@ class ConstraintPair:
     def min_norm_solution(self):
         """Minimum-norm ``Y0`` with ``A Y0 = B`` (zero when p = 0)."""
         return self._min_norm
+
+    def _transpose_solve(self, C):
+        # minimum-norm Z with A^T Z = C (least squares for C outside rge A^T):
+        # with A = U_r S_r V_r^T it is U_r S_r^-2 U_r^T A C
+        ur = self._range_basis
+        return ur @ ((ur.T @ (self.A @ C)) / (self._range_sv ** 2)[:, None])
 
     @property
     def homogeneous(self):
@@ -143,6 +169,8 @@ class DualPoint:
         if self.X.ndim == 1:
             self.X = self.X.reshape(-1, 1)
         self.V = symmetrize(self.V)
+        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.V))):
+            raise ValueError("X and V must have finite entries")
         if self.X.shape[0] != self.V.shape[0]:
             raise ValueError(
                 f"X has {self.X.shape[0]} rows but V is {self.V.shape[0]}x{self.V.shape[1]}"
@@ -161,8 +189,8 @@ class SupportResult:
 
     ``finite`` is an explicit flag; a ``+inf`` value is never carried as a
     float into arithmetic.  When finite, ``maximizer`` is the optimal ``Y*``
-    and ``multiplier`` the constraint multiplier ``Z*`` of the KKT system
-    ``M(V) (Y; Z) = (X; B)``.
+    and ``multiplier`` the constraint multiplier ``Z*``; together they solve
+    the KKT system ``M(V) (Y; Z) = (X; B)``.
     """
 
     finite: bool
@@ -178,7 +206,9 @@ class SupportResult:
 def saddle_matrix(V, pair):
     """The KKT saddle matrix ``M(V) = [[V, A^T], [A, 0]]``.
 
-    For ``p = 0`` this is just ``V``.
+    For ``p = 0`` this is just ``V``.  The support function's closed form is
+    stated in terms of this matrix; :func:`eval_support` does not build it,
+    so it serves to check results against that closed form.
     """
     V = symmetrize(V)
     if V.shape[0] != pair.n:
@@ -196,44 +226,65 @@ def _check_point(point, pair):
         )
 
 
-def _stacked_rhs(point, pair):
-    return np.vstack([point.X, pair.B])
+def _reduced_solve(point, pair):
+    # G* = H^+ R for H = sym(Q^T V Q) and R = Q^T (X - V Y0), or None when
+    # (X, V) is outside the domain; one eigh of H decides both
+    _check_point(point, pair)
+    tol = pair.tol
+    kernel = pair.kernel
+    if kernel.dim == 0:
+        return np.zeros((0, pair.m))
+    r = kernel.basis.T @ (point.X - point.V @ pair.min_norm_solution)
+    w, u = np.linalg.eigh(_compress(point.V, kernel))
+    # the cone test: statistic and threshold of psd_on_subspace
+    if w[0] < -tol.psd_tol:
+        return None
+    keep = np.abs(w) > tol.rank_tol * np.abs(w).max()
+    uk = u[:, keep]
+    coef = uk.T @ r
+    if float(np.linalg.norm(r - uk @ coef)) > tol.range_tol * max(
+        1.0, float(np.linalg.norm(r))
+    ):
+        return None
+    return uk @ (coef / w[keep, None])
 
 
 def in_domain(point, pair):
     """Domain test for the support function at ``(X, V)``.
 
     True iff ``V`` lies in the cone of matrices PSD on ``ker A`` and
-    ``rge (X; B) subset rge M(V)``.  This set is not closed: with
+    ``rge (X; B) subset rge M(V)``.  With ``H = Q^T V Q`` and
+    ``R = Q^T (X - V Y0)`` this is tested as ``lambda_min(H) >= -psd_tol``
+    (the test of :func:`gmfrac.cones.in_cone`) and a residual of ``R``
+    outside the eigenspace of ``H``'s nonzero eigenvalues of at most
+    ``range_tol * max(1, ||R||_F)``.  This set is not closed: with
     ``A = B = 0`` and ``X != 0``, every ``V = eta I`` with ``eta > 0`` is in
     the domain but the limit ``V = 0`` is not.
     """
-    _check_point(point, pair)
-    if not in_cone(point.V, pair.kernel, tol=pair.tol):
-        return False
-    return range_inclusion(_stacked_rhs(point, pair), saddle_matrix(point.V, pair), tol=pair.tol)
+    return _reduced_solve(point, pair) is not None
 
 
 def eval_support(point, pair):
     """Evaluate the support function at ``(X, V)``.
 
     Out-of-domain points yield ``SupportResult.infinite()``; this is a
-    regular result, not an error.  On the domain,
+    regular result, not an error.  On the domain the value is the closed
+    form
 
         value = 1/2 tr( (X; B)^T M(V)^+ (X; B) ),
 
-    and the blocks of ``M(V)^+ (X; B)`` are returned as the maximizer and
-    multiplier.  The pseudoinverse solve (rather than a factorization) is
-    deliberate: it matches the closed form and handles rank-deficient
-    ``M(V)`` inside the domain.
+    computed by the null-space method: the maximizer is
+    ``Y* = Y0 + Q H^+ R``, the multiplier ``Z*`` is the minimum-norm solution
+    of ``A^T Z = X - V Y*``, and ``value = 1/2 (<X, Y*> + <B, Z*>)``.  The
+    pseudoinverse of ``H`` handles a singular ``H`` inside the domain; there
+    the maximizers form the set ``Y* + Q ker H`` and ``Y*`` is the one of
+    minimum norm.  When ``H`` is nonsingular, ``(Y*, Z*)`` are the blocks of
+    ``M(V)^+ (X; B)``.
     """
-    _check_point(point, pair)
-    if not in_domain(point, pair):
+    g = _reduced_solve(point, pair)
+    if g is None:
         return SupportResult.infinite()
-    M = saddle_matrix(point.V, pair)
-    rhs = _stacked_rhs(point, pair)
-    sol = sym_pinv(M, tol=pair.tol) @ rhs
-    y_star = sol[: pair.n]
-    z_star = sol[pair.n :]
-    value = 0.5 * frobenius_inner(rhs, sol)
+    y_star = pair.min_norm_solution + pair.kernel.basis @ g
+    z_star = pair._transpose_solve(point.X - point.V @ y_star)
+    value = 0.5 * (frobenius_inner(point.X, y_star) + frobenius_inner(pair.B, z_star))
     return SupportResult(finite=True, value=value, maximizer=y_star, multiplier=z_star)

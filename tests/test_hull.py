@@ -289,3 +289,28 @@ def test_distance_metric():
     a = PrimalPoint(np.zeros((2, 1)), np.zeros((2, 2)))
     b = PrimalPoint(np.ones((2, 1)), np.zeros((2, 2)))
     assert distance(a, b) == pytest.approx(np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_primal_point_rejects_non_finite(bad):
+    y = np.ones((2, 1))
+    y[0, 0] = bad
+    with pytest.raises(ValueError):
+        PrimalPoint(y, -np.eye(2))
+    w = -np.eye(2)
+    w[1, 1] = bad
+    with pytest.raises(ValueError):
+        PrimalPoint(np.ones((2, 1)), w)
+
+
+def test_witness_components_are_each_feasible():
+    # eigenvalues of P(-gap)P at rounding level must not be scaled into
+    # components: each of them would leave {A Y = B}
+    rng = np.random.default_rng(0)
+    pair = rand_pair(rng, 50, 5, 20)
+    pt = hull_member(rng, pair)
+    wit = caratheodory_witness(pt, pair, 1e-4)
+    resid = np.einsum("pn,knm->kpm", pair.A, wit.components) - pair.B
+    bound = pair.tol.feas_tol * max(1.0, np.linalg.norm(pair.B))
+    assert np.linalg.norm(resid, axis=(1, 2)).max() <= bound
+    assert wit.distance_to(pt) <= 0.05

@@ -195,3 +195,15 @@ def test_sampled_feasible_points_bound_the_support(pair_f1):
         np.tensordot(pt.X, y, 2) - 0.5 * np.tensordot(pt.V, y @ y.T, 2) for y in ys
     ]
     assert max(vals) <= res.value + 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dual_point_rejects_non_finite(bad):
+    x = np.ones((2, 1))
+    x[1, 0] = bad
+    with pytest.raises(ValueError):
+        DualPoint(x, np.eye(2))
+    v = np.eye(2)
+    v[0, 1] = bad
+    with pytest.raises(ValueError):
+        DualPoint(np.ones((2, 1)), v)
