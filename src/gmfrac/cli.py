@@ -60,36 +60,10 @@ class CliInputError(Exception):
 
 def read_matrix(path):
     """Parse one matrix file; raises CliInputError on any malformation."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
-    tokens = []
-    for line in raw.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if body:
-            tokens.extend(body.split())
-    if len(tokens) < 2:
-        raise CliInputError(f"{path}: missing 'rows cols' header")
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-    except ValueError as exc:
-        raise CliInputError(f"{path}: header must be two integers") from exc
-    if rows < 0 or cols < 1:
-        raise CliInputError(f"{path}: need rows >= 0 and cols >= 1, got {rows} {cols}")
-    data = tokens[2:]
-    if len(data) != rows * cols:
-        raise CliInputError(
-            f"{path}: expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}"
-        )
-    try:
-        values = np.array([float(t) for t in data], dtype=float)
-    except ValueError as exc:
-        raise CliInputError(f"{path}: non-numeric matrix entry") from exc
-    if not np.all(np.isfinite(values)):
-        raise CliInputError(f"{path}: matrix entries must be finite")
-    return values.reshape(rows, cols)
+    blocks = read_matrix_blocks(path)
+    if len(blocks) != 1:
+        raise CliInputError(f"{path}: expected exactly one matrix, found {len(blocks)}")
+    return blocks[0]
 
 
 def write_matrix(fh, M, name=None):
@@ -102,7 +76,12 @@ def write_matrix(fh, M, name=None):
 
 
 def read_matrix_blocks(path):
-    """Read a file holding a sequence of matrix blocks (witness format)."""
+    """Parse a file of consecutive ``rows cols`` matrix blocks (witness format).
+
+    Raises CliInputError on any malformation: a missing or non-integer
+    header, ``rows < 0`` or ``cols < 1``, a truncated block, or a
+    non-numeric or non-finite entry.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -117,18 +96,27 @@ def read_matrix_blocks(path):
     pos = 0
     while pos < len(tokens):
         if pos + 2 > len(tokens):
-            raise CliInputError(f"{path}: truncated block header")
+            raise CliInputError(f"{path}: missing 'rows cols' header")
         try:
             rows, cols = int(tokens[pos]), int(tokens[pos + 1])
         except ValueError as exc:
-            raise CliInputError(f"{path}: block header must be two integers") from exc
+            raise CliInputError(f"{path}: header must be two integers") from exc
+        if rows < 0 or cols < 1:
+            raise CliInputError(f"{path}: need rows >= 0 and cols >= 1, got {rows} {cols}")
         pos += 2
-        need = rows * cols
-        if pos + need > len(tokens):
-            raise CliInputError(f"{path}: truncated {rows}x{cols} block")
-        vals = np.array([float(t) for t in tokens[pos : pos + need]], dtype=float)
-        blocks.append(vals.reshape(rows, cols))
-        pos += need
+        data = tokens[pos : pos + rows * cols]
+        if len(data) != rows * cols:
+            raise CliInputError(
+                f"{path}: expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}"
+            )
+        try:
+            values = np.array([float(t) for t in data], dtype=float)
+        except ValueError as exc:
+            raise CliInputError(f"{path}: non-numeric matrix entry") from exc
+        if not np.all(np.isfinite(values)):
+            raise CliInputError(f"{path}: matrix entries must be finite")
+        blocks.append(values.reshape(rows, cols))
+        pos += rows * cols
     return blocks
 
 
@@ -290,7 +278,7 @@ def _cmd_witness(args, tol, inputs):
     point = _primal(args, inputs)
     if not 0.0 < args.epsilon < 1.0:
         raise CliInputError(f"--epsilon must lie in (0, 1), got {args.epsilon}")
-    wit = caratheodory_witness(point, pair, args.epsilon, rng=args.seed)
+    wit = caratheodory_witness(point, pair, args.epsilon)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("# caratheodory witness: epsilon, weights, then components\n")

@@ -1,16 +1,19 @@
 """The cone of matrices with nonnegative quadratic form on a subspace.
 
-For a subspace S of R^n with orthonormal basis Q and projector P, the cone
-is ``{V symmetric : u^T V u >= 0 for all u in S}``, equivalently
-``{V : P V P >= 0}``.  This module provides membership tests for the cone,
-its interior, its polar ``{W : W = P W P <= 0}``, the affine hull of the
-polar ``{W : rge W subset S}``, the relative interior of the polar, and a
-sampler of polar elements built from the generating set ``{-v v^T : v in S}``.
+For a subspace S of R^n with orthonormal basis Q, the cone is
+``{V symmetric : u^T V u >= 0 for all u in S}``, equivalently
+``{V : Q^T V Q >= 0}``.  This module provides membership tests for the cone,
+its interior, its polar ``{W : W = Q (Q^T W Q) Q^T, Q^T W Q <= 0}``, the
+affine hull of the polar ``{W : rge W subset S}``, the relative interior of
+the polar, and a sampler of polar elements built from the generating set
+``{-v v^T : v in S}``.  Every test reads the k-by-k compression
+``Q^T W Q`` or the part of ``W`` outside S; none forms the n-by-n
+projector onto S.
 """
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, symmetrize, psd_on_subspace, range_inclusion
+from .linalg import DEFAULT_TOL, _compress, _outside, psd_on_subspace, symmetrize
 
 __all__ = [
     "in_cone",
@@ -32,35 +35,42 @@ def in_int_cone(V, subspace, tol=DEFAULT_TOL):
     return psd_on_subspace(V, subspace, strict=True, tol=tol)
 
 
-def _block_psd_max(W, subspace):
-    # largest eigenvalue of Q^T W Q; the complement directions are covered
-    # by the W = PWP residual test in in_polar_cone
+def _polar_top(W, subspace, tol):
+    # lambda_max(C) for C = sym(Q^T W Q) when W is supported on the subspace,
+    # ||W - Q C Q^T||_F <= eq_tol * max(1, ||W||_F), and None when it is not.
+    # On the zero subspace C is empty and the value is -inf.
+    W = symmetrize(W)
     q = subspace.basis
-    block = symmetrize(q.T @ W @ q)
-    return float(np.linalg.eigvalsh(block)[-1])
+    c = _compress(W, subspace)
+    resid = float(np.linalg.norm(W - q @ c @ q.T))
+    if resid > tol.eq_tol * max(1.0, float(np.linalg.norm(W))):
+        return None
+    if subspace.dim == 0:
+        return -np.inf
+    return float(np.linalg.eigvalsh(c)[-1])
 
 
 def in_polar_cone(W, subspace, tol=DEFAULT_TOL):
-    """Polar-cone membership: ``W = P W P`` and ``W <= 0`` on the subspace.
+    """Polar-cone membership: ``W = Q C Q^T`` and ``C <= 0`` for ``C = Q^T W Q``.
 
     The support condition is tested as a relative residual,
-    ``||W - P W P||_F <= eq_tol * max(1, ||W||_F)``; the sign condition on
-    the subspace block must satisfy ``lambda_max(Q^T W Q) <= psd_tol``.
-    For the zero subspace the polar is ``{0}``.
+    ``||W - Q C Q^T||_F <= eq_tol * max(1, ||W||_F)``; the sign condition on
+    the subspace must satisfy ``lambda_max(C) <= psd_tol``.  For the zero
+    subspace the polar is ``{0}``.
     """
-    W = symmetrize(W)
-    P = subspace.projector
-    resid = W - P @ W @ P
-    if float(np.linalg.norm(resid)) > tol.eq_tol * max(1.0, float(np.linalg.norm(W))):
-        return False
-    if subspace.dim == 0:
-        return True
-    return _block_psd_max(W, subspace) <= tol.psd_tol
+    top = _polar_top(W, subspace, tol)
+    return top is not None and top <= tol.psd_tol
 
 
 def in_aff_polar(W, subspace, tol=DEFAULT_TOL):
-    """Affine hull of the polar cone: ``rge W subset S`` (sign-free)."""
-    return range_inclusion(symmetrize(W), subspace.projector, tol=tol)
+    """Affine hull of the polar cone: ``rge W subset S`` (sign-free).
+
+    Tested as ``||W - Q Q^T W||_F <= range_tol * max(1, ||W||_F)``.
+    """
+    W = symmetrize(W)
+    return float(np.linalg.norm(_outside(W, subspace))) <= tol.range_tol * max(
+        1.0, float(np.linalg.norm(W))
+    )
 
 
 def in_rint_polar(W, subspace, tol=DEFAULT_TOL):
@@ -69,15 +79,12 @@ def in_rint_polar(W, subspace, tol=DEFAULT_TOL):
     For a nonzero subspace this means polar membership plus a strictly
     negative form on the subspace (``lambda_max(Q^T W Q) < -psd_tol``).  For
     the zero subspace the polar is ``{0}`` and its relative interior is
-    ``{0}`` as well; that branch dispatches on the exact dimension ``k = 0``,
-    not on a tolerance test.
+    ``{0}`` as well, so the test reduces to ``||W||_F <= eq_tol``; that
+    branch dispatches on the exact dimension ``k = 0``, not on a tolerance
+    test.
     """
-    W = symmetrize(W)
-    if subspace.dim == 0:
-        return float(np.linalg.norm(W)) <= tol.eq_tol
-    if not in_polar_cone(W, subspace, tol=tol):
-        return False
-    return _block_psd_max(W, subspace) < -tol.psd_tol
+    top = _polar_top(W, subspace, tol)
+    return top is not None and top < -tol.psd_tol
 
 
 def sample_polar(subspace, generators, rng, count=1, tol=DEFAULT_TOL):

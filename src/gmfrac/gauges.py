@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import range_inclusion, sym_pinv, symmetrize
+from .linalg import _outside, symmetrize
 from .cones import in_polar_cone
 from .support import PreconditionError, eval_support
 
@@ -103,11 +103,16 @@ def eval_gauge(point, pair):
     tol = pair.tol
     Y = point.Y
     W = point.W
-    if not (
-        range_inclusion(Y, pair.kernel.projector, tol=tol)
-        and range_inclusion(Y, W, tol=tol)
-        and in_polar_cone(W, pair.kernel, tol=tol)
-    ):
+    y_scale = max(1.0, float(np.linalg.norm(Y)))
+    outside_kernel = float(np.linalg.norm(_outside(Y, pair.kernel))) > tol.range_tol * y_scale
+    if outside_kernel or not in_polar_cone(W, pair.kernel, tol=tol):
+        return GaugeResult.infinite()
+    # one eigh of -W gives both rge Y subset rge W and (-W)^+, on the
+    # eigenvalues above the rank_tol cutoff
+    lam_w, v = np.linalg.eigh(-W)
+    keep = np.abs(lam_w) > tol.rank_tol * np.abs(lam_w).max(initial=0.0)
+    vk, lam_k = v[:, keep], lam_w[keep]
+    if float(np.linalg.norm(Y - vk @ (vk.T @ Y))) > tol.range_tol * y_scale:
         return GaugeResult.infinite()
     if float(np.linalg.norm(Y)) <= tol.eq_tol:
         return GaugeResult(finite=True, value=0.0)
@@ -115,8 +120,8 @@ def eval_gauge(point, pair):
     rank = int(np.sum(s > tol.rank_tol * s[0]))
     ur, sr, vr = u[:, :rank], s[:rank], vt[:rank].T
     # compressed form of Y^T (-W)^+ Y; its top eigenvalue decides the gauge
-    neg_w_pinv = sym_pinv(-W, tol=tol)
-    reduced = symmetrize((ur.T @ neg_w_pinv @ ur) * np.outer(sr, sr))
+    t = vk.T @ ur
+    reduced = symmetrize(((t.T / lam_k) @ t) * np.outer(sr, sr))
     lam, q = np.linalg.eigh(reduced)
     top = float(lam[-1])
     keep = lam > tol.rank_tol * top if top > 0 else np.zeros_like(lam, dtype=bool)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, frobenius_inner, symmetrize
+from .linalg import DEFAULT_TOL, _compress, frobenius_inner, symmetrize
 from .cones import in_aff_polar, in_polar_cone, in_rint_polar
 from .support import PreconditionError, eval_support
 
@@ -172,24 +172,23 @@ class ConvexWitness:
         return distance(self.induced_point(), point)
 
 
-def caratheodory_witness(point, pair, epsilon, rng=None, z_jitter=0.0):
+def caratheodory_witness(point, pair, epsilon):
     """Build the convex-combination witness for a hull point.
 
     The construction decomposes ``-(1/2 Y Y^T + W)`` into at most
-    ``N = n(n+1)/2 + 1`` rank-one terms ``mu_i v_i v_i^T`` with ``v_i`` in
-    ``ker A`` (eigendecomposition of the projected gap matrix; eigenvalues
-    at most ``rank_tol`` times the largest count as zero, and zero terms pad
-    the list up to N), then forms components
+    ``N = n(n+1)/2 + 1`` rank-one terms ``mu_i v_i v_i^T`` with ``v_i = Q u_i``
+    in ``ker A``, from the eigendecomposition of the k-by-k matrix
+    ``Q^T (-(1/2 Y Y^T + W)) Q`` (eigenvalues at most ``rank_tol`` times the
+    largest count as zero, and zero terms pad the list up to N), then forms
+    components
 
         Y_1     = Z0 + (Y - Z0) / sqrt(1 - eps),
-        Y_{i+1} = Z_i + [ sqrt(2 mu_i / lam) v_i, 0, ..., 0 ],
+        Y_{i+1} = Z0 + [ sqrt(2 mu_i / lam) v_i, 0, ..., 0 ],
 
-    with weights ``1 - eps`` and ``lam = eps / N``, where ``Z_i`` solve
-    ``A Z = B`` (the minimum-norm solution, so the witness is deterministic;
-    pass ``z_jitter > 0`` with an ``rng`` to spread the ``Z_i`` inside the
-    feasible manifold).  The correction of ``Y_1`` by ``Z0`` keeps every
-    component exactly feasible while preserving
-    ``(1 - eps) Y_1 Y_1^T = Y Y^T + O(eps)``.
+    with weights ``1 - eps`` and ``lam = eps / N``, where ``Z0`` is the
+    minimum-norm solution of ``A Z = B``, so the witness is deterministic.
+    The correction of ``Y_1`` by ``Z0`` keeps every component exactly
+    feasible while preserving ``(1 - eps) Y_1 Y_1^T = Y Y^T + O(eps)``.
 
     Parameters
     ----------
@@ -199,10 +198,6 @@ def caratheodory_witness(point, pair, epsilon, rng=None, z_jitter=0.0):
     epsilon : float
         Approximation parameter in ``(0, 1)``; the induced point approaches
         the input at rate ``O(sqrt(epsilon))``.
-    rng : int or numpy.random.Generator, optional
-    z_jitter : float
-        Standard deviation of the optional feasible-manifold perturbation of
-        the ``Z_i``.
 
     Raises
     ------
@@ -220,15 +215,11 @@ def caratheodory_witness(point, pair, epsilon, rng=None, z_jitter=0.0):
 
     n, m = pair.n, pair.m
     count = n * (n + 1) // 2 + 1
-    P = pair.kernel.projector
-    gap = _gap(point)
-    projected = symmetrize(P @ (-gap) @ P)
-    w, q = np.linalg.eigh(projected)
+    w, u = np.linalg.eigh(_compress(-_gap(point), pair.kernel))
     mu = np.maximum(w[::-1], 0.0)
-    vecs = q[:, ::-1]
-    # eigenvectors of rounding-level eigenvalues may leave ker A, and the
-    # sqrt(2 mu / lam) scaling below would blow them up into infeasibility
-    significant = mu > pair.tol.rank_tol * mu.max(initial=0.0)
+    # mu is descending, so the significant terms are a leading slice
+    rank = int(np.sum(mu > pair.tol.rank_tol * mu.max(initial=0.0)))
+    vecs = pair.kernel.basis @ u[:, ::-1][:, :rank]
 
     lam = epsilon / count
     weights = np.full(count + 1, lam)
@@ -236,17 +227,7 @@ def caratheodory_witness(point, pair, epsilon, rng=None, z_jitter=0.0):
 
     z0 = pair.min_norm_solution
     components = np.empty((count + 1, n, m))
+    components[:] = z0
     components[0] = z0 + (point.Y - z0) / np.sqrt(1.0 - epsilon)
-    if z_jitter > 0.0:
-        gen = np.random.default_rng(rng)
-        k = pair.kernel.dim
-    for i in range(count):
-        z_i = z0
-        if z_jitter > 0.0 and k > 0:
-            z_i = z0 + z_jitter * (pair.kernel.basis @ gen.standard_normal((k, m)))
-        comp = z_i.copy()
-        if i < n and significant[i]:
-            comp = comp.copy()
-            comp[:, 0] += np.sqrt(2.0 * mu[i] / lam) * vecs[:, i]
-        components[i + 1] = comp
+    components[1 : rank + 1, :, 0] += (np.sqrt(2.0 * mu[:rank] / lam) * vecs).T
     return ConvexWitness(weights=weights, components=components, epsilon=float(epsilon))

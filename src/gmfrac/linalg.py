@@ -81,47 +81,34 @@ def frobenius_inner(A, B):
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """An orthonormal basis of a subspace of R^n plus its projector.
+    """An orthonormal basis of a subspace of R^n.
 
-    ``basis`` is n-by-k with orthonormal columns spanning the subspace and
-    ``projector`` is the n-by-n orthogonal projection onto it.  ``k = 0``
-    encodes the zero subspace (projector identically zero).
+    ``basis`` is n-by-k with orthonormal columns ``Q`` spanning the
+    subspace; ``k = 0`` encodes the zero subspace.  It is the only stored
+    representation: every subspace test in this package reads ``Q``, either
+    through the k-by-k compression ``Q^T V Q`` of a matrix or through its
+    part ``C - Q (Q^T C)`` outside the subspace.  ``projector`` forms the
+    n-by-n orthogonal projection ``Q Q^T`` on demand.
     """
 
-    dim_ambient: int
     basis: np.ndarray
-    projector: np.ndarray
+
+    @property
+    def dim_ambient(self):
+        return self.basis.shape[0]
 
     @property
     def dim(self):
         return self.basis.shape[1]
 
-    @classmethod
-    def from_span(cls, M, tol=DEFAULT_TOL):
-        """Orthonormal basis of the column span of ``M`` (via SVD)."""
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2:
-            raise ValueError("from_span expects a 2-D array of spanning columns")
-        n = M.shape[0]
-        if M.shape[1] == 0:
-            return cls.zero_subspace(n)
-        u, s, _ = np.linalg.svd(M)
-        return cls.spanned_by(u[:, : _svd_rank(s, tol)].copy())
-
-    @classmethod
-    def spanned_by(cls, q):
-        """The subspace spanned by the orthonormal columns of ``q``."""
-        return cls(dim_ambient=q.shape[0], basis=q, projector=symmetrize(q @ q.T))
-
-    @classmethod
-    def full_space(cls, n):
-        return cls(dim_ambient=n, basis=np.eye(n), projector=np.eye(n))
+    @property
+    def projector(self):
+        """The n-by-n orthogonal projector ``Q Q^T`` onto the subspace."""
+        return symmetrize(self.basis @ self.basis.T)
 
     @classmethod
     def zero_subspace(cls, n):
-        return cls(
-            dim_ambient=n, basis=np.zeros((n, 0)), projector=np.zeros((n, n))
-        )
+        return cls(np.zeros((n, 0)))
 
 
 @dataclass(frozen=True)
@@ -186,9 +173,9 @@ def kernel_basis(A, tol=DEFAULT_TOL):
         raise ValueError(f"expected a 2-D constraint matrix, got shape {A.shape}")
     p, n = A.shape
     if p == 0:
-        return SubspaceBasis.spanned_by(np.eye(n))
+        return SubspaceBasis(np.eye(n))
     _, s, vh = np.linalg.svd(A)
-    return SubspaceBasis.spanned_by(vh[_svd_rank(s, tol) :].T.copy())
+    return SubspaceBasis(vh[_svd_rank(s, tol) :].T.copy())
 
 
 def range_inclusion(C, M, tol=DEFAULT_TOL):
@@ -221,6 +208,13 @@ def _compress(V, subspace):
     # cone and domain test reads
     q = subspace.basis
     return symmetrize(q.T @ symmetrize(V) @ q)
+
+
+def _outside(C, subspace):
+    # the part C - Q (Q^T C) of C's columns outside the subspace, whose norm
+    # every range test against the subspace reads
+    q = subspace.basis
+    return C - q @ (q.T @ C)
 
 
 def psd_on_subspace(V, subspace, strict=False, tol=DEFAULT_TOL):

@@ -47,7 +47,7 @@ def in_normal_cone(dual, base, pair):
     Checks the three conditions: ``V`` in the cone over ``ker A``,
     complementarity ``<V, 1/2 Y Y^T + W> = 0`` within
     ``eq_tol * max(1, ||V|| ||1/2 Y Y^T + W||)``, and
-    ``||P (X - V Y)||_F <= range_tol * max(1, ||X - V Y||_F)`` (existence of
+    ``||Q^T (X - V Y)||_F <= range_tol * max(1, ||X - V Y||_F)`` (existence of
     a multiplier ``Z`` with ``X - V Y = A^T Z``, since ``rge A^T`` is the
     orthogonal complement of ``ker A``).
 
@@ -64,8 +64,9 @@ def in_normal_cone(dual, base, pair):
 
 
 def _normal_conditions(dual, base, pair):
-    # complementarity and P (X - V Y) = 0: the normal-cone conditions left
-    # once hull membership of the base and the cone test on V are known
+    # complementarity and Q^T (X - V Y) = 0: the normal-cone conditions left
+    # once hull membership of the base and the cone test on V are known;
+    # ||Q^T R||_F = ||Q Q^T R||_F since Q has orthonormal columns
     V = dual.V
     gap = _gap(base)
     comp = frobenius_inner(V, gap)
@@ -73,7 +74,7 @@ def _normal_conditions(dual, base, pair):
     if abs(comp) > pair.tol.eq_tol * comp_scale:
         return False
     resid = dual.X - V @ base.Y
-    proj = pair.kernel.projector @ resid
+    proj = pair.kernel.basis.T @ resid
     return float(np.linalg.norm(proj)) <= pair.tol.range_tol * max(
         1.0, float(np.linalg.norm(resid))
     )
@@ -107,7 +108,7 @@ def in_subdifferential(candidate, dual, pair):
 
     Equivalent to hull membership plus normal-cone membership of the dual at
     the candidate.  The domain test already places ``V`` in the cone, so of
-    the normal-cone conditions only complementarity and ``P (X - V Y) = 0``
+    the normal-cone conditions only complementarity and ``Q^T (X - V Y) = 0``
     remain to check.
 
     Raises

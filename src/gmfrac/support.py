@@ -99,7 +99,7 @@ class ConstraintPair:
         self.tol = tol
         p, n = A.shape
         if p == 0:
-            self.kernel = SubspaceBasis.spanned_by(np.eye(n))
+            self.kernel = SubspaceBasis(np.eye(n))
             self._min_norm = np.zeros((n, self.m))
             self._range_basis = np.zeros((0, 0))
             self._range_sv = np.zeros(0)
@@ -117,7 +117,7 @@ class ConstraintPair:
                 raise InfeasiblePairError(
                     "rge B is not contained in rge A: the manifold {A Y = B} is empty"
                 )
-        self.kernel = SubspaceBasis.spanned_by(vh[r:].T.copy())
+        self.kernel = SubspaceBasis(vh[r:].T.copy())
         self._min_norm = vh[:r].T @ ((ur.T @ B) / sr[:, None])
         self._range_basis = ur
         self._range_sv = sr

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gmfrac.cli import main, read_matrix, read_matrix_blocks
+from gmfrac.cli import CliInputError, main, read_matrix, read_matrix_blocks
 
 
 def write(tmp_path, name, text):
@@ -251,3 +251,10 @@ def test_verify_passes(capsys, tmp_path, f1_files):
     names = {c["name"] for c in rep["outputs"]["checks"]}
     assert "support-dominance" in names
     assert "gauge-bisection-agreement" in names  # B = 0 here
+
+
+@pytest.mark.parametrize("entry", ["abc", "nan", "inf"])
+def test_read_matrix_blocks_rejects_bad_entries(tmp_path, entry):
+    path = write(tmp_path, "blocks.txt", f"1 1\n2.0\n1 2\n1.0 {entry}\n")
+    with pytest.raises(CliInputError):
+        read_matrix_blocks(path)

@@ -162,14 +162,6 @@ def test_witness_invariants(pair_fb):
     assert in_hull(wit.induced_point(), pair_fb)
 
 
-def test_witness_jitter_stays_feasible(pair_fb):
-    pt = graph_point(pair_fb.min_norm_solution)
-    wit = caratheodory_witness(pt, pair_fb, 1e-2, rng=11, z_jitter=0.1)
-    for comp in wit.components:
-        assert np.linalg.norm(pair_fb.A @ comp - pair_fb.B) <= 1e-9
-    assert in_hull(wit.induced_point(), pair_fb)
-
-
 def test_witness_preconditions(pair_f1):
     outside = primal([0.0, 1.0], np.zeros((2, 2)))
     with pytest.raises(PreconditionError):

@@ -146,12 +146,6 @@ def test_kernel_basis_properties():
         assert np.linalg.norm(p_mat @ p_mat - p_mat) <= tol.eq_tol
 
 
-def test_subspace_basis_from_span():
-    basis = SubspaceBasis.from_span(np.array([[1.0, 2.0], [1.0, 2.0]]))
-    assert basis.dim == 1
-    assert np.allclose(basis.projector, np.full((2, 2), 0.5))
-
-
 def test_range_inclusion_zero_and_diagonal():
     m = np.diag([1.0, 0.0])
     assert range_inclusion(np.zeros((2, 1)), m)
