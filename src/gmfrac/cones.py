@@ -8,12 +8,22 @@ affine hull of the polar ``{W : rge W subset S}``, the relative interior of
 the polar, and a sampler of polar elements built from the generating set
 ``{-v v^T : v in S}``.  Every test reads the k-by-k compression
 ``Q^T W Q`` or the part of ``W`` outside S; none forms the n-by-n
-projector onto S.
+projector onto S.  The polar tests share one spectrum of ``-Q^T W Q``,
+which the hull witness and the gauge reuse with its eigenvectors.  The
+thresholds are applied by the rules of :mod:`gmfrac.linalg`.
 """
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _compress, _outside, psd_on_subspace, symmetrize
+from .linalg import (
+    DEFAULT_TOL,
+    _compress,
+    _outside,
+    _psd,
+    _small,
+    psd_on_subspace,
+    symmetrize,
+)
 
 __all__ = [
     "in_cone",
@@ -35,19 +45,17 @@ def in_int_cone(V, subspace, tol=DEFAULT_TOL):
     return psd_on_subspace(V, subspace, strict=True, tol=tol)
 
 
-def _polar_top(W, subspace, tol):
-    # lambda_max(C) for C = sym(Q^T W Q) when W is supported on the subspace,
-    # ||W - Q C Q^T||_F <= eq_tol * max(1, ||W||_F), and None when it is not.
-    # On the zero subspace C is empty and the value is -inf.
+def _polar_top(W, subspace, tol, vectors=False):
+    # the ascending spectrum of -C for C = sym(Q^T W Q), as eigh's pair
+    # (values, vectors) when vectors is set, if W is supported on the
+    # subspace (W = Q C Q^T within eq_tol), and None if it is not.  W is in
+    # the polar cone iff the spectrum passes the sign test _psd.
     W = symmetrize(W)
     q = subspace.basis
     c = _compress(W, subspace)
-    resid = float(np.linalg.norm(W - q @ c @ q.T))
-    if resid > tol.eq_tol * max(1.0, float(np.linalg.norm(W))):
+    if not _small(W - q @ c @ q.T, W, tol.eq_tol):
         return None
-    if subspace.dim == 0:
-        return -np.inf
-    return float(np.linalg.eigvalsh(c)[-1])
+    return np.linalg.eigh(-c) if vectors else np.linalg.eigvalsh(-c)
 
 
 def in_polar_cone(W, subspace, tol=DEFAULT_TOL):
@@ -58,8 +66,8 @@ def in_polar_cone(W, subspace, tol=DEFAULT_TOL):
     the subspace must satisfy ``lambda_max(C) <= psd_tol``.  For the zero
     subspace the polar is ``{0}``.
     """
-    top = _polar_top(W, subspace, tol)
-    return top is not None and top <= tol.psd_tol
+    spec = _polar_top(W, subspace, tol)
+    return spec is not None and _psd(spec, tol)
 
 
 def in_aff_polar(W, subspace, tol=DEFAULT_TOL):
@@ -68,9 +76,7 @@ def in_aff_polar(W, subspace, tol=DEFAULT_TOL):
     Tested as ``||W - Q Q^T W||_F <= range_tol * max(1, ||W||_F)``.
     """
     W = symmetrize(W)
-    return float(np.linalg.norm(_outside(W, subspace))) <= tol.range_tol * max(
-        1.0, float(np.linalg.norm(W))
-    )
+    return _small(_outside(W, subspace), W, tol.range_tol)
 
 
 def in_rint_polar(W, subspace, tol=DEFAULT_TOL):
@@ -79,12 +85,11 @@ def in_rint_polar(W, subspace, tol=DEFAULT_TOL):
     For a nonzero subspace this means polar membership plus a strictly
     negative form on the subspace (``lambda_max(Q^T W Q) < -psd_tol``).  For
     the zero subspace the polar is ``{0}`` and its relative interior is
-    ``{0}`` as well, so the test reduces to ``||W||_F <= eq_tol``; that
-    branch dispatches on the exact dimension ``k = 0``, not on a tolerance
-    test.
+    ``{0}`` as well: ``Q^T W Q`` is empty, so its spectrum passes the sign
+    test vacuously and only the support test on ``W`` remains.
     """
-    top = _polar_top(W, subspace, tol)
-    return top is not None and top < -tol.psd_tol
+    spec = _polar_top(W, subspace, tol)
+    return spec is not None and _psd(spec, tol, strict=True)
 
 
 def sample_polar(subspace, generators, rng, count=1, tol=DEFAULT_TOL):

@@ -17,6 +17,12 @@ block: compressing ``W`` itself to ``rge Y`` would drop the coupling
 between ``rge Y`` and the rest of the kernel and can understate the gauge.
 A missing nonzero singular value (``rank_tol`` decides "nonzero") means
 gauge zero, e.g. ``Y = 0`` with ``W`` in the polar cone.
+
+The whole domain test reads one k-by-k eigendecomposition, that of
+``-C = -Q^T W Q`` taken by the polar-cone test: on the polar cone
+``W = Q C Q^T``, so ``(-W)^+ = Q (-C)^+ Q^T``, and ``rge Y`` inside
+``Q rge C`` is ``rge Y subset ker A intersect rge W``.  ``W`` is never
+factorized as an n-by-n matrix.
 """
 
 import math
@@ -25,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import _outside, symmetrize
-from .cones import in_polar_cone
+from .linalg import _kept, _norm, _psd, _small, symmetrize
+from .cones import _polar_top, in_polar_cone
 from .support import PreconditionError, eval_support
 
 __all__ = [
@@ -80,7 +86,7 @@ def in_scaled_hull(point, t, pair):
     _require_homogeneous(pair)
     if t < 0:
         raise ValueError(f"scale t must be nonnegative, got {t!r}")
-    if float(np.linalg.norm(pair.A @ point.Y)) > pair.tol.feas_tol:
+    if not _small(pair.A @ point.Y, 0.0, pair.tol.feas_tol):
         return False
     gap = symmetrize(0.5 * (point.Y @ point.Y.T) + t * point.W)
     return in_polar_cone(gap, pair.kernel, tol=pair.tol)
@@ -89,10 +95,11 @@ def in_scaled_hull(point, t, pair):
 def eval_gauge(point, pair):
     """Closed-form gauge of the hull of the ``B = 0`` graph set.
 
-    Returns an infinite result unless ``rge Y subset ker A``,
-    ``rge Y subset rge W`` and ``W`` lies in the polar cone.  On that domain
-    the value is ``1/2 / sigma_min`` of the critical matrix (see module
-    docstring); a numerically zero ``Y`` gives gauge 0.
+    Returns an infinite result unless ``W`` lies in the polar cone and
+    ``rge Y subset ker A intersect rge W``, tested as ``rge Y`` inside
+    ``Q rge C`` for ``C = Q^T W Q``.  On that domain the value is
+    ``1/2 / sigma_min`` of the critical matrix (see module docstring); a
+    numerically zero ``Y`` gives gauge 0.
 
     Raises
     ------
@@ -102,31 +109,28 @@ def eval_gauge(point, pair):
     _require_homogeneous(pair)
     tol = pair.tol
     Y = point.Y
-    W = point.W
-    y_scale = max(1.0, float(np.linalg.norm(Y)))
-    outside_kernel = float(np.linalg.norm(_outside(Y, pair.kernel))) > tol.range_tol * y_scale
-    if outside_kernel or not in_polar_cone(W, pair.kernel, tol=tol):
+    spec = _polar_top(point.W, pair.kernel, tol, vectors=True)
+    if spec is None or not _psd(spec[0], tol):
         return GaugeResult.infinite()
-    # one eigh of -W gives both rge Y subset rge W and (-W)^+, on the
-    # eigenvalues above the rank_tol cutoff
-    lam_w, v = np.linalg.eigh(-W)
-    keep = np.abs(lam_w) > tol.rank_tol * np.abs(lam_w).max(initial=0.0)
-    vk, lam_k = v[:, keep], lam_w[keep]
-    if float(np.linalg.norm(Y - vk @ (vk.T @ Y))) > tol.range_tol * y_scale:
+    # the kept eigenpairs of -C give Q rge C and (-W)^+ = Q (-C)^+ Q^T
+    lam_w, v = spec
+    keep = _kept(lam_w, tol)
+    vk, lam_k = pair.kernel.basis @ v[:, keep], lam_w[keep]
+    if not _small(Y - vk @ (vk.T @ Y), Y, tol.range_tol):
         return GaugeResult.infinite()
-    if float(np.linalg.norm(Y)) <= tol.eq_tol:
+    if _norm(Y) <= tol.eq_tol:
         return GaugeResult(finite=True, value=0.0)
     u, s, vt = np.linalg.svd(Y, full_matrices=False)
-    rank = int(np.sum(s > tol.rank_tol * s[0]))
+    rank = np.count_nonzero(_kept(s, tol))
     ur, sr, vr = u[:, :rank], s[:rank], vt[:rank].T
     # compressed form of Y^T (-W)^+ Y; its top eigenvalue decides the gauge
     t = vk.T @ ur
     reduced = symmetrize(((t.T / lam_k) @ t) * np.outer(sr, sr))
     lam, q = np.linalg.eigh(reduced)
-    top = float(lam[-1])
-    keep = lam > tol.rank_tol * top if top > 0 else np.zeros_like(lam, dtype=bool)
+    keep = _kept(np.maximum(lam, 0.0), tol)
     if not np.any(keep):
         return GaugeResult(finite=True, value=0.0)
+    top = float(lam[-1])
     # critical matrix = pinv(-Y^T W^+ Y); its smallest nonzero singular
     # value is 1 / lambda_max(reduced)
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)

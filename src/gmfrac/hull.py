@@ -12,13 +12,14 @@ explicit Caratheodory-style convex-combination witness that approximates any
 hull point by graph points to accuracy ``O(sqrt(eps))``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _compress, frobenius_inner, symmetrize
-from .cones import in_aff_polar, in_polar_cone, in_rint_polar
-from .support import PreconditionError, eval_support
+from .linalg import DEFAULT_TOL, _kept, _norm, _psd, _small, frobenius_inner, symmetrize
+from .cones import _polar_top, in_aff_polar, in_polar_cone, in_rint_polar
+from .support import ConstraintPair, PreconditionError, eval_support
 
 __all__ = [
     "PrimalPoint",
@@ -60,7 +61,7 @@ class PrimalPoint:
             )
 
     def norm(self):
-        return float(np.sqrt(np.linalg.norm(self.Y) ** 2 + np.linalg.norm(self.W) ** 2))
+        return math.hypot(_norm(self.Y), _norm(self.W))
 
     def scaled(self, t):
         return PrimalPoint(t * self.Y, t * self.W)
@@ -81,9 +82,7 @@ def pairing(dual, primal):
 
 def distance(a, b):
     """Distance ``sqrt(||Ya - Yb||_F^2 + ||Wa - Wb||_F^2)`` between points."""
-    return float(
-        np.sqrt(np.linalg.norm(a.Y - b.Y) ** 2 + np.linalg.norm(a.W - b.W) ** 2)
-    )
+    return math.hypot(_norm(a.Y - b.Y), _norm(a.W - b.W))
 
 
 def _gap(point):
@@ -92,10 +91,7 @@ def _gap(point):
 
 
 def _feasible(point, pair):
-    resid = pair.A @ point.Y - pair.B
-    return float(np.linalg.norm(resid)) <= pair.tol.feas_tol * max(
-        1.0, float(np.linalg.norm(pair.B))
-    )
+    return _small(pair.A @ point.Y - pair.B, pair.B, pair.tol.feas_tol)
 
 
 def in_hull(point, pair):
@@ -118,12 +114,13 @@ def in_free_hull(point, strict=False, tol=DEFAULT_TOL):
 
     The hull of ``{(Y, -1/2 Y Y^T) : Y arbitrary}`` is
     ``{(Y, W) : W + 1/2 Y Y^T <= 0}`` and its interior replaces ``<=`` by
-    strict definiteness.  Decided directly through ``lambda_max`` thresholds.
+    strict definiteness.  Decided by :func:`in_hull` (:func:`in_hull_rint`
+    when ``strict``) on the pair with no constraints: its kernel basis is
+    the identity, so the compression of the gap matrix is the gap itself.
     """
-    lam_max = float(np.linalg.eigvalsh(_gap(point))[-1])
-    if strict:
-        return lam_max < -tol.psd_tol
-    return lam_max <= tol.psd_tol
+    n, m = point.Y.shape
+    pair = ConstraintPair(np.zeros((0, n)), np.zeros((0, m)), tol=tol)
+    return (in_hull_rint if strict else in_hull)(point, pair)
 
 
 def in_hull_polar(dual, pair):
@@ -134,7 +131,7 @@ def in_hull_polar(dual, pair):
 
 def in_hull_horizon(point, pair):
     """Horizon (recession) cone membership: ``Y = 0`` and ``W`` in the polar cone."""
-    if float(np.linalg.norm(point.Y)) > pair.tol.eq_tol:
+    if _norm(point.Y) > pair.tol.eq_tol:
         return False
     return in_polar_cone(point.W, pair.kernel, tol=pair.tol)
 
@@ -164,9 +161,14 @@ class ConvexWitness:
 
     def induced_point(self):
         w, ys = self.weights, self.components
-        y_bar = np.einsum("k,kij->ij", w, ys)
-        w_bar = -0.5 * np.einsum("k,kij,klj->il", w, ys, ys)
-        return PrimalPoint(y_bar, symmetrize(w_bar))
+        count, n, m = ys.shape
+        # every component column scaled by sqrt(w_i), written into one new
+        # n-by-(count m) array (never into ``components``), so that
+        # sum_i w_i Y_i Y_i^T is the single BLAS product cols cols^T
+        cols = np.empty((n, count, m))
+        np.multiply(ys.transpose(1, 0, 2), np.sqrt(w)[:, None], out=cols)
+        cols = cols.reshape(n, count * m)
+        return PrimalPoint(np.tensordot(w, ys, axes=1), -0.5 * (cols @ cols.T))
 
     def distance_to(self, point):
         return distance(self.induced_point(), point)
@@ -178,9 +180,9 @@ def caratheodory_witness(point, pair, epsilon):
     The construction decomposes ``-(1/2 Y Y^T + W)`` into at most
     ``N = n(n+1)/2 + 1`` rank-one terms ``mu_i v_i v_i^T`` with ``v_i = Q u_i``
     in ``ker A``, from the eigendecomposition of the k-by-k matrix
-    ``Q^T (-(1/2 Y Y^T + W)) Q`` (eigenvalues at most ``rank_tol`` times the
-    largest count as zero, and zero terms pad the list up to N), then forms
-    components
+    ``Q^T (-(1/2 Y Y^T + W)) Q``, the one whose spectrum decides hull
+    membership (eigenvalues at most ``rank_tol`` times the largest count as
+    zero, and zero terms pad the list up to N), then forms components
 
         Y_1     = Z0 + (Y - Z0) / sqrt(1 - eps),
         Y_{i+1} = Z0 + [ sqrt(2 mu_i / lam) v_i, 0, ..., 0 ],
@@ -210,15 +212,20 @@ def caratheodory_witness(point, pair, epsilon):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if pair.m == 0:
         raise ValueError("witness construction needs at least one column (m >= 1)")
-    if not in_hull(point, pair):
+    # the test of in_hull, through eigh so that the eigenvectors come with
+    # the spectrum
+    spec = None
+    if _feasible(point, pair):
+        spec = _polar_top(_gap(point), pair.kernel, pair.tol, vectors=True)
+    if spec is None or not _psd(spec[0], pair.tol):
         raise PreconditionError("point is not in the hull; no witness exists")
 
     n, m = pair.n, pair.m
     count = n * (n + 1) // 2 + 1
-    w, u = np.linalg.eigh(_compress(-_gap(point), pair.kernel))
+    w, u = spec
     mu = np.maximum(w[::-1], 0.0)
     # mu is descending, so the significant terms are a leading slice
-    rank = int(np.sum(mu > pair.tol.rank_tol * mu.max(initial=0.0)))
+    rank = np.count_nonzero(_kept(mu, pair.tol))
     vecs = pair.kernel.basis @ u[:, ::-1][:, :rank]
 
     lam = epsilon / count

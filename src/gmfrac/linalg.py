@@ -5,8 +5,10 @@ domains, hull geometry, gauges) reduces to a handful of rank-revealing
 primitives collected here: symmetric eigendecomposition, symmetric
 pseudoinverse, kernel bases, range-inclusion tests, and PSD tests restricted
 to a subspace.  All rank and membership decisions are governed by a single
-:class:`ToleranceConfig` so that "zero", "inside", and "equal" mean the same
-thing in every module.
+:class:`ToleranceConfig` and applied only here, by three private rules that
+every other module calls: ``_kept`` (the rank cutoff), ``_small`` (the
+relative residual test) and ``_psd`` (the eigenvalue sign test).  So "zero",
+"inside", and "equal" mean the same thing in every module.
 """
 
 from dataclasses import dataclass, fields
@@ -35,17 +37,20 @@ class ToleranceConfig:
     Attributes
     ----------
     rank_tol : float
-        Relative singular-value (or eigenvalue-magnitude) cutoff below which
-        a direction counts as rank-deficient.
+        Cutoff, relative to the largest magnitude, below which a singular
+        value or eigenvalue counts as zero; applied by ``_kept``.
     psd_tol : float
-        Absolute eigenvalue slack, in matrix-norm units, for semidefinite
-        and strict-definite decisions.
+        Absolute eigenvalue slack for semidefinite and strict-definite
+        decisions; applied by ``_psd``.
     range_tol : float
-        Relative residual bound for range-inclusion tests.
+        Relative residual bound for range-inclusion tests; applied by
+        ``_small``.
     eq_tol : float
-        Relative bound for scalar and matrix equality tests.
+        Relative bound for matrix equality tests, applied by ``_small``, and
+        for the few scalar tests on a norm or a value.
     feas_tol : float
-        Relative bound for constraint residuals ``A Y - B``.
+        Relative bound for constraint residuals ``A Y - B``; applied by
+        ``_small``.
     """
 
     rank_tol: float = 1e-10
@@ -64,6 +69,38 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+def _kept(w, tol):
+    # the rank cutoff: which of the values w count as nonzero, those above
+    # rank_tol times the largest magnitude (none of an all-zero or empty w)
+    a = np.abs(w)
+    return a > tol.rank_tol * a.max(initial=0.0)
+
+
+def _norm(x):
+    # Frobenius norm without spurious overflow or underflow: the plain norm,
+    # taken again on x / max|x| only when it came out 0 or inf
+    with np.errstate(over="ignore", under="ignore"):
+        r = float(np.linalg.norm(x))
+        if r == 0.0 or r == np.inf:
+            s = float(np.max(np.abs(x), initial=0.0))
+            if 0.0 < s < np.inf:
+                r = s * float(np.linalg.norm(x / s))
+    return r
+
+
+def _small(resid, ref, bound):
+    # the relative residual test ||resid|| <= bound * max(1, ||ref||)
+    return _norm(resid) <= bound * max(1.0, _norm(ref))
+
+
+def _psd(w, tol, strict=False):
+    # the sign test on an ascending spectrum: every value >= -psd_tol, or
+    # > psd_tol when strict; vacuously true for an empty spectrum
+    if w.size == 0:
+        return True
+    return bool(w[0] > tol.psd_tol if strict else w[0] >= -tol.psd_tol)
 
 
 def symmetrize(S):
@@ -150,15 +187,8 @@ def sym_pinv(M, tol=DEFAULT_TOL):
     w, q = sd.eigenvalues, sd.eigenvectors
     if w.size == 0:
         return np.zeros_like(np.asarray(M, float))
-    cutoff = tol.rank_tol * np.abs(w).max()
-    inv = np.divide(1.0, w, out=np.zeros_like(w), where=np.abs(w) > cutoff)
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=_kept(w, tol))
     return symmetrize((q * inv) @ q.T)
-
-
-def _svd_rank(s, tol):
-    # numerical rank from descending singular values: the ``rank_tol`` cutoff
-    # relative to the largest, and rank 0 for an all-zero spectrum
-    return int(np.sum(s > tol.rank_tol * s[0])) if s.size and s[0] > 0 else 0
 
 
 def kernel_basis(A, tol=DEFAULT_TOL):
@@ -175,7 +205,7 @@ def kernel_basis(A, tol=DEFAULT_TOL):
     if p == 0:
         return SubspaceBasis(np.eye(n))
     _, s, vh = np.linalg.svd(A)
-    return SubspaceBasis(vh[_svd_rank(s, tol) :].T.copy())
+    return SubspaceBasis(vh[np.count_nonzero(_kept(s, tol)) :].T.copy())
 
 
 def range_inclusion(C, M, tol=DEFAULT_TOL):
@@ -194,13 +224,8 @@ def range_inclusion(C, M, tol=DEFAULT_TOL):
         raise ValueError(
             f"incompatible shapes: C has {C.shape[0]} rows, M is {q.shape[0]}x{q.shape[0]}"
         )
-    cutoff = tol.rank_tol * np.abs(w).max() if w.size else 0.0
-    keep = np.abs(w) > cutoff
-    qk = q[:, keep]
-    resid = qk @ (qk.T @ C) - C
-    return float(np.linalg.norm(resid)) <= tol.range_tol * max(
-        1.0, float(np.linalg.norm(C))
-    )
+    qk = q[:, _kept(w, tol)]
+    return _small(qk @ (qk.T @ C) - C, C, tol.range_tol)
 
 
 def _compress(V, subspace):
@@ -224,9 +249,4 @@ def psd_on_subspace(V, subspace, strict=False, tol=DEFAULT_TOL):
     requires ``lambda_min(Q^T V Q) > psd_tol`` (stability under eq_tol-sized
     perturbation).  Both are vacuously true on the zero subspace.
     """
-    if subspace.dim == 0:
-        return True
-    lam_min = float(np.linalg.eigvalsh(_compress(V, subspace))[0])
-    if strict:
-        return lam_min > tol.psd_tol
-    return lam_min >= -tol.psd_tol
+    return _psd(np.linalg.eigvalsh(_compress(V, subspace)), tol, strict)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius_inner, symmetrize
+from .linalg import _norm, _small, frobenius_inner, symmetrize
 from .cones import in_cone
 from .support import PreconditionError, eval_support, in_domain
 from .hull import PrimalPoint, in_hull, _gap
@@ -69,15 +69,10 @@ def _normal_conditions(dual, base, pair):
     # ||Q^T R||_F = ||Q Q^T R||_F since Q has orthonormal columns
     V = dual.V
     gap = _gap(base)
-    comp = frobenius_inner(V, gap)
-    comp_scale = max(1.0, float(np.linalg.norm(V)) * float(np.linalg.norm(gap)))
-    if abs(comp) > pair.tol.eq_tol * comp_scale:
+    if not _small(frobenius_inner(V, gap), _norm(V) * _norm(gap), pair.tol.eq_tol):
         return False
     resid = dual.X - V @ base.Y
-    proj = pair.kernel.basis.T @ resid
-    return float(np.linalg.norm(proj)) <= pair.tol.range_tol * max(
-        1.0, float(np.linalg.norm(resid))
-    )
+    return _small(pair.kernel.basis.T @ resid, resid, pair.tol.range_tol)
 
 
 def canonical_subgradient(dual, pair):

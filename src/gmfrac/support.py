@@ -25,6 +25,7 @@ is built.  :func:`saddle_matrix` builds ``M(V)`` for checking the result
 against the closed form.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +35,10 @@ from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
     _compress,
-    _svd_rank,
+    _kept,
+    _norm,
+    _psd,
+    _small,
     frobenius_inner,
     symmetrize,
 )
@@ -75,7 +79,9 @@ class ConstraintPair:
 
     Notes
     -----
-    One SVD of ``A`` gives its rank, the feasibility test, the orthonormal
+    ``A`` and ``B`` are stored as read-only copies, so a later change to the
+    caller's arrays cannot leave the cached factorization stale.  One SVD of
+    ``A`` gives its rank, the feasibility test, the orthonormal
     kernel basis and the minimum-norm solution of ``A Y = B``; these are
     computed once and cached, and all downstream operations read them from
     here.  Of the range side of the SVD only ``U_r`` (p-by-r) and the
@@ -84,8 +90,8 @@ class ConstraintPair:
     """
 
     def __init__(self, A, B, tol=DEFAULT_TOL):
-        A = np.asarray(A, dtype=float)
-        B = np.asarray(B, dtype=float)
+        A = np.array(A, dtype=float)
+        B = np.array(B, dtype=float)
         if A.ndim != 2 or B.ndim != 2:
             raise ValueError("A and B must be 2-D arrays")
         if A.shape[0] != B.shape[0]:
@@ -94,6 +100,8 @@ class ConstraintPair:
             )
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
             raise ValueError("A and B must have finite entries")
+        A.setflags(write=False)
+        B.setflags(write=False)
         self.A = A
         self.B = B
         self.tol = tol
@@ -105,15 +113,12 @@ class ConstraintPair:
             self._range_sv = np.zeros(0)
             return
         u, s, vh = np.linalg.svd(A)
-        r = _svd_rank(s, tol)
+        r = np.count_nonzero(_kept(s, tol))
         # copies, so that the full p-by-p and n-by-n factors are freed here
         ur = u[:, :r].copy()
         sr = s[:r].copy()
         if np.any(B):
-            resid = B - ur @ (ur.T @ B)
-            if float(np.linalg.norm(resid)) > tol.range_tol * max(
-                1.0, float(np.linalg.norm(B))
-            ):
+            if not _small(B - ur @ (ur.T @ B), B, tol.range_tol):
                 raise InfeasiblePairError(
                     "rge B is not contained in rge A: the manifold {A Y = B} is empty"
                 )
@@ -148,7 +153,7 @@ class ConstraintPair:
     @property
     def homogeneous(self):
         """True iff ``B = 0`` within ``feas_tol`` (gauge calculus applies)."""
-        return float(np.linalg.norm(self.B)) <= self.tol.feas_tol
+        return _norm(self.B) <= self.tol.feas_tol
 
     def __repr__(self):
         return f"ConstraintPair(p={self.p}, n={self.n}, m={self.m})"
@@ -177,7 +182,7 @@ class DualPoint:
             )
 
     def norm(self):
-        return float(np.sqrt(np.linalg.norm(self.X) ** 2 + np.linalg.norm(self.V) ** 2))
+        return math.hypot(_norm(self.X), _norm(self.V))
 
     def scaled(self, t):
         return DualPoint(t * self.X, t * self.V)
@@ -236,15 +241,13 @@ def _reduced_solve(point, pair):
         return np.zeros((0, pair.m))
     r = kernel.basis.T @ (point.X - point.V @ pair.min_norm_solution)
     w, u = np.linalg.eigh(_compress(point.V, kernel))
-    # the cone test: statistic and threshold of psd_on_subspace
-    if w[0] < -tol.psd_tol:
+    # the cone test of psd_on_subspace
+    if not _psd(w, tol):
         return None
-    keep = np.abs(w) > tol.rank_tol * np.abs(w).max()
+    keep = _kept(w, tol)
     uk = u[:, keep]
     coef = uk.T @ r
-    if float(np.linalg.norm(r - uk @ coef)) > tol.range_tol * max(
-        1.0, float(np.linalg.norm(r))
-    ):
+    if not _small(r - uk @ coef, r, tol.range_tol):
         return None
     return uk @ (coef / w[keep, None])
 

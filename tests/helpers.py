@@ -25,6 +25,17 @@ def rand_zero_pair(rng, n, m, p):
     return ConstraintPair(a, np.zeros((p, m)))
 
 
+def gauge_instance(rng, n, m, p):
+    """A B = 0 pair and ``(Y, W)`` with ``Y = Q G``, inside the gauge's domain."""
+    pair = rand_zero_pair(rng, n, m, p)
+    q = pair.kernel.basis
+    k = pair.kernel.dim
+    y = q @ rng.standard_normal((k, m))
+    r = rng.standard_normal((k, k))
+    w = -q @ (r @ r.T + 0.1 * np.eye(k)) @ q.T - 0.2 * (y @ y.T)
+    return pair, y, w
+
+
 def cone_member(rng, subspace, margin=0.0):
     """Random matrix with nonnegative form on the subspace (shifted draw)."""
     n = subspace.dim_ambient

@@ -23,7 +23,7 @@ from gmfrac import (
     in_hull_rint,
     in_subdifferential,
 )
-from helpers import hull_member, interior_dual, rand_pair, rand_zero_pair, rint_member
+from helpers import gauge_instance, hull_member, interior_dual, rand_pair, rint_member
 
 FACTORIZATIONS = ("eigh", "eigvalsh", "svd", "lstsq")
 
@@ -108,26 +108,8 @@ def test_hull_rint_is_one_eigvalsh_and_aff_is_none(counts, n, m, p):
     assert taken(counts) == {}
 
 
-@pytest.mark.parametrize("n, m, p", [(4, 3, 2), (50, 5, 20), (6, 2, 0)])
-def test_gauge_factorizes_w_once(counts, n, m, p):
-    rng = np.random.default_rng(4)
-    pair = rand_zero_pair(rng, n, m, p)
-    q = pair.kernel.basis
-    k = pair.kernel.dim
-    y = q @ rng.standard_normal((k, m))
-    r = rng.standard_normal((k, k))
-    w = -q @ (r @ r.T + 0.1 * np.eye(k)) @ q.T - 0.2 * (y @ y.T)
-    point = PrimalPoint(y, w)
-    taken(counts)
-    assert eval_gauge(point, pair).finite
-    assert taken(counts) == {"svd": 1, "eigh": 2, "eigvalsh": 1}
-
-
-@pytest.mark.parametrize("n, m, p", [(4, 3, 2), (30, 2, 10), (5, 1, 0)])
-def test_witness_eigh_is_k_by_k(counts, monkeypatch, n, m, p):
-    rng = np.random.default_rng(5)
-    pair = rand_pair(rng, n, m, p)
-    point = hull_member(rng, pair)
+@pytest.fixture
+def eigh_shapes(counts, monkeypatch):
     shapes = []
     counted = np.linalg.eigh
 
@@ -136,8 +118,28 @@ def test_witness_eigh_is_k_by_k(counts, monkeypatch, n, m, p):
         return counted(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return shapes
+
+
+@pytest.mark.parametrize("n, m, p", [(4, 3, 2), (50, 5, 20), (6, 2, 0)])
+def test_gauge_factorizes_w_once(counts, eigh_shapes, n, m, p):
+    rng = np.random.default_rng(4)
+    pair, y, w = gauge_instance(rng, n, m, p)
+    point = PrimalPoint(y, w)
+    taken(counts)
+    assert eval_gauge(point, pair).finite
+    assert taken(counts) == {"svd": 1, "eigh": 2}
+    k = pair.kernel.dim
+    assert all(shape[0] <= k for shape in eigh_shapes)
+
+
+@pytest.mark.parametrize("n, m, p", [(4, 3, 2), (30, 2, 10), (5, 1, 0)])
+def test_witness_eigh_is_k_by_k(counts, eigh_shapes, n, m, p):
+    rng = np.random.default_rng(5)
+    pair = rand_pair(rng, n, m, p)
+    point = hull_member(rng, pair)
     taken(counts)
     caratheodory_witness(point, pair, 1e-3)
-    assert taken(counts) == {"eigvalsh": 1, "eigh": 1}
+    assert taken(counts) == {"eigh": 1}
     k = pair.kernel.dim
-    assert shapes == [(k, k)]
+    assert eigh_shapes == [(k, k)]

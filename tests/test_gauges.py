@@ -15,8 +15,9 @@ from gmfrac import (
     in_scaled_hull,
     pairing,
     sample_polar,
+    symmetrize,
 )
-from helpers import rand_zero_pair
+from helpers import gauge_instance, rand_zero_pair
 
 
 def primal(y, w):
@@ -170,3 +171,20 @@ def test_gauge_zero_iff_polar_membership():
         bad = w + 0.5 * np.eye(pair.n)
         assert not in_polar_cone(bad, pair.kernel)
         assert not eval_gauge(PrimalPoint(zero_y, bad), pair).finite
+
+
+# Noise of 1e-9 outside ker A tilts the eigenvectors of the n-by-n -W off
+# ker A; a gauge read from that eigh answered +inf on each of these instances.
+@pytest.mark.parametrize(
+    "n, m, p, seed",
+    [(4, 3, 2, 13), (12, 2, 4, 6), (12, 2, 4, 8), (30, 2, 10, 0), (30, 2, 10, 5)],
+)
+def test_gauge_ignores_noise_outside_the_kernel(n, m, p, seed):
+    rng = np.random.default_rng(seed)
+    pair, y, w0 = gauge_instance(rng, n, m, p)
+    w = w0 + 1e-9 * rng.standard_normal((n, n))
+    assert in_polar_cone(symmetrize(w), pair.kernel)
+    exact = eval_gauge(PrimalPoint(y, w0), pair)
+    noisy = eval_gauge(PrimalPoint(y, w), pair)
+    assert noisy.finite
+    assert abs(noisy.value - exact.value) <= 1e-6 * exact.value

@@ -306,3 +306,17 @@ def test_witness_components_are_each_feasible():
     bound = pair.tol.feas_tol * max(1.0, np.linalg.norm(pair.B))
     assert np.linalg.norm(resid, axis=(1, 2)).max() <= bound
     assert wit.distance_to(pt) <= 0.05
+
+
+@pytest.mark.parametrize("n, m, p", [(6, 1, 2), (6, 3, 2), (5, 2, 0)])
+def test_induced_point_is_the_weighted_sum(n, m, p):
+    rng = np.random.default_rng(9)
+    pair = rand_pair(rng, n, m, p)
+    wit = caratheodory_witness(hull_member(rng, pair), pair, 1e-3)
+    before = wit.components.copy()
+    got = wit.induced_point()
+    np.testing.assert_array_equal(wit.components, before)
+    y = sum(w * c for w, c in zip(wit.weights, wit.components))
+    w = -0.5 * sum(w * (c @ c.T) for w, c in zip(wit.weights, wit.components))
+    np.testing.assert_allclose(got.Y, y, rtol=1e-12, atol=1e-12 * np.abs(y).max())
+    np.testing.assert_allclose(got.W, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())

@@ -1,10 +1,21 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gmfrac
 from gmfrac import (
     DEFAULT_TOL,
+    ConstraintPair,
+    DualPoint,
+    PrimalPoint,
     SubspaceBasis,
     ToleranceConfig,
+    eval_support,
+    in_hull,
+    in_hull_aff,
+    in_polar_cone,
     kernel_basis,
     psd_on_subspace,
     range_inclusion,
@@ -207,3 +218,84 @@ def test_psd_strict_implies_nonstrict():
         v = rand_sym(rng, n)
         if psd_on_subspace(v, basis, strict=True):
             assert psd_on_subspace(v, basis)
+
+
+def _scale_cases(s):
+    """Clearly inside and clearly outside probes at entry scale ``s``.
+
+    Each entry is ``(test, args, expected)``.  The hull probes keep a
+    feasible ``Y`` of scale 1 and take ``W = -1/2 Y Y^T + s T`` with ``T``
+    negative definite on ``ker A``, so the gap matrix is ``s T``.
+    """
+    rng = np.random.default_rng(21)
+    n, m, p = 6, 2, 2
+    a = rng.standard_normal((p, n))
+    pair = ConstraintPair(a, a @ rng.standard_normal((n, m)))
+    q = pair.kernel.basis
+    k = q.shape[1]
+    g = rng.standard_normal((k, k))
+    neg = -q @ (g @ g.T + np.eye(k)) @ q.T
+    v = q[:, 0]
+    push = (2.0 * abs(v @ neg @ v) + 1.0) * np.outer(v, v)
+    off = a[0] / np.linalg.norm(a[0])
+    off_kernel = np.outer(off, off)
+    y = pair.min_norm_solution + q @ rng.standard_normal((k, m))
+    w = -0.5 * (y @ y.T) + s * neg
+    x = s * rng.standard_normal((n, m))
+    pd = s * (q @ (g @ g.T + np.eye(k)) @ q.T + np.eye(n))
+    singular = s * np.outer(q[:, 1], q[:, 1])
+
+    def finite(d, pr):
+        return eval_support(d, pr).finite
+
+    return [
+        (in_polar_cone, (s * neg, pair.kernel), True),
+        (in_polar_cone, (s * (neg + push), pair.kernel), False),
+        (in_polar_cone, (s * (neg + off_kernel), pair.kernel), False),
+        (in_hull, (PrimalPoint(y, w), pair), True),
+        (in_hull, (PrimalPoint(y, w + s * push), pair), False),
+        (in_hull, (PrimalPoint(y + off[:, None], w), pair), False),
+        (in_hull_aff, (PrimalPoint(y, w), pair), True),
+        (in_hull_aff, (PrimalPoint(y, w + s * off_kernel), pair), False),
+        (finite, (DualPoint(x, pd), pair), True),
+        (finite, (DualPoint(x, pd - 3.0 * s * push), pair), False),
+        (finite, (DualPoint(x, singular), pair), False),
+    ]
+
+
+@pytest.mark.filterwarnings("error")
+def test_decisions_unchanged_at_entry_scale_1e200():
+    cases = zip(_scale_cases(1.0), _scale_cases(1e200))
+    for (test, args, expected), (_, big_args, _) in cases:
+        assert test(*args) is expected
+        assert test(*big_args) is expected
+    big = PrimalPoint(1e200 * np.ones((2, 1)), 1e200 * np.eye(2))
+    assert np.isclose(big.norm(), 1e200 * np.sqrt(4.0), rtol=1e-14)
+    assert DualPoint(big.Y, big.W).norm() == big.norm()
+
+
+def _package_files():
+    return sorted(Path(gmfrac.__file__).parent.glob("*.py"))
+
+
+def test_rank_and_psd_tolerances_are_read_only_in_linalg():
+    # cli.py reads them too, to parse its --rank-tol and --psd-tol flags
+    readers = {
+        path.name
+        for path in _package_files()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("rank_tol", "psd_tol")
+        and isinstance(node.ctx, ast.Load)
+    }
+    assert readers == {"linalg.py", "cli.py"}
+
+
+def test_bruteforce_imports_no_other_gmfrac_module():
+    # the oracles share no code with the closed forms they check
+    (path,) = [p for p in _package_files() if p.name == "bruteforce.py"]
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("gmfrac")
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("gmfrac") for alias in node.names)

@@ -8,11 +8,12 @@ from gmfrac import (
     SampleConfig,
     eval_support,
     in_domain,
+    in_hull,
     sample_feasible,
     saddle_matrix,
     support_lower_bound,
 )
-from helpers import interior_dual, rand_pair
+from helpers import hull_member, interior_dual, rand_pair
 
 
 def dual(x, v):
@@ -207,3 +208,27 @@ def test_dual_point_rejects_non_finite(bad):
     v[0, 1] = bad
     with pytest.raises(ValueError):
         DualPoint(np.ones((2, 1)), v)
+
+
+def test_pair_keeps_read_only_copies_of_a_and_b():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((2, 5))
+    b = a @ rng.standard_normal((5, 2))
+    pair = ConstraintPair(a, b)
+    a0, b0 = a.copy(), b.copy()
+    dual = interior_dual(rng, pair)
+    primal = hull_member(rng, pair)
+    before = eval_support(dual, pair)
+    assert in_hull(primal, pair)
+    a[:] = rng.standard_normal(a.shape)
+    b[:] = 0.0
+    np.testing.assert_array_equal(pair.A, a0)
+    np.testing.assert_array_equal(pair.B, b0)
+    after = eval_support(dual, pair)
+    assert after.value == before.value
+    np.testing.assert_array_equal(after.multiplier, before.multiplier)
+    assert in_hull(primal, pair)
+    with pytest.raises(ValueError):
+        pair.A[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        pair.B[0, 0] = 1.0
