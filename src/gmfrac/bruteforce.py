@@ -6,6 +6,12 @@ feasible points, the gauge is bracketed by bisection over a caller-supplied
 membership predicate, and the convexity fuzzer only ever calls the
 membership predicate handed to it.  All sampling is deterministic given the
 seed in :class:`SampleConfig`.
+
+Samples are drawn and scored in batched matrix products: a batch of
+feasible points is ``Y0 + Q G`` for a stack of draws ``G``, and the sampled
+objective is ``<X, Y> - 1/2 <Y, V Y>``, which equals
+``<X, Y> - 1/2 <V, Y Y^T>``.  These are plain products of the inputs; no
+closed form is evaluated here.
 """
 
 import math
@@ -47,18 +53,20 @@ def sample_feasible(pair, sc):
     ndarray, shape (count, n, m)
     """
     rng = np.random.default_rng(sc.rng_seed)
-    k = pair.kernel.dim
-    y0 = pair.min_norm_solution
-    if k == 0:
-        return np.broadcast_to(y0, (sc.count,) + y0.shape).copy()
-    g = sc.scale * rng.standard_normal((sc.count, k, pair.m))
-    return y0 + np.einsum("nk,ckm->cnm", pair.kernel.basis, g)
+    return _draw(pair, pair.min_norm_solution, sc.count, sc.scale, rng)
+
+
+def _draw(pair, base, count, scale, rng):
+    # count points base + Q G of the manifold, G standard normal times scale;
+    # with k = 0 the (count, 0, m) draw is empty and every point is base
+    g = scale * rng.standard_normal((count, pair.kernel.dim, pair.m))
+    return base + pair.kernel.basis @ g
 
 
 def _objective(dual, ys):
-    # <X, Y> - 1/2 <V, Y Y^T> for a batch of Y
+    # <X, Y> - 1/2 <V, Y Y^T> for a batch of Y, with <V, Y Y^T> = <Y, V Y>
     lin = np.einsum("ij,cij->c", dual.X, ys)
-    quad = np.einsum("cij,il,clj->c", ys, dual.V, ys)
+    quad = np.einsum("cij,cij->c", ys, dual.V @ ys)
     return lin - 0.5 * quad
 
 
@@ -72,20 +80,11 @@ def support_lower_bound(dual, pair, sc, center=None, center_spread=1e-2):
     reach.
     """
     rng = np.random.default_rng(sc.rng_seed)
-    k = pair.kernel.dim
-    y0 = pair.min_norm_solution
     n_global = sc.count if center is None else sc.count - sc.count // 2
-    if k == 0:
-        ys = np.broadcast_to(y0, (sc.count,) + y0.shape).copy()
-    else:
-        g = sc.scale * rng.standard_normal((n_global, k, pair.m))
-        ys = y0 + np.einsum("nk,ckm->cnm", pair.kernel.basis, g)
-        if center is not None:
-            g2 = center_spread * sc.scale * rng.standard_normal(
-                (sc.count // 2, k, pair.m)
-            )
-            near = center + np.einsum("nk,ckm->cnm", pair.kernel.basis, g2)
-            ys = np.concatenate([ys, near], axis=0)
+    ys = _draw(pair, pair.min_norm_solution, n_global, sc.scale, rng)
+    if center is not None:
+        near = _draw(pair, center, sc.count // 2, center_spread * sc.scale, rng)
+        ys = np.concatenate([ys, near], axis=0)
     return float(_objective(dual, ys).max())
 
 

@@ -71,8 +71,8 @@ def write_matrix(fh, M, name=None):
     if name:
         fh.write(f"# {name}\n")
     fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-    for row in M:
-        fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    for row in M.tolist():
+        fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def read_matrix_blocks(path):
@@ -305,9 +305,7 @@ def _cmd_verify(args, tol, inputs):
 
     sc = SampleConfig(count=trials, rng_seed=seed)
     ys = sample_feasible(pair, sc)
-    resid = max(
-        float(np.linalg.norm(pair.A @ y - pair.B)) for y in ys
-    ) if pair.p else 0.0
+    resid = float(np.linalg.norm(pair.A @ ys - pair.B, axis=(1, 2)).max()) if pair.p else 0.0
     checks.append(
         {
             "name": "feasible-sample-residual",

@@ -42,17 +42,20 @@ __all__ = [
 class PrimalPoint:
     """A point ``(Y, W)`` tested against the hull, normal cones, and gauges.
 
-    ``W`` is symmetrized on entry.
+    ``W`` is symmetrized on entry.  ``Y`` and ``W`` are stored as read-only
+    copies, so a later change to the caller's arrays cannot change the point.
     """
 
     Y: np.ndarray
     W: np.ndarray
 
     def __post_init__(self):
-        self.Y = np.asarray(self.Y, dtype=float)
+        self.Y = np.array(self.Y, dtype=float)
         if self.Y.ndim == 1:
             self.Y = self.Y.reshape(-1, 1)
         self.W = symmetrize(self.W)
+        self.Y.setflags(write=False)
+        self.W.setflags(write=False)
         if not (np.all(np.isfinite(self.Y)) and np.all(np.isfinite(self.W))):
             raise ValueError("Y and W must have finite entries")
         if self.Y.shape[0] != self.W.shape[0]:

@@ -163,17 +163,20 @@ class ConstraintPair:
 class DualPoint:
     """A point ``(X, V)`` where the support function is evaluated.
 
-    ``V`` is symmetrized on entry.
+    ``V`` is symmetrized on entry.  ``X`` and ``V`` are stored as read-only
+    copies, so a later change to the caller's arrays cannot change the point.
     """
 
     X: np.ndarray
     V: np.ndarray
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
+        self.X = np.array(self.X, dtype=float)
         if self.X.ndim == 1:
             self.X = self.X.reshape(-1, 1)
         self.V = symmetrize(self.V)
+        self.X.setflags(write=False)
+        self.V.setflags(write=False)
         if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.V))):
             raise ValueError("X and V must have finite entries")
         if self.X.shape[0] != self.V.shape[0]:

@@ -155,3 +155,45 @@ def test_convexity_fuzz_deterministic(pair_f0):
     r2 = convexity_fuzz(member, sampler, sc)
     assert r1.failures == r2.failures == 0
     assert r1.failed_trials == r2.failed_trials
+
+
+def _per_sample_draws(base, q, g):
+    return [base + q @ gc for gc in g]
+
+
+# (n, m, p): a kernel with m > 1, no constraints, and a full-rank square A (k = 0)
+ORACLE_SHAPES = [(6, 3, 2), (4, 2, 0), (3, 2, 3)]
+
+
+@pytest.mark.parametrize("n,m,p", ORACLE_SHAPES)
+def test_sample_feasible_matches_per_sample_draws(n, m, p):
+    rng = np.random.default_rng(14)
+    pair = rand_pair(rng, n, m, p)
+    sc = SampleConfig(count=40, rng_seed=15, scale=1.5)
+    g = sc.scale * np.random.default_rng(sc.rng_seed).standard_normal((sc.count, pair.kernel.dim, m))
+    ref = _per_sample_draws(pair.min_norm_solution, pair.kernel.basis, g)
+    np.testing.assert_allclose(sample_feasible(pair, sc), np.stack(ref), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("with_center", [False, True])
+@pytest.mark.parametrize("n,m,p", ORACLE_SHAPES)
+def test_support_lower_bound_matches_per_sample_loop(n, m, p, with_center):
+    rng = np.random.default_rng(16)
+    pair = rand_pair(rng, n, m, p)
+    dual = interior_dual(rng, pair)
+    center = eval_support(dual, pair).maximizer if with_center else None
+    sc = SampleConfig(count=301, rng_seed=17, scale=0.7)
+    spread = 1e-2
+    k, q = pair.kernel.dim, pair.kernel.basis
+    draw = np.random.default_rng(sc.rng_seed)
+    n_global = sc.count if center is None else sc.count - sc.count // 2
+    ys = _per_sample_draws(pair.min_norm_solution, q, sc.scale * draw.standard_normal((n_global, k, m)))
+    if center is not None:
+        g2 = spread * sc.scale * draw.standard_normal((sc.count // 2, k, m))
+        ys += _per_sample_draws(center, q, g2)
+    assert len(ys) == sc.count
+    ref = max(
+        float(np.sum(dual.X * y)) - 0.5 * float(np.sum(dual.V * (y @ y.T))) for y in ys
+    )
+    bound = support_lower_bound(dual, pair, sc, center=center, center_spread=spread)
+    assert bound == pytest.approx(ref, rel=1e-12, abs=0)

@@ -1,9 +1,12 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-from gmfrac.cli import CliInputError, main, read_matrix, read_matrix_blocks
+from gmfrac import caratheodory_witness
+from gmfrac.cli import CliInputError, main, read_matrix, read_matrix_blocks, write_matrix
+from helpers import hull_member, rand_pair
 
 
 def write(tmp_path, name, text):
@@ -258,3 +261,58 @@ def test_read_matrix_blocks_rejects_bad_entries(tmp_path, entry):
     path = write(tmp_path, "blocks.txt", f"1 1\n2.0\n1 2\n1.0 {entry}\n")
     with pytest.raises(CliInputError):
         read_matrix_blocks(path)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        [[-0.0, 5e-324, 1e-300, 1e300], [3.0, -7.0, 2.0**53, 0.1]],
+        [[-2.5]],
+        np.zeros((0, 3)),
+        np.random.default_rng(11).standard_normal((4, 3)),
+    ],
+)
+def test_write_matrix_text_is_repr_of_each_entry(M):
+    M = np.asarray(M, dtype=float)
+    fh = io.StringIO()
+    write_matrix(fh, M, name="block")
+    expected = f"# block\n{M.shape[0]} {M.shape[1]}\n" + "".join(
+        " ".join(repr(float(v)) for v in row) + "\n" for row in M
+    )
+    assert fh.getvalue() == expected
+
+
+def test_witness_file_round_trips_exactly(capsys, tmp_path):
+    rng = np.random.default_rng(12)
+    pair = rand_pair(rng, 6, 2, 2)
+    point = hull_member(rng, pair)
+    files = {name: mat_file(tmp_path, f"{name}.txt", M)
+             for name, M in (("A", pair.A), ("B", pair.B), ("Y", point.Y), ("W", point.W))}
+    out = str(tmp_path / "witness.txt")
+    code, rep = run(
+        capsys,
+        ["witness", "--A", files["A"], "--B", files["B"], "--Y", files["Y"],
+         "--W", files["W"], "--epsilon", "1e-3", "--out", out],
+    )
+    assert code == 0
+    # the input files hold repr text, so the CLI reads back exactly these arrays
+    wit = caratheodory_witness(point, pair, 1e-3)
+    blocks = read_matrix_blocks(out)
+    assert len(blocks) == 2 + wit.components.shape[0] == 2 + rep["outputs"]["components"]
+    np.testing.assert_array_equal(blocks[0], [[wit.epsilon]])
+    np.testing.assert_array_equal(blocks[1], wit.weights.reshape(1, -1))
+    np.testing.assert_array_equal(np.stack(blocks[2:]), wit.components)
+
+
+def test_verify_at_benchmark_size_passes_and_repeats(capsys, tmp_path):
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((10, 30))
+    b = a @ rng.standard_normal((30, 3))
+    argv = ["verify", "--A", mat_file(tmp_path, "A.txt", a),
+            "--B", mat_file(tmp_path, "B.txt", b), "--seed", "301"]
+    code, rep1 = run(capsys, argv)
+    assert code == 0
+    assert rep1["outputs"]["all_passed"] is True
+    assert len(rep1["outputs"]["checks"]) == 4
+    _, rep2 = run(capsys, argv)
+    assert rep2["outputs"] == rep1["outputs"]

@@ -5,6 +5,7 @@ from gmfrac import (
     ConstraintPair,
     DualPoint,
     InfeasiblePairError,
+    PrimalPoint,
     SampleConfig,
     eval_support,
     in_domain,
@@ -232,3 +233,30 @@ def test_pair_keeps_read_only_copies_of_a_and_b():
         pair.A[0, 0] = 1.0
     with pytest.raises(ValueError):
         pair.B[0, 0] = 1.0
+
+
+def test_points_keep_read_only_copies():
+    rng = np.random.default_rng(9)
+    pair = rand_pair(rng, 5, 2, 2)
+    d0 = interior_dual(rng, pair)
+    h0 = hull_member(rng, pair)
+    x, v, y, w = (np.array(a) for a in (d0.X, d0.V, h0.Y, h0.W))
+    dual, primal = DualPoint(x, v), PrimalPoint(y, w)
+    before = eval_support(dual, pair)
+    assert in_hull(primal, pair)
+    for a in (x, v, y, w):
+        a[:] = rng.standard_normal(a.shape)
+    for kept, orig in ((dual.X, d0.X), (dual.V, d0.V), (primal.Y, h0.Y), (primal.W, h0.W)):
+        np.testing.assert_array_equal(kept, orig)
+        with pytest.raises(ValueError):
+            kept[0, 0] = 1.0
+    after = eval_support(dual, pair)
+    assert after.value == before.value
+    np.testing.assert_array_equal(after.maximizer, before.maximizer)
+    assert in_hull(primal, pair)
+    column = np.ones(3)
+    point = DualPoint(column, np.eye(3))
+    column[0] = 2.0
+    np.testing.assert_array_equal(point.X, np.ones((3, 1)))
+    with pytest.raises(ValueError):
+        point.X[0, 0] = 1.0
