@@ -10,6 +10,7 @@ precondition violated (e.g. an infeasible pair).
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import sys
@@ -284,8 +285,17 @@ def _cmd_witness(args, tol, inputs):
             fh.write("# caratheodory witness: epsilon, weights, then components\n")
             write_matrix(fh, np.array([[wit.epsilon]]), name="epsilon")
             write_matrix(fh, wit.weights.reshape(1, -1), name="weights")
+            # all but at most k + 1 components are copies of Z0: format each
+            # run of bitwise-equal ones once (by bytes, since -0.0 == 0.0
+            # but the two print differently)
+            last, text = None, None
             for i, comp in enumerate(wit.components):
-                write_matrix(fh, comp, name=f"component {i}")
+                raw = comp.tobytes()
+                if raw != last:
+                    buf = io.StringIO()
+                    write_matrix(buf, comp)
+                    last, text = raw, buf.getvalue()
+                fh.write(f"# component {i}\n{text}")
     except OSError as exc:
         raise CliInputError(f"cannot write {args.out}: {exc}") from exc
     return {

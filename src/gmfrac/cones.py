@@ -11,6 +11,13 @@ the polar, and a sampler of polar elements built from the generating set
 projector onto S.  The polar tests share one spectrum of ``-Q^T W Q``,
 which the hull witness and the gauge reuse with its eigenvectors.  The
 thresholds are applied by the rules of :mod:`gmfrac.linalg`.
+
+The public tests take a raw matrix and symmetrize it once, at entry.  The
+private predicates ``_in_polar`` and ``_in_aff_polar`` and the spectrum
+``_polar_top`` take a matrix that is symmetric by construction (a point's
+``V`` or ``W``, or a gap matrix symmetrized once when it is formed); the hull,
+normal-cone and gauge tests call them, and never the public tests, so no
+matrix is symmetrized twice.
 """
 
 import numpy as np
@@ -49,8 +56,8 @@ def _polar_top(W, subspace, tol, vectors=False):
     # the ascending spectrum of -C for C = sym(Q^T W Q), as eigh's pair
     # (values, vectors) when vectors is set, if W is supported on the
     # subspace (W = Q C Q^T within eq_tol), and None if it is not.  W is in
-    # the polar cone iff the spectrum passes the sign test _psd.
-    W = symmetrize(W)
+    # the polar cone iff the spectrum passes the sign test _psd.  W must be
+    # symmetric already; only the k-by-k C is symmetrized, by _compress.
     q = subspace.basis
     c = _compress(W, subspace)
     if not _small(W - q @ c @ q.T, W, tol.eq_tol):
@@ -66,8 +73,14 @@ def in_polar_cone(W, subspace, tol=DEFAULT_TOL):
     the subspace must satisfy ``lambda_max(C) <= psd_tol``.  For the zero
     subspace the polar is ``{0}``.
     """
+    return _in_polar(symmetrize(W), subspace, tol)
+
+
+def _in_polar(W, subspace, tol, strict=False):
+    # polar-cone membership of a symmetric W, of its relative interior when
+    # strict
     spec = _polar_top(W, subspace, tol)
-    return spec is not None and _psd(spec, tol)
+    return spec is not None and _psd(spec, tol, strict)
 
 
 def in_aff_polar(W, subspace, tol=DEFAULT_TOL):
@@ -75,7 +88,11 @@ def in_aff_polar(W, subspace, tol=DEFAULT_TOL):
 
     Tested as ``||W - Q Q^T W||_F <= range_tol * max(1, ||W||_F)``.
     """
-    W = symmetrize(W)
+    return _in_aff_polar(symmetrize(W), subspace, tol)
+
+
+def _in_aff_polar(W, subspace, tol):
+    # the test of in_aff_polar on a symmetric W
     return _small(_outside(W, subspace), W, tol.range_tol)
 
 
@@ -88,8 +105,7 @@ def in_rint_polar(W, subspace, tol=DEFAULT_TOL):
     ``{0}`` as well: ``Q^T W Q`` is empty, so its spectrum passes the sign
     test vacuously and only the support test on ``W`` remains.
     """
-    spec = _polar_top(W, subspace, tol)
-    return spec is not None and _psd(spec, tol, strict=True)
+    return _in_polar(symmetrize(W), subspace, tol, strict=True)
 
 
 def sample_polar(subspace, generators, rng, count=1, tol=DEFAULT_TOL):

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import _kept, _norm, _psd, _small, symmetrize
-from .cones import _polar_top, in_polar_cone
+from .cones import _in_polar, _polar_top
 from .support import PreconditionError, eval_support
 
 __all__ = [
@@ -89,7 +89,7 @@ def in_scaled_hull(point, t, pair):
     if not _small(pair.A @ point.Y, 0.0, pair.tol.feas_tol):
         return False
     gap = symmetrize(0.5 * (point.Y @ point.Y.T) + t * point.W)
-    return in_polar_cone(gap, pair.kernel, tol=pair.tol)
+    return _in_polar(gap, pair.kernel, pair.tol)
 
 
 def eval_gauge(point, pair):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, _kept, _norm, _psd, _small, frobenius_inner, symmetrize
-from .cones import _polar_top, in_aff_polar, in_polar_cone, in_rint_polar
-from .support import ConstraintPair, PreconditionError, eval_support
+from .cones import _in_aff_polar, _in_polar, _polar_top
+from .support import ConstraintPair, PreconditionError, _freeze_point, eval_support
 
 __all__ = [
     "PrimalPoint",
@@ -38,30 +38,21 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrimalPoint:
     """A point ``(Y, W)`` tested against the hull, normal cones, and gauges.
 
-    ``W`` is symmetrized on entry.  ``Y`` and ``W`` are stored as read-only
-    copies, so a later change to the caller's arrays cannot change the point.
+    The point is frozen: ``W`` is symmetrized once, on entry, and ``Y`` and
+    ``W`` are stored as read-only copies that cannot be rebound, so a later
+    change to the caller's arrays cannot change the point and every test may
+    read ``W`` as symmetric without symmetrizing it again.
     """
 
     Y: np.ndarray
     W: np.ndarray
 
     def __post_init__(self):
-        self.Y = np.array(self.Y, dtype=float)
-        if self.Y.ndim == 1:
-            self.Y = self.Y.reshape(-1, 1)
-        self.W = symmetrize(self.W)
-        self.Y.setflags(write=False)
-        self.W.setflags(write=False)
-        if not (np.all(np.isfinite(self.Y)) and np.all(np.isfinite(self.W))):
-            raise ValueError("Y and W must have finite entries")
-        if self.Y.shape[0] != self.W.shape[0]:
-            raise ValueError(
-                f"Y has {self.Y.shape[0]} rows but W is {self.W.shape[0]}x{self.W.shape[1]}"
-            )
+        _freeze_point(self)
 
     def norm(self):
         return math.hypot(_norm(self.Y), _norm(self.W))
@@ -89,7 +80,8 @@ def distance(a, b):
 
 
 def _gap(point):
-    # the matrix 1/2 Y Y^T + W whose polar-cone membership characterizes the hull
+    # the matrix 1/2 Y Y^T + W whose polar-cone membership characterizes the
+    # hull, symmetrized once here for every test that reads it
     return symmetrize(0.5 * (point.Y @ point.Y.T) + point.W)
 
 
@@ -97,19 +89,24 @@ def _feasible(point, pair):
     return _small(pair.A @ point.Y - pair.B, pair.B, pair.tol.feas_tol)
 
 
+def _in_hull(point, gap, pair):
+    # the test of in_hull, given the point's gap matrix
+    return _feasible(point, pair) and _in_polar(gap, pair.kernel, pair.tol)
+
+
 def in_hull(point, pair):
     """Hull membership: ``A Y = B`` and ``1/2 Y Y^T + W`` in the polar cone."""
-    return _feasible(point, pair) and in_polar_cone(_gap(point), pair.kernel, tol=pair.tol)
+    return _in_hull(point, _gap(point), pair)
 
 
 def in_hull_rint(point, pair):
     """Relative-interior membership: the gap matrix lies in rint of the polar."""
-    return _feasible(point, pair) and in_rint_polar(_gap(point), pair.kernel, tol=pair.tol)
+    return _feasible(point, pair) and _in_polar(_gap(point), pair.kernel, pair.tol, strict=True)
 
 
 def in_hull_aff(point, pair):
     """Affine-hull membership: ``A Y = B`` and ``rge(1/2 Y Y^T + W) subset ker A``."""
-    return _feasible(point, pair) and in_aff_polar(_gap(point), pair.kernel, tol=pair.tol)
+    return _feasible(point, pair) and _in_aff_polar(_gap(point), pair.kernel, pair.tol)
 
 
 def in_free_hull(point, strict=False, tol=DEFAULT_TOL):
@@ -136,7 +133,7 @@ def in_hull_horizon(point, pair):
     """Horizon (recession) cone membership: ``Y = 0`` and ``W`` in the polar cone."""
     if _norm(point.Y) > pair.tol.eq_tol:
         return False
-    return in_polar_cone(point.W, pair.kernel, tol=pair.tol)
+    return _in_polar(point.W, pair.kernel, pair.tol)
 
 
 def in_hull_polar_horizon(dual, pair):

@@ -9,6 +9,13 @@ to a subspace.  All rank and membership decisions are governed by a single
 every other module calls: ``_kept`` (the rank cutoff), ``_small`` (the
 relative residual test) and ``_psd`` (the eigenvalue sign test).  So "zero",
 "inside", and "equal" mean the same thing in every module.
+
+Symmetry is established once and never re-checked on the hot path.  Public
+functions that take a raw matrix (``psd_on_subspace``, ``sym_eig`` and the
+functions built on them) symmetrize it once, at entry; the points of
+:mod:`gmfrac.support` and :mod:`gmfrac.hull` are frozen and symmetrized once
+when built; and the private kernels (``_compress``, ``_psd_on``) take
+operands that are symmetric by construction.
 """
 
 from dataclasses import dataclass, fields
@@ -78,21 +85,29 @@ def _kept(w, tol):
     return a > tol.rank_tol * a.max(initial=0.0)
 
 
-def _norm(x):
-    # Frobenius norm without spurious overflow or underflow: the plain norm,
-    # taken again on x / max|x| only when it came out 0 or inf
-    with np.errstate(over="ignore", under="ignore"):
-        r = float(np.linalg.norm(x))
-        if r == 0.0 or r == np.inf:
-            s = float(np.max(np.abs(x), initial=0.0))
-            if 0.0 < s < np.inf:
-                r = s * float(np.linalg.norm(x / s))
+def _fro(x):
+    # Frobenius norm without spurious overflow or underflow, for callers
+    # inside an errstate that ignores both: the plain norm, taken again on
+    # x / max|x| only when it came out 0 or inf
+    r = float(np.linalg.norm(x))
+    if r == 0.0 or r == np.inf:
+        s = float(np.max(np.abs(x), initial=0.0))
+        if 0.0 < s < np.inf:
+            r = s * float(np.linalg.norm(x / s))
     return r
 
 
+def _norm(x):
+    # the overflow-safe Frobenius norm
+    with np.errstate(over="ignore", under="ignore"):
+        return _fro(x)
+
+
 def _small(resid, ref, bound):
-    # the relative residual test ||resid|| <= bound * max(1, ||ref||)
-    return _norm(resid) <= bound * max(1.0, _norm(ref))
+    # the relative residual test ||resid|| <= bound * max(1, ||ref||), both
+    # norms under one errstate
+    with np.errstate(over="ignore", under="ignore"):
+        return _fro(resid) <= bound * max(1.0, _fro(ref))
 
 
 def _psd(w, tol, strict=False):
@@ -112,8 +127,12 @@ def symmetrize(S):
 
 
 def frobenius_inner(A, B):
-    """Frobenius inner product ``tr(A^T B)``."""
-    return float(np.tensordot(np.asarray(A, float), np.asarray(B, float), axes=2))
+    """Frobenius inner product ``tr(A^T B)`` of two matrices of one shape."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if A.shape != B.shape:
+        raise ValueError(f"shapes {A.shape} and {B.shape} differ")
+    return float(np.vdot(A, B))
 
 
 @dataclass(frozen=True)
@@ -229,10 +248,11 @@ def range_inclusion(C, M, tol=DEFAULT_TOL):
 
 
 def _compress(V, subspace):
-    # the k-by-k form sym(Q^T V Q) of V on the subspace, whose spectrum every
-    # cone and domain test reads
+    # the k-by-k form sym(Q^T V Q) of a symmetric V on the subspace, whose
+    # spectrum every cone and domain test reads.  V is not symmetrized again;
+    # the k-by-k product is, because gemm rounding leaves it asymmetric
     q = subspace.basis
-    return symmetrize(q.T @ symmetrize(V) @ q)
+    return symmetrize(q.T @ V @ q)
 
 
 def _outside(C, subspace):
@@ -247,6 +267,12 @@ def psd_on_subspace(V, subspace, strict=False, tol=DEFAULT_TOL):
 
     Non-strict mode requires ``lambda_min(Q^T V Q) >= -psd_tol``; strict mode
     requires ``lambda_min(Q^T V Q) > psd_tol`` (stability under eq_tol-sized
-    perturbation).  Both are vacuously true on the zero subspace.
+    perturbation).  Both are vacuously true on the zero subspace.  ``V`` is
+    symmetrized once, at entry.
     """
+    return _psd_on(symmetrize(V), subspace, tol, strict)
+
+
+def _psd_on(V, subspace, tol, strict=False):
+    # the test of psd_on_subspace on a V that is symmetric by construction
     return _psd(np.linalg.eigvalsh(_compress(V, subspace)), tol, strict)

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _norm, _small, frobenius_inner, symmetrize
-from .cones import in_cone
+from .linalg import _norm, _psd_on, _small, frobenius_inner
 from .support import PreconditionError, eval_support, in_domain
-from .hull import PrimalPoint, in_hull, _gap
+from .hull import PrimalPoint, _gap, _in_hull, graph_point
 
 __all__ = [
     "SubgradientResult",
@@ -56,19 +55,20 @@ def in_normal_cone(dual, base, pair):
     PreconditionError
         If ``base`` is not in the hull.
     """
-    if not in_hull(base, pair):
-        raise PreconditionError("normal cone is only defined at hull points")
-    if not in_cone(dual.V, pair.kernel, tol=pair.tol):
-        return False
-    return _normal_conditions(dual, base, pair)
-
-
-def _normal_conditions(dual, base, pair):
-    # complementarity and Q^T (X - V Y) = 0: the normal-cone conditions left
-    # once hull membership of the base and the cone test on V are known;
-    # ||Q^T R||_F = ||Q Q^T R||_F since Q has orthonormal columns
-    V = dual.V
     gap = _gap(base)
+    if not _in_hull(base, gap, pair):
+        raise PreconditionError("normal cone is only defined at hull points")
+    if not _psd_on(dual.V, pair.kernel, pair.tol):
+        return False
+    return _normal_conditions(dual, base, gap, pair)
+
+
+def _normal_conditions(dual, base, gap, pair):
+    # complementarity and Q^T (X - V Y) = 0 for the base's gap matrix: the
+    # normal-cone conditions left once hull membership of the base and the
+    # cone test on V are known; ||Q^T R||_F = ||Q Q^T R||_F since Q has
+    # orthonormal columns
+    V = dual.V
     if not _small(frobenius_inner(V, gap), _norm(V) * _norm(gap), pair.tol.eq_tol):
         return False
     resid = dual.X - V @ base.Y
@@ -91,10 +91,8 @@ def canonical_subgradient(dual, pair):
     res = eval_support(dual, pair)
     if not res.finite:
         raise PreconditionError("dual point is outside the support-function domain")
-    y_star = res.maximizer
-    w_star = symmetrize(-0.5 * (y_star @ y_star.T))
     return SubgradientResult(
-        point=PrimalPoint(y_star, w_star), multiplier=res.multiplier, value=res.value
+        point=graph_point(res.maximizer), multiplier=res.multiplier, value=res.value
     )
 
 
@@ -113,6 +111,7 @@ def in_subdifferential(candidate, dual, pair):
     """
     if not in_domain(dual, pair):
         raise PreconditionError("dual point is outside the support-function domain")
-    if not in_hull(candidate, pair):
+    gap = _gap(candidate)
+    if not _in_hull(candidate, gap, pair):
         return False
-    return _normal_conditions(dual, candidate, pair)
+    return _normal_conditions(dual, candidate, gap, pair)

@@ -26,7 +26,7 @@ against the closed form.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -159,30 +159,42 @@ class ConstraintPair:
         return f"ConstraintPair(p={self.p}, n={self.n}, m={self.m})"
 
 
-@dataclass
+def _freeze_point(point):
+    # the body shared by DualPoint and PrimalPoint, whose fields are a matrix
+    # and a square matrix: read-only copies, a 1-D first field as one column,
+    # the square one symmetrized once, finite entries and matching row counts
+    a_name, s_name = (f.name for f in fields(point))
+    a = np.array(getattr(point, a_name), dtype=float)
+    if a.ndim == 1:
+        a = a.reshape(-1, 1)
+    s = symmetrize(getattr(point, s_name))
+    a.setflags(write=False)
+    s.setflags(write=False)
+    object.__setattr__(point, a_name, a)
+    object.__setattr__(point, s_name, s)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(s))):
+        raise ValueError(f"{a_name} and {s_name} must have finite entries")
+    if a.shape[0] != s.shape[0]:
+        raise ValueError(
+            f"{a_name} has {a.shape[0]} rows but {s_name} is {s.shape[0]}x{s.shape[1]}"
+        )
+
+
+@dataclass(frozen=True)
 class DualPoint:
     """A point ``(X, V)`` where the support function is evaluated.
 
-    ``V`` is symmetrized on entry.  ``X`` and ``V`` are stored as read-only
-    copies, so a later change to the caller's arrays cannot change the point.
+    The point is frozen: ``V`` is symmetrized once, on entry, and ``X`` and
+    ``V`` are stored as read-only copies that cannot be rebound, so a later
+    change to the caller's arrays cannot change the point and every test may
+    read ``V`` as symmetric without symmetrizing it again.
     """
 
     X: np.ndarray
     V: np.ndarray
 
     def __post_init__(self):
-        self.X = np.array(self.X, dtype=float)
-        if self.X.ndim == 1:
-            self.X = self.X.reshape(-1, 1)
-        self.V = symmetrize(self.V)
-        self.X.setflags(write=False)
-        self.V.setflags(write=False)
-        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.V))):
-            raise ValueError("X and V must have finite entries")
-        if self.X.shape[0] != self.V.shape[0]:
-            raise ValueError(
-                f"X has {self.X.shape[0]} rows but V is {self.V.shape[0]}x{self.V.shape[1]}"
-            )
+        _freeze_point(self)
 
     def norm(self):
         return math.hypot(_norm(self.X), _norm(self.V))

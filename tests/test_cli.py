@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from gmfrac import caratheodory_witness
+import gmfrac.cli
+from gmfrac import ConvexWitness, caratheodory_witness
 from gmfrac.cli import CliInputError, main, read_matrix, read_matrix_blocks, write_matrix
 from helpers import hull_member, rand_pair
 
@@ -316,3 +317,34 @@ def test_verify_at_benchmark_size_passes_and_repeats(capsys, tmp_path):
     assert len(rep1["outputs"]["checks"]) == 4
     _, rep2 = run(capsys, argv)
     assert rep2["outputs"] == rep1["outputs"]
+
+
+def test_witness_writer_formats_runs_of_equal_components_by_bytes(
+    capsys, tmp_path, f1_files, monkeypatch
+):
+    # -0.0 == 0.0, but the two print differently, so a block holding -0.0
+    # next to an otherwise equal block holding 0.0 is written out anew
+    zero = np.array([[0.0], [1.5]])
+    negative = np.array([[-0.0], [1.5]])
+    other = np.array([[2.0], [1e-300]])
+    components = np.stack([zero, zero, negative, negative, zero, other, other])
+    weights = np.full(len(components), 1.0 / len(components))
+    wit = ConvexWitness(weights=weights, components=components, epsilon=1e-3)
+    monkeypatch.setattr(gmfrac.cli, "caratheodory_witness", lambda *args: wit)
+    y = mat_file(tmp_path, "Y.txt", [[0.0], [1.0]])
+    w = mat_file(tmp_path, "W.txt", -np.eye(2))
+    out = tmp_path / "witness.txt"
+    code, _ = run(
+        capsys,
+        ["witness", "--A", f1_files["A"], "--B", f1_files["B"], "--Y", y, "--W", w,
+         "--epsilon", "1e-3", "--out", str(out)],
+    )
+    assert code == 0
+    expected = io.StringIO()
+    expected.write("# caratheodory witness: epsilon, weights, then components\n")
+    write_matrix(expected, [[1e-3]], name="epsilon")
+    write_matrix(expected, weights.reshape(1, -1), name="weights")
+    for i, comp in enumerate(components):
+        write_matrix(expected, comp, name=f"component {i}")
+    assert out.read_text() == expected.getvalue()
+    assert "-0.0" in expected.getvalue()

@@ -10,7 +10,9 @@ from gmfrac import (
     in_polar_cone,
     in_rint_polar,
     kernel_basis,
+    psd_on_subspace,
     sample_polar,
+    symmetrize,
 )
 from helpers import cone_member, rand_sym
 
@@ -156,3 +158,27 @@ def test_polar_scaling():
         assert in_polar_cone(w, sub)
         for t in (0.5, 2.0, 100.0):
             assert in_polar_cone(t * w, sub)
+
+
+def test_asymmetric_input_decides_as_its_symmetric_part():
+    # the public tests symmetrize a raw matrix once, at entry; a skew part
+    # as large as the matrix itself must not change any decision
+    tests = (in_cone, in_int_cone, psd_on_subspace, in_polar_cone, in_rint_polar, in_aff_polar)
+    seen = {test: set() for test in tests}
+    rng = np.random.default_rng(31)
+    for n, p in ((5, 2), (8, 3), (6, 0), (4, 1)):
+        subspace = kernel_basis(rng.standard_normal((p, n)) if p else np.zeros((0, n)))
+        q, k = subspace.basis, subspace.dim
+        g = rng.standard_normal((k, k))
+        pd = q @ (g @ g.T + 0.5 * np.eye(k)) @ q.T
+        flip = np.ones(k)
+        flip[0] = -1.0
+        for S in (pd, -pd, q @ np.diag(flip) @ q.T, -pd + rand_sym(rng, n), rand_sym(rng, n)):
+            r = rng.standard_normal((n, n))
+            raw = S + np.linalg.norm(S) * (r - r.T)
+            for test in tests:
+                want = test(symmetrize(raw), subspace)
+                assert test(raw, subspace) is want, (test.__name__, n, p)
+                seen[test].add(want)
+    for test in tests:
+        assert seen[test] == {True, False}, test.__name__

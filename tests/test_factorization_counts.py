@@ -3,12 +3,17 @@
 Each matrix object is factorized once: a ``ConstraintPair`` by one SVD of
 ``A``, a support solve or domain test by one ``eigh`` of the reduced
 Hessian ``Q^T V Q``.  Subspace tests read the kernel basis ``Q`` and never
-factorize the n-by-n projector onto ``ker A``.
+factorize the n-by-n projector onto ``ker A``.  In the same way each n-by-n
+matrix is symmetrized once: a point when it is built, a gap matrix when it is
+formed.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
+import gmfrac
 from gmfrac import (
     ConstraintPair,
     DualPoint,
@@ -19,8 +24,11 @@ from gmfrac import (
     eval_gauge,
     eval_support,
     in_domain,
+    in_hull,
     in_hull_aff,
+    in_hull_horizon,
     in_hull_rint,
+    in_normal_cone,
     in_subdifferential,
 )
 from helpers import gauge_instance, hull_member, interior_dual, rand_pair, rint_member
@@ -143,3 +151,50 @@ def test_witness_eigh_is_k_by_k(counts, eigh_shapes, n, m, p):
     assert taken(counts) == {"eigh": 1}
     k = pair.kernel.dim
     assert eigh_shapes == [(k, k)]
+
+
+@pytest.fixture
+def symmetrized(monkeypatch):
+    """Shapes of the arguments of ``symmetrize``, through every gmfrac binding."""
+    shapes = []
+    original = gmfrac.linalg.symmetrize
+
+    def recorded(S):
+        shapes.append(np.shape(S))
+        return original(S)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gmfrac" or name.startswith("gmfrac."):
+            if getattr(module, "symmetrize", None) is original:
+                monkeypatch.setattr(module, "symmetrize", recorded)
+    return shapes
+
+
+@pytest.mark.parametrize("n, m, p", [(7, 2, 3), (50, 5, 20)])
+def test_each_n_by_n_matrix_is_symmetrized_once(symmetrized, n, m, p):
+    rng = np.random.default_rng(6)
+    pair = rand_pair(rng, n, m, p)
+    point = rint_member(rng, pair)
+    dual = interior_dual(rng, pair)
+    horizon = PrimalPoint(np.zeros((n, m)), point.W + 0.5 * (point.Y @ point.Y.T))
+    gauge_pair, y, w = gauge_instance(rng, n, m, p)
+    gauge_point = PrimalPoint(y, w)
+    sub = canonical_subgradient(dual, pair)
+
+    def square(call):
+        del symmetrized[:]
+        assert call()
+        return sum(shape == (n, n) for shape in symmetrized)
+
+    # one gap matrix, or the subgradient's W, each
+    assert square(lambda: in_hull(point, pair)) == 1
+    assert square(lambda: in_hull_rint(point, pair)) == 1
+    assert square(lambda: in_hull_aff(point, pair)) == 1
+    assert square(lambda: in_normal_cone(dual, sub.point, pair)) == 1
+    assert square(lambda: in_subdifferential(sub.point, dual, pair)) == 1
+    assert square(lambda: canonical_subgradient(dual, pair)) == 1
+    # the point's own V or W, symmetric since it was built
+    assert square(lambda: in_hull_horizon(horizon, pair)) == 0
+    assert square(lambda: eval_support(dual, pair).finite) == 0
+    assert square(lambda: in_domain(dual, pair)) == 0
+    assert square(lambda: eval_gauge(gauge_point, gauge_pair).finite) == 0

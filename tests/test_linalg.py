@@ -13,6 +13,7 @@ from gmfrac import (
     SubspaceBasis,
     ToleranceConfig,
     eval_support,
+    frobenius_inner,
     in_hull,
     in_hull_aff,
     in_polar_cone,
@@ -274,6 +275,24 @@ def test_decisions_unchanged_at_entry_scale_1e200():
     assert DualPoint(big.Y, big.W).norm() == big.norm()
 
 
+def test_frobenius_inner_is_the_tensordot_form():
+    rng = np.random.default_rng(23)
+    for shape in ((4, 3), (7, 2), (5, 5), (1, 6), (30, 4), (0, 3)):
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        want = float(np.tensordot(a, b, axes=2))
+        # the rounding bound of a length-N sum of products, in either order
+        bound = 2 * a.size * np.finfo(float).eps * float(np.sum(np.abs(a * b)))
+        assert abs(frobenius_inner(a, b) - want) <= bound
+    assert frobenius_inner(np.zeros((0, 3)), np.zeros((0, 3))) == 0.0
+
+
+@pytest.mark.parametrize("shapes", [((2, 3), (3, 2)), ((2, 3), (6,)), ((4, 1), (4, 2))])
+def test_frobenius_inner_rejects_mismatched_shapes(shapes):
+    a, b = (np.ones(shape) for shape in shapes)
+    with pytest.raises(ValueError):
+        frobenius_inner(a, b)
+
+
 def _package_files():
     return sorted(Path(gmfrac.__file__).parent.glob("*.py"))
 
@@ -299,3 +318,24 @@ def test_bruteforce_imports_no_other_gmfrac_module():
             assert node.level == 0 and not (node.module or "").startswith("gmfrac")
         elif isinstance(node, ast.Import):
             assert not any(alias.name.startswith("gmfrac") for alias in node.names)
+
+
+def test_internal_tests_use_the_symmetric_operand_path():
+    # hull, normal-cone and gauge tests pass matrices that are symmetric by
+    # construction to the private predicates, never to the raw-input public
+    # tests, which would symmetrize them again
+    raw_input = {"in_cone", "in_int_cone", "psd_on_subspace", "in_polar_cone",
+                 "in_rint_polar", "in_aff_polar"}
+    for path in _package_files():
+        if path.name not in ("hull.py", "subgrad.py", "gauges.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            assert name not in raw_input, f"{path.name} uses {name}"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -260,3 +262,13 @@ def test_points_keep_read_only_copies():
     np.testing.assert_array_equal(point.X, np.ones((3, 1)))
     with pytest.raises(ValueError):
         point.X[0, 0] = 1.0
+
+
+def test_points_cannot_be_rebound():
+    dual = DualPoint(np.ones((3, 2)), np.eye(3))
+    primal = PrimalPoint(np.ones((3, 2)), -np.eye(3))
+    for point, name in ((dual, "X"), (dual, "V"), (primal, "Y"), (primal, "W")):
+        kept = getattr(point, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(point, name, np.array([[1.0, 2.0], [0.0, 1.0]]))
+        assert getattr(point, name) is kept
