@@ -16,12 +16,16 @@ pseudoinverse of ``M(V)``.  Write ``Y = Y0 + Q G`` with ``Y0`` the
 minimum-norm solution of ``A Y = B`` and ``Q`` an orthonormal basis of
 ``ker A``; the problem becomes the unconstrained maximization of
 ``<R, G> - 1/2 <H, G G^T>`` with the k-by-k reduced Hessian ``H = Q^T V Q``
-and ``R = Q^T (X - V Y0)``.  One eigendecomposition of ``H`` then decides
-the domain (``H >= 0`` and ``rge R`` inside ``rge H``) and gives the
-maximizer ``Y* = Y0 + Q H^+ R``; the multiplier ``Z*`` is the minimum-norm
-solution of ``A^T Z = X - V Y*``.  Both pieces of ``A`` this needs, ``Q``
-and ``Y0``, come from the single SVD taken when the :class:`ConstraintPair`
-is built.  :func:`saddle_matrix` builds ``M(V)`` for checking the result
+and ``R = Q^T (X - V Y0)``.  The domain is ``H >= 0`` and ``rge R`` inside
+``rge H``; the maximizer is ``Y* = Y0 + Q H^+ R``.  The eigenvalues of ``H``
+decide the sign test, exactly as :func:`gmfrac.cones.in_cone` does.  The
+pseudoinverse matters only where ``H`` is singular: when the rank cutoff
+keeps every eigenvalue, ``R`` is in range and ``H^+ R = H^-1 R`` is one LU
+solve, and only a singular ``H`` takes a full eigendecomposition for the
+range test and the minimum-norm ``H^+ R``.  The multiplier ``Z*`` is the
+minimum-norm solution of ``A^T Z = X - V Y*``.  Both pieces of ``A`` this
+needs, ``Q`` and ``Y0``, come from the single SVD taken when the
+:class:`ConstraintPair` is built.  :func:`saddle_matrix` builds ``M(V)`` for checking the result
 against the closed form.
 """
 
@@ -246,19 +250,29 @@ def _check_point(point, pair):
         )
 
 
-def _reduced_solve(point, pair):
+def _reduced_solve(point, pair, solve=True):
     # G* = H^+ R for H = sym(Q^T V Q) and R = Q^T (X - V Y0), or None when
-    # (X, V) is outside the domain; one eigh of H decides both
+    # (X, V) is outside the domain.  The sign test reads in_cone's eigvalsh
+    # of the same H.  When the rank cutoff keeps every eigenvalue, H is
+    # nonsingular, R lies in its range and G* = H^-1 R is one LU solve; with
+    # solve off that case returns True, as the domain test needs no G.  Only
+    # a singular H takes eigh, for the range test and the minimum-norm H^+ R.
     _check_point(point, pair)
     tol = pair.tol
     kernel = pair.kernel
     if kernel.dim == 0:
         return np.zeros((0, pair.m))
-    r = kernel.basis.T @ (point.X - point.V @ pair.min_norm_solution)
-    w, u = np.linalg.eigh(_compress(point.V, kernel))
-    # the cone test of psd_on_subspace
+    h = _compress(point.V, kernel)
+    w = np.linalg.eigvalsh(h)
     if not _psd(w, tol):
         return None
+    nonsingular = _kept(w, tol).all()
+    if nonsingular and not solve:
+        return True
+    r = kernel.basis.T @ (point.X - point.V @ pair.min_norm_solution)
+    if nonsingular:
+        return np.linalg.solve(h, r)
+    w, u = np.linalg.eigh(h)
     keep = _kept(w, tol)
     uk = u[:, keep]
     coef = uk.T @ r
@@ -272,14 +286,17 @@ def in_domain(point, pair):
 
     True iff ``V`` lies in the cone of matrices PSD on ``ker A`` and
     ``rge (X; B) subset rge M(V)``.  With ``H = Q^T V Q`` and
-    ``R = Q^T (X - V Y0)`` this is tested as ``lambda_min(H) >= -psd_tol``
-    (the test of :func:`gmfrac.cones.in_cone`) and a residual of ``R``
-    outside the eigenspace of ``H``'s nonzero eigenvalues of at most
+    ``R = Q^T (X - V Y0)`` this is tested as ``lambda_min(H) >= -psd_tol``,
+    from the same ``eigvalsh`` of ``H`` as :func:`gmfrac.cones.in_cone`, so
+    that sign test and ``in_cone`` agree on every ``V``.  When the rank
+    cutoff keeps every eigenvalue, ``H`` is nonsingular and that test
+    decides; otherwise one ``eigh`` of ``H`` tests that the residual of
+    ``R`` outside the eigenspace of ``H``'s kept eigenvalues is at most
     ``range_tol * max(1, ||R||_F)``.  This set is not closed: with
     ``A = B = 0`` and ``X != 0``, every ``V = eta I`` with ``eta > 0`` is in
     the domain but the limit ``V = 0`` is not.
     """
-    return _reduced_solve(point, pair) is not None
+    return _reduced_solve(point, pair, solve=False) is not None
 
 
 def eval_support(point, pair):
@@ -294,10 +311,11 @@ def eval_support(point, pair):
     computed by the null-space method: the maximizer is
     ``Y* = Y0 + Q H^+ R``, the multiplier ``Z*`` is the minimum-norm solution
     of ``A^T Z = X - V Y*``, and ``value = 1/2 (<X, Y*> + <B, Z*>)``.  The
-    pseudoinverse of ``H`` handles a singular ``H`` inside the domain; there
-    the maximizers form the set ``Y* + Q ker H`` and ``Y*`` is the one of
-    minimum norm.  When ``H`` is nonsingular, ``(Y*, Z*)`` are the blocks of
-    ``M(V)^+ (X; B)``.
+    domain is decided as in :func:`in_domain`.  When ``H`` is nonsingular,
+    ``H^+ R = H^-1 R`` is one LU solve and ``(Y*, Z*)`` are the blocks of
+    ``M(V)^+ (X; B)``.  Only a singular ``H`` inside the domain takes the
+    pseudoinverse, from one ``eigh``; there the maximizers form the set
+    ``Y* + Q ker H`` and ``Y*`` is the one of minimum norm.
     """
     g = _reduced_solve(point, pair)
     if g is None:

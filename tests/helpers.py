@@ -79,3 +79,10 @@ def rint_member(rng, pair, margin=0.5):
     g = rng.standard_normal((k, k))
     neg = q @ (g @ g.T + margin * np.eye(k)) @ q.T
     return PrimalPoint(y, -0.5 * (y @ y.T) - 0.5 * (neg + neg.T))
+
+
+def taken(tally):
+    """Nonzero counts of the ``counts`` fixture, then reset the tally."""
+    out = {k: v for k, v in tally.items() if v}
+    tally.update(dict.fromkeys(tally, 0))
+    return out

@@ -1,11 +1,13 @@
 """Dense factorizations per call, counted by wrapping ``numpy.linalg``.
 
-Each matrix object is factorized once: a ``ConstraintPair`` by one SVD of
-``A``, a support solve or domain test by one ``eigh`` of the reduced
-Hessian ``Q^T V Q``.  Subspace tests read the kernel basis ``Q`` and never
-factorize the n-by-n projector onto ``ker A``.  In the same way each n-by-n
-matrix is symmetrized once: a point when it is built, a gap matrix when it is
-formed.
+Every factorizing entry point of ``numpy.linalg`` is counted, linear solves
+included.  Each matrix object is factorized once: a ``ConstraintPair`` by
+one SVD of ``A``, a domain test by one ``eigvalsh`` of the reduced Hessian
+``H = Q^T V Q``.  A support solve adds one LU ``solve`` with ``H`` where
+``H`` is nonsingular, and one ``eigh`` of ``H`` only where it is singular.
+Subspace tests read the kernel basis ``Q`` and never factorize the n-by-n
+projector onto ``ker A``.  In the same way each n-by-n matrix is symmetrized
+once: a point when it is built, a gap matrix when it is formed.
 """
 
 import sys
@@ -31,30 +33,8 @@ from gmfrac import (
     in_normal_cone,
     in_subdifferential,
 )
-from helpers import gauge_instance, hull_member, interior_dual, rand_pair, rint_member
-
-FACTORIZATIONS = ("eigh", "eigvalsh", "svd", "lstsq")
-
-
-@pytest.fixture
-def counts(monkeypatch):
-    tally = dict.fromkeys(FACTORIZATIONS, 0)
-    for name in FACTORIZATIONS:
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            tally[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return tally
-
-
-def taken(tally):
-    """Nonzero counts, then reset the tally."""
-    out = {k: v for k, v in tally.items() if v}
-    tally.update(dict.fromkeys(tally, 0))
-    return out
+from helpers import gauge_instance, hull_member, interior_dual, rand_pair, rint_member, taken
+from test_null_space import singular_hessian_point
 
 
 @pytest.mark.parametrize("n, m, p", [(4, 3, 2), (50, 5, 20)])
@@ -79,29 +59,42 @@ def test_unconstrained_pair_needs_no_factorization(counts):
 
 
 @pytest.mark.parametrize("n, m, p", [(4, 3, 2), (50, 5, 20), (6, 2, 0)])
-def test_support_and_domain_are_one_eigh(counts, n, m, p):
+def test_support_and_domain_decide_by_one_eigvalsh(counts, n, m, p):
     rng = np.random.default_rng(1)
     pair = rand_pair(rng, n, m, p)
     point = interior_dual(rng, pair)
     taken(counts)
     assert eval_support(point, pair).finite
-    assert taken(counts) == {"eigh": 1}
+    assert taken(counts) == {"eigvalsh": 1, "solve": 1}
     assert in_domain(point, pair)
-    assert taken(counts) == {"eigh": 1}
+    assert taken(counts) == {"eigvalsh": 1}
     outside = DualPoint(point.X, -np.eye(n))
     assert not eval_support(outside, pair).finite
-    assert taken(counts) == {"eigh": 1}
+    assert taken(counts) == {"eigvalsh": 1}
 
 
 @pytest.mark.parametrize("n, m, p", [(4, 3, 2), (50, 5, 20)])
-def test_subdifferential_is_one_eigh_and_one_eigvalsh(counts, n, m, p):
+def test_subdifferential_is_two_eigvalsh(counts, n, m, p):
     rng = np.random.default_rng(2)
     pair = rand_pair(rng, n, m, p)
     point = interior_dual(rng, pair)
     sub = canonical_subgradient(point, pair)
     taken(counts)
     assert in_subdifferential(sub.point, point, pair)
-    assert taken(counts) == {"eigh": 1, "eigvalsh": 1}
+    assert taken(counts) == {"eigvalsh": 2}
+
+
+@pytest.mark.parametrize("n, p", [(4, 1), (6, 2), (3, 0)])
+def test_singular_hessian_adds_one_eigh(counts, n, p):
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((p, n)) if p else np.zeros((0, n))
+    pair = ConstraintPair(a, a @ rng.standard_normal((n, 2)))
+    point = singular_hessian_point(rng, pair, False)
+    taken(counts)
+    assert eval_support(point, pair).finite
+    assert taken(counts) == {"eigvalsh": 1, "eigh": 1}
+    assert in_domain(point, pair)
+    assert taken(counts) == {"eigvalsh": 1, "eigh": 1}
 
 
 @pytest.mark.parametrize("n, m, p", [(4, 3, 2), (50, 5, 20), (6, 2, 0)])
