@@ -10,121 +10,21 @@ closed form has an independent brute-force counterpart in
 :mod:`gmfrac.bruteforce` for verification.
 """
 
-from .linalg import (
-    DEFAULT_TOL,
-    SpectralData,
-    SubspaceBasis,
-    ToleranceConfig,
-    frobenius_inner,
-    kernel_basis,
-    psd_on_subspace,
-    range_inclusion,
-    sym_eig,
-    sym_pinv,
-    symmetrize,
-)
-from .cones import (
-    in_aff_polar,
-    in_cone,
-    in_int_cone,
-    in_polar_cone,
-    in_rint_polar,
-    sample_polar,
-)
-from .support import (
-    ConstraintPair,
-    DualPoint,
-    InfeasiblePairError,
-    PreconditionError,
-    SupportResult,
-    eval_support,
-    in_domain,
-    saddle_matrix,
-)
-from .hull import (
-    ConvexWitness,
-    PrimalPoint,
-    caratheodory_witness,
-    distance,
-    graph_point,
-    in_free_hull,
-    in_hull,
-    in_hull_aff,
-    in_hull_horizon,
-    in_hull_polar,
-    in_hull_polar_horizon,
-    in_hull_rint,
-    pairing,
-)
-from .subgrad import (
-    SubgradientResult,
-    canonical_subgradient,
-    in_normal_cone,
-    in_subdifferential,
-)
-from .gauges import GaugeResult, eval_gauge, eval_polar_gauge, in_scaled_hull
-from .bruteforce import (
-    FuzzReport,
-    SampleConfig,
-    convexity_fuzz,
-    gauge_bisection,
-    sample_feasible,
-    support_lower_bound,
-)
+from .linalg import *  # noqa: F401,F403
+from .cones import *  # noqa: F401,F403
+from .support import *  # noqa: F401,F403
+from .hull import *  # noqa: F401,F403
+from .subgrad import *  # noqa: F401,F403
+from .gauges import *  # noqa: F401,F403
+from .bruteforce import *  # noqa: F401,F403
+from . import bruteforce, cones, gauges, hull, linalg, subgrad, support
 
 __version__ = "0.1.0"
 
+# Each public name is declared once, in the ``__all__`` of the module that
+# defines it.
 __all__ = [
-    "DEFAULT_TOL",
-    "ToleranceConfig",
-    "SubspaceBasis",
-    "SpectralData",
-    "symmetrize",
-    "frobenius_inner",
-    "sym_eig",
-    "sym_pinv",
-    "kernel_basis",
-    "range_inclusion",
-    "psd_on_subspace",
-    "in_cone",
-    "in_int_cone",
-    "in_polar_cone",
-    "in_aff_polar",
-    "in_rint_polar",
-    "sample_polar",
-    "ConstraintPair",
-    "DualPoint",
-    "SupportResult",
-    "InfeasiblePairError",
-    "PreconditionError",
-    "saddle_matrix",
-    "in_domain",
-    "eval_support",
-    "PrimalPoint",
-    "ConvexWitness",
-    "graph_point",
-    "pairing",
-    "distance",
-    "in_hull",
-    "in_hull_rint",
-    "in_hull_aff",
-    "in_free_hull",
-    "in_hull_polar",
-    "in_hull_horizon",
-    "in_hull_polar_horizon",
-    "caratheodory_witness",
-    "SubgradientResult",
-    "in_normal_cone",
-    "canonical_subgradient",
-    "in_subdifferential",
-    "GaugeResult",
-    "in_scaled_hull",
-    "eval_gauge",
-    "eval_polar_gauge",
-    "SampleConfig",
-    "FuzzReport",
-    "sample_feasible",
-    "support_lower_bound",
-    "gauge_bisection",
-    "convexity_fuzz",
+    name
+    for module in (linalg, cones, support, hull, subgrad, gauges, bruteforce)
+    for name in module.__all__
 ]

@@ -6,6 +6,14 @@ order; blank lines ignored; ``#`` starts a comment), dispatches to the
 library, and prints exactly one JSON report on stdout.  Diagnostics go to
 stderr.  Exit codes: 0 success, 1 failed verification, 2 bad input, 3
 precondition violated (e.g. an infeasible pair).
+
+Thirteen subcommands are one library call each; the ``_COMMANDS`` table
+gives each its help text, the points it reads, the call and the shape of
+its report, and both the parser and the dispatch read that table.
+``witness`` and ``verify`` take flags of their own and have their own
+bodies.  The tolerance flags are read from the fields of
+:class:`ToleranceConfig`, and the point flags from the fields of
+:class:`DualPoint` and :class:`PrimalPoint`.
 """
 
 import argparse
@@ -15,7 +23,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -40,7 +48,7 @@ from .hull import (
     in_hull_rint,
 )
 from .subgrad import canonical_subgradient, in_normal_cone, in_subdifferential
-from .gauges import eval_gauge, eval_polar_gauge, in_scaled_hull
+from .gauges import GaugeResult, eval_gauge, eval_polar_gauge, in_scaled_hull
 from .bruteforce import (
     SampleConfig,
     convexity_fuzz,
@@ -153,132 +161,100 @@ def _emit(report):
 
 
 def _tolerances(args):
-    return ToleranceConfig(
-        rank_tol=args.rank_tol,
-        psd_tol=args.psd_tol,
-        range_tol=args.range_tol,
-        eq_tol=args.eq_tol,
-        feas_tol=args.feas_tol,
-    )
+    return ToleranceConfig(**{f.name: getattr(args, f.name) for f in fields(ToleranceConfig)})
 
 
-def _load_pair(args, tol, inputs):
-    A = read_matrix(args.A)
-    B = read_matrix(args.B)
-    inputs["A"] = {"rows": A.shape[0], "cols": A.shape[1], "sha256": _digest(A)}
-    inputs["B"] = {"rows": B.shape[0], "cols": B.shape[1], "sha256": _digest(B)}
-    try:
-        return ConstraintPair(A, B, tol=tol)
-    except InfeasiblePairError:
-        raise
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
-
-
-def _load_named(args, name, inputs):
+def _read(args, name, inputs):
     M = read_matrix(getattr(args, name))
     inputs[name] = {"rows": M.shape[0], "cols": M.shape[1], "sha256": _digest(M)}
     return M
 
 
-def _dual(args, inputs):
-    X = _load_named(args, "X", inputs)
-    V = _load_named(args, "V", inputs)
-    try:
-        return DualPoint(X, V)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+def _load_pair(args, tol, inputs):
+    return ConstraintPair(_read(args, "A", inputs), _read(args, "B", inputs), tol=tol)
 
 
-def _primal(args, inputs):
-    Y = _load_named(args, "Y", inputs)
-    W = _load_named(args, "W", inputs)
-    try:
-        return PrimalPoint(Y, W)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+# The points a subcommand can read; each field of the class is one file flag.
+_POINTS = {"dual": DualPoint, "primal": PrimalPoint}
 
 
-def _support_outputs(res):
-    if not res.finite:
+def _load_point(args, kind, inputs):
+    cls = _POINTS[kind]
+    return cls(*(_read(args, f.name, inputs) for f in fields(cls)))
+
+
+def _member(result):
+    return {"member": result}
+
+
+def _finite(result):
+    """The report of a value that may be ``+inf``.
+
+    ``finite`` and ``value``, then, when finite, every certificate the
+    result carries.  ``eval_polar_gauge`` returns a bare float, ``+inf``
+    outside the domain.  A gauge's ``sigma_min`` is ``None`` when no
+    singular value is nonzero, that is ``+inf``.
+    """
+    if isinstance(result, float):
+        return {"finite": not math.isinf(result), "value": result}
+    if not result.finite:
         return {"finite": False, "value": "inf"}
-    return {
-        "finite": True,
-        "value": res.value,
-        "maximizer": res.maximizer,
-        "multiplier": res.multiplier,
-    }
-
-
-def _cmd_support(args, tol, inputs):
-    pair = _load_pair(args, tol, inputs)
-    return _support_outputs(eval_support(_dual(args, inputs), pair))
-
-
-def _cmd_domain(args, tol, inputs):
-    pair = _load_pair(args, tol, inputs)
-    return {"member": in_domain(_dual(args, inputs), pair)}
-
-
-def _bool_cmd(fn, point_kind):
-    def run(args, tol, inputs):
-        pair = _load_pair(args, tol, inputs)
-        pt = _primal(args, inputs) if point_kind == "primal" else _dual(args, inputs)
-        return {"member": fn(pt, pair)}
-
-    return run
-
-
-def _cmd_subgrad(args, tol, inputs):
-    pair = _load_pair(args, tol, inputs)
-    res = canonical_subgradient(_dual(args, inputs), pair)
-    return {
-        "value": res.value,
-        "Y": res.point.Y,
-        "W": res.point.W,
-        "multiplier": res.multiplier,
-    }
-
-
-def _cmd_subgrad_check(args, tol, inputs):
-    pair = _load_pair(args, tol, inputs)
-    dual = _dual(args, inputs)
-    cand = _primal(args, inputs)
-    return {"member": in_subdifferential(cand, dual, pair)}
-
-
-def _cmd_ncone_check(args, tol, inputs):
-    pair = _load_pair(args, tol, inputs)
-    dual = _dual(args, inputs)
-    base = _primal(args, inputs)
-    return {"member": in_normal_cone(dual, base, pair)}
-
-
-def _cmd_gauge(args, tol, inputs):
-    pair = _load_pair(args, tol, inputs)
-    res = eval_gauge(_primal(args, inputs), pair)
-    if not res.finite:
-        return {"finite": False, "value": "inf"}
-    out = {"finite": True, "value": res.value}
-    out["sigma_min"] = "inf" if res.sigma_min is None else res.sigma_min
-    if res.critical_matrix is not None:
-        out["critical_matrix"] = res.critical_matrix
+    out = {k: v for k, v in vars(result).items() if v is not None}
+    if isinstance(result, GaugeResult):
+        out.setdefault("sigma_min", "inf")
     return out
 
 
-def _cmd_gauge_polar(args, tol, inputs):
-    pair = _load_pair(args, tol, inputs)
-    value = eval_polar_gauge(_dual(args, inputs), pair)
-    if math.isinf(value):
-        return {"finite": False, "value": "inf"}
-    return {"finite": True, "value": value}
+def _subgrad(result):
+    return {
+        "value": result.value,
+        "Y": result.point.Y,
+        "W": result.point.W,
+        "multiplier": result.multiplier,
+    }
 
 
-def _cmd_witness(args, tol, inputs):
-    pair = _load_pair(args, tol, inputs)
-    point = _primal(args, inputs)
-    if not 0.0 < args.epsilon < 1.0:
-        raise CliInputError(f"--epsilon must lie in (0, 1), got {args.epsilon}")
+# Each plain subcommand: its help text, the points it reads in reading
+# order, the library call on those points and the pair, and its report
+# shape.  The calls are lambdas, so each looks the library function up in
+# this module when it runs and a tracer that patches it here sees the call.
+_COMMANDS = {
+    "support": ("evaluate the support function", ("dual",),
+                lambda d, pair: eval_support(d, pair), _finite),
+    "domain": ("test support-function domain membership", ("dual",),
+               lambda d, pair: in_domain(d, pair), _member),
+    "omega-member": ("test hull membership", ("primal",),
+                     lambda y, pair: in_hull(y, pair), _member),
+    "omega-rint": ("test hull relative-interior membership", ("primal",),
+                   lambda y, pair: in_hull_rint(y, pair), _member),
+    "omega-aff": ("test hull affine-hull membership", ("primal",),
+                  lambda y, pair: in_hull_aff(y, pair), _member),
+    "omega-polar": ("test polar-set membership", ("dual",),
+                    lambda d, pair: in_hull_polar(d, pair), _member),
+    "horizon": ("test horizon-cone membership", ("primal",),
+                lambda y, pair: in_hull_horizon(y, pair), _member),
+    "horizon-polar": ("test polar horizon-cone membership", ("dual",),
+                      lambda d, pair: in_hull_polar_horizon(d, pair), _member),
+    "subgrad": ("canonical subgradient at a domain point", ("dual",),
+                lambda d, pair: canonical_subgradient(d, pair), _subgrad),
+    "subgrad-check": ("test subdifferential membership", ("dual", "primal"),
+                      lambda d, y, pair: in_subdifferential(y, d, pair), _member),
+    "ncone-check": ("test normal-cone membership", ("dual", "primal"),
+                    lambda d, y, pair: in_normal_cone(d, y, pair), _member),
+    "gauge": ("closed-form hull gauge (B = 0)", ("primal",),
+              lambda y, pair: eval_gauge(y, pair), _finite),
+    "gauge-polar": ("polar-set gauge, i.e. the support value (B = 0)", ("dual",),
+                    lambda d, pair: eval_polar_gauge(d, pair), _finite),
+}
+
+
+def _cmd_plain(args, pair, inputs):
+    _, points, call, shape = _COMMANDS[args.command]
+    return shape(call(*(_load_point(args, kind, inputs) for kind in points), pair))
+
+
+def _cmd_witness(args, pair, inputs):
+    point = _load_point(args, "primal", inputs)
     wit = caratheodory_witness(point, pair, args.epsilon)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -306,8 +282,8 @@ def _cmd_witness(args, tol, inputs):
     }
 
 
-def _cmd_verify(args, tol, inputs):
-    pair = _load_pair(args, tol, inputs)
+def _cmd_verify(args, pair, inputs):
+    tol = pair.tol
     seed = args.seed if args.seed is not None else 0
     trials = args.trials
     rng = np.random.default_rng(seed)
@@ -401,12 +377,8 @@ def _cmd_verify(args, tol, inputs):
 
 
 def _add_tol_flags(parser):
-    d = ToleranceConfig()
-    parser.add_argument("--rank-tol", type=float, default=d.rank_tol)
-    parser.add_argument("--psd-tol", type=float, default=d.psd_tol)
-    parser.add_argument("--range-tol", type=float, default=d.range_tol)
-    parser.add_argument("--eq-tol", type=float, default=d.eq_tol)
-    parser.add_argument("--feas-tol", type=float, default=d.feas_tol)
+    for f in fields(ToleranceConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
     parser.add_argument("--seed", type=int, default=None)
 
 
@@ -417,58 +389,28 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, *, pair=True, dual=False, primal=False):
+    def add(name, help_, points, run):
         p = sub.add_parser(name, help=help_)
         _add_tol_flags(p)
-        if pair:
-            p.add_argument("--A", required=True, help="constraint matrix file (p x n)")
-            p.add_argument("--B", required=True, help="right-hand side file (p x m)")
-        if dual:
-            p.add_argument("--X", required=True, help="dual point X file (n x m)")
-            p.add_argument("--V", required=True, help="dual point V file (n x n)")
-        if primal:
-            p.add_argument("--Y", required=True, help="primal point Y file (n x m)")
-            p.add_argument("--W", required=True, help="primal point W file (n x n)")
+        p.add_argument("--A", required=True, help="constraint matrix file (p x n)")
+        p.add_argument("--B", required=True, help="right-hand side file (p x m)")
+        for kind in points:
+            for f, shape in zip(fields(_POINTS[kind]), ("n x m", "n x n")):
+                p.add_argument(
+                    f"--{f.name}", required=True, help=f"{kind} point {f.name} file ({shape})"
+                )
+        p.set_defaults(run=run)
         return p
 
-    add("support", "evaluate the support function", dual=True)
-    add("domain", "test support-function domain membership", dual=True)
-    add("omega-member", "test hull membership", primal=True)
-    add("omega-rint", "test hull relative-interior membership", primal=True)
-    add("omega-aff", "test hull affine-hull membership", primal=True)
-    add("omega-polar", "test polar-set membership", dual=True)
-    add("horizon", "test horizon-cone membership", primal=True)
-    add("horizon-polar", "test polar horizon-cone membership", dual=True)
-    add("subgrad", "canonical subgradient at a domain point", dual=True)
-    add("subgrad-check", "test subdifferential membership", dual=True, primal=True)
-    add("ncone-check", "test normal-cone membership", dual=True, primal=True)
-    add("gauge", "closed-form hull gauge (B = 0)", primal=True)
-    add("gauge-polar", "polar-set gauge, i.e. the support value (B = 0)", dual=True)
-    w = add("witness", "write a convex-combination witness to a file", primal=True)
+    for name, (help_, points, _, _) in _COMMANDS.items():
+        add(name, help_, points, _cmd_plain)
+    w = add("witness", "write a convex-combination witness to a file", ("primal",),
+            _cmd_witness)
     w.add_argument("--epsilon", type=float, required=True)
     w.add_argument("--out", required=True, help="output file for the witness blocks")
-    v = add("verify", "run the brute-force oracle suite against this pair")
+    v = add("verify", "run the brute-force oracle suite against this pair", (), _cmd_verify)
     v.add_argument("--trials", type=int, default=200)
     return parser
-
-
-_HANDLERS = {
-    "support": _cmd_support,
-    "domain": _cmd_domain,
-    "omega-member": _bool_cmd(in_hull, "primal"),
-    "omega-rint": _bool_cmd(in_hull_rint, "primal"),
-    "omega-aff": _bool_cmd(in_hull_aff, "primal"),
-    "omega-polar": _bool_cmd(in_hull_polar, "dual"),
-    "horizon": _bool_cmd(in_hull_horizon, "primal"),
-    "horizon-polar": _bool_cmd(in_hull_polar_horizon, "dual"),
-    "subgrad": _cmd_subgrad,
-    "subgrad-check": _cmd_subgrad_check,
-    "ncone-check": _cmd_ncone_check,
-    "gauge": _cmd_gauge,
-    "gauge-polar": _cmd_gauge_polar,
-    "witness": _cmd_witness,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv=None):
@@ -481,27 +423,21 @@ def main(argv=None):
         # argparse already printed the diagnostic; normalize to exit 2
         return EXIT_BAD_INPUT if exc.code else EXIT_OK
     started = time.perf_counter()
-    try:
-        tol = _tolerances(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     inputs = {}
     try:
-        outputs = _HANDLERS[args.command](args, tol, inputs)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        pair = _load_pair(args, _tolerances(args), inputs)
+        outputs = args.run(args, pair, inputs)
     except (InfeasiblePairError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except ValueError as exc:
+    except (CliInputError, ValueError) as exc:
+        # after the clause above: both precondition errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     report = {
-        "command": [args.command] + [a for a in argv if a != args.command],
+        "command": list(argv),
         "inputs": inputs,
-        "tolerances": asdict(tol),
+        "tolerances": asdict(pair.tol),
         "seed": args.seed,
         "outputs": outputs,
         "wall_time_s": time.perf_counter() - started,

@@ -1,13 +1,43 @@
 import io
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import gmfrac.cli
-from gmfrac import ConvexWitness, caratheodory_witness
-from gmfrac.cli import CliInputError, main, read_matrix, read_matrix_blocks, write_matrix
-from helpers import hull_member, rand_pair
+from gmfrac import (
+    ConvexWitness,
+    DualPoint,
+    PreconditionError,
+    PrimalPoint,
+    ToleranceConfig,
+    canonical_subgradient,
+    caratheodory_witness,
+    eval_gauge,
+    eval_polar_gauge,
+    eval_support,
+    in_domain,
+    in_hull,
+    in_hull_aff,
+    in_hull_horizon,
+    in_hull_polar,
+    in_hull_polar_horizon,
+    in_hull_rint,
+    in_normal_cone,
+    in_subdifferential,
+)
+from gmfrac.cli import (
+    CliInputError,
+    _jsonable,
+    build_parser,
+    main,
+    read_matrix,
+    read_matrix_blocks,
+    write_matrix,
+)
+from helpers import hull_member, interior_dual, rand_pair, rint_member
 
 
 def write(tmp_path, name, text):
@@ -348,3 +378,141 @@ def test_witness_writer_formats_runs_of_equal_components_by_bytes(
         write_matrix(expected, comp, name=f"component {i}")
     assert out.read_text() == expected.getvalue()
     assert "-0.0" in expected.getvalue()
+
+
+def test_report_command_is_argv_unchanged(capsys, tmp_path, f1_files, monkeypatch):
+    # an argument equal to the command's name stays in the echoed command
+    monkeypatch.chdir(tmp_path)
+    y = mat_file(tmp_path, "Y.txt", [[0.0], [1.0]])
+    w = mat_file(tmp_path, "W.txt", [[0.0, 0.0], [0.0, -1.0]])
+    argv = ["witness", "--A", f1_files["A"], "--B", f1_files["B"], "--Y", y, "--W", w,
+            "--epsilon", "1e-3", "--out", "witness"]
+    code, rep = run(capsys, argv)
+    assert code == 0
+    assert rep["command"] == argv
+    assert (tmp_path / "witness").is_file()
+
+
+def _support_report(res):
+    if not res.finite:
+        return {"finite": False, "value": "inf"}
+    return {"finite": True, "value": res.value, "maximizer": res.maximizer,
+            "multiplier": res.multiplier}
+
+
+def _gauge_report(res):
+    if not res.finite:
+        return {"finite": False, "value": "inf"}
+    out = {"finite": True, "value": res.value,
+           "sigma_min": "inf" if res.sigma_min is None else res.sigma_min}
+    if res.critical_matrix is not None:
+        out["critical_matrix"] = res.critical_matrix
+    return out
+
+
+def _polar_gauge_report(value):
+    if math.isinf(value):
+        return {"finite": False, "value": "inf"}
+    return {"finite": True, "value": value}
+
+
+def _subgrad_report(res):
+    return {"value": res.value, "Y": res.point.Y, "W": res.point.W,
+            "multiplier": res.multiplier}
+
+
+# Each plain subcommand: the file flags it reads and the report it stands
+# for, written out from the library call on the dual point d, the primal
+# point y and the pair.
+LIBRARY_CALLS = {
+    "support": ("XV", lambda d, y, pair: _support_report(eval_support(d, pair))),
+    "domain": ("XV", lambda d, y, pair: {"member": in_domain(d, pair)}),
+    "omega-member": ("YW", lambda d, y, pair: {"member": in_hull(y, pair)}),
+    "omega-rint": ("YW", lambda d, y, pair: {"member": in_hull_rint(y, pair)}),
+    "omega-aff": ("YW", lambda d, y, pair: {"member": in_hull_aff(y, pair)}),
+    "omega-polar": ("XV", lambda d, y, pair: {"member": in_hull_polar(d, pair)}),
+    "horizon": ("YW", lambda d, y, pair: {"member": in_hull_horizon(y, pair)}),
+    "horizon-polar": ("XV", lambda d, y, pair: {"member": in_hull_polar_horizon(d, pair)}),
+    "subgrad": ("XV", lambda d, y, pair: _subgrad_report(canonical_subgradient(d, pair))),
+    "subgrad-check": ("XVYW", lambda d, y, pair: {"member": in_subdifferential(y, d, pair)}),
+    "ncone-check": ("XVYW", lambda d, y, pair: {"member": in_normal_cone(d, y, pair)}),
+    "gauge": ("YW", lambda d, y, pair: _gauge_report(eval_gauge(y, pair))),
+    "gauge-polar": ("XV", lambda d, y, pair: _polar_gauge_report(eval_polar_gauge(d, pair))),
+}
+
+
+def test_library_calls_cover_the_plain_subcommands():
+    assert set(LIBRARY_CALLS) == set(gmfrac.cli._COMMANDS)
+
+
+def _points(rng, pair, inside):
+    if inside:
+        dual = interior_dual(rng, pair)
+        # the canonical subgradient lies in the subdifferential and in the
+        # normal cone at the dual point
+        primal = canonical_subgradient(dual, pair).point
+        return dual, primal, rint_member(rng, pair)
+    dual = DualPoint(rng.standard_normal((pair.n, pair.m)), -np.eye(pair.n))
+    primal = PrimalPoint(rng.standard_normal((pair.n, pair.m)), np.eye(pair.n))
+    return dual, primal, primal
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["in", "out"])
+@pytest.mark.parametrize("p", [2, 0], ids=["general", "p0"])
+@pytest.mark.parametrize("command", sorted(LIBRARY_CALLS))
+def test_plain_subcommand_is_its_library_call(capsys, tmp_path, command, p, inside):
+    rng = np.random.default_rng([14, p, inside])
+    pair = rand_pair(rng, 5, 2, p)
+    dual, candidate, member = _points(rng, pair, inside)
+    flags, call = LIBRARY_CALLS[command]
+    primal = candidate if "X" in flags else member
+    matrices = {"A": pair.A, "B": pair.B, "X": dual.X, "V": dual.V,
+                "Y": primal.Y, "W": primal.W}
+    argv = [command]
+    for name in "AB" + flags:
+        argv += [f"--{name}", mat_file(tmp_path, f"{name}.txt", matrices[name])]
+    code, rep = run(capsys, argv)
+    try:
+        expected = call(dual, primal, pair)
+    except PreconditionError:
+        assert code == 3 and rep is None
+        return
+    assert code == 0
+    assert rep["outputs"] == json.loads(json.dumps(_jsonable(expected)))
+
+
+@pytest.mark.parametrize("command", sorted(LIBRARY_CALLS))
+def test_plain_subcommand_takes_exactly_the_files_its_call_reads(capsys, tmp_path, command):
+    flags = "AB" + LIBRARY_CALLS[command][0]
+    path = mat_file(tmp_path, "M.txt", [[1.0]])
+    full = [command] + [t for name in flags for t in (f"--{name}", path)]
+    # parsed and run on 1x1 matrices; some calls reject them (B != 0 for
+    # the gauges) with a precondition error
+    assert main(full) in (0, 3)
+    assert "usage:" not in capsys.readouterr().err
+    for i in range(1, len(full), 2):
+        assert main(full[:i] + full[i + 2:]) == 2
+        assert "required" in capsys.readouterr().err
+    for name in sorted(set("XVYW") - set(flags)):
+        assert main(full + [f"--{name}", path]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_tolerance_flags_are_the_tolerance_config_fields(capsys, tmp_path, f1_files):
+    expected = {"--" + f.name.replace("_", "-"): f.default for f in fields(ToleranceConfig)}
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert len(subparsers.choices) == 15
+    for sub in subparsers.choices.values():
+        flags = {opt: a.default for a in sub._actions for opt in a.option_strings
+                 if opt.endswith("-tol")}
+        assert flags == expected
+    # each flag sets its own field
+    values = {f.name: 1e-4 * (i + 1) for i, f in enumerate(fields(ToleranceConfig))}
+    argv = ["domain", "--A", f1_files["A"], "--B", f1_files["B"],
+            "--X", mat_file(tmp_path, "X.txt", [[0.0], [1.0]]),
+            "--V", mat_file(tmp_path, "V.txt", np.eye(2))]
+    for name, value in values.items():
+        argv += ["--" + name.replace("_", "-"), repr(value)]
+    code, rep = run(capsys, argv)
+    assert code == 0
+    assert rep["tolerances"] == values

@@ -298,7 +298,6 @@ def _package_files():
 
 
 def test_rank_and_psd_tolerances_are_read_only_in_linalg():
-    # cli.py reads them too, to parse its --rank-tol and --psd-tol flags
     readers = {
         path.name
         for path in _package_files()
@@ -307,7 +306,7 @@ def test_rank_and_psd_tolerances_are_read_only_in_linalg():
         and node.attr in ("rank_tol", "psd_tol")
         and isinstance(node.ctx, ast.Load)
     }
-    assert readers == {"linalg.py", "cli.py"}
+    assert readers == {"linalg.py"}
 
 
 def test_bruteforce_imports_no_other_gmfrac_module():
