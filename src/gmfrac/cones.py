@@ -8,13 +8,16 @@ affine hull of the polar ``{W : rge W subset S}``, the relative interior of
 the polar, and a sampler of polar elements built from the generating set
 ``{-v v^T : v in S}``.  Every test reads the k-by-k compression
 ``Q^T W Q`` or the part of ``W`` outside S; none forms the n-by-n
-projector onto S.  The polar tests share one spectrum of ``-Q^T W Q``,
-which the hull witness and the gauge reuse with its eigenvectors.  The
-thresholds are applied by the rules of :mod:`gmfrac.linalg`.
+projector onto S.  Each cone and polar test is one sign test ``_psd`` of
+:mod:`gmfrac.linalg` on a k-by-k compression: a Cholesky factorization
+decides it outside a rounding band, and ``eigvalsh`` inside.  The hull
+witness and the gauge take the same sign test on ``-Q^T W Q`` and factorize
+it with ``eigh`` only after it has passed.  The thresholds are applied by
+the rules of :mod:`gmfrac.linalg`.
 
 The public tests take a raw matrix and symmetrize it once, at entry.  The
-private predicates ``_in_polar`` and ``_in_aff_polar`` and the spectrum
-``_polar_top`` take a matrix that is symmetric by construction (a point's
+private predicates ``_in_polar`` and ``_in_aff_polar`` and the compression
+``_polar_form`` take a matrix that is symmetric by construction (a point's
 ``V`` or ``W``, or a gap matrix symmetrized once when it is formed); the hull,
 normal-cone and gauge tests call them, and never the public tests, so no
 matrix is symmetrized twice.
@@ -52,17 +55,16 @@ def in_int_cone(V, subspace, tol=DEFAULT_TOL):
     return psd_on_subspace(V, subspace, strict=True, tol=tol)
 
 
-def _polar_top(W, subspace, tol, vectors=False):
-    # the ascending spectrum of -C for C = sym(Q^T W Q), as eigh's pair
-    # (values, vectors) when vectors is set, if W is supported on the
-    # subspace (W = Q C Q^T within eq_tol), and None if it is not.  W is in
-    # the polar cone iff the spectrum passes the sign test _psd.  W must be
-    # symmetric already; only the k-by-k C is symmetrized, by _compress.
+def _polar_form(W, subspace, tol):
+    # -C for C = sym(Q^T W Q) if W is supported on the subspace (W = Q C Q^T
+    # within eq_tol), and None if it is not.  W is in the polar cone iff -C
+    # passes the sign test _psd.  W must be symmetric already; only the
+    # k-by-k C is symmetrized, by _compress.
     q = subspace.basis
     c = _compress(W, subspace)
     if not _small(W - q @ c @ q.T, W, tol.eq_tol):
         return None
-    return np.linalg.eigh(-c) if vectors else np.linalg.eigvalsh(-c)
+    return -c
 
 
 def in_polar_cone(W, subspace, tol=DEFAULT_TOL):
@@ -79,8 +81,8 @@ def in_polar_cone(W, subspace, tol=DEFAULT_TOL):
 def _in_polar(W, subspace, tol, strict=False):
     # polar-cone membership of a symmetric W, of its relative interior when
     # strict
-    spec = _polar_top(W, subspace, tol)
-    return spec is not None and _psd(spec, tol, strict)
+    neg = _polar_form(W, subspace, tol)
+    return neg is not None and _psd(neg, tol, strict)
 
 
 def in_aff_polar(W, subspace, tol=DEFAULT_TOL):

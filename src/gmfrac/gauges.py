@@ -18,9 +18,10 @@ between ``rge Y`` and the rest of the kernel and can understate the gauge.
 A missing nonzero singular value (``rank_tol`` decides "nonzero") means
 gauge zero, e.g. ``Y = 0`` with ``W`` in the polar cone.
 
-The whole domain test reads one k-by-k eigendecomposition, that of
-``-C = -Q^T W Q`` taken by the polar-cone test: on the polar cone
-``W = Q C Q^T``, so ``(-W)^+ = Q (-C)^+ Q^T``, and ``rge Y`` inside
+The domain test is the polar-cone test on ``W``, the sign test of
+``-C = -Q^T W Q`` that :func:`gmfrac.cones.in_polar_cone` takes, followed,
+once it passes, by one k-by-k eigendecomposition of ``-C``: on the polar
+cone ``W = Q C Q^T``, so ``(-W)^+ = Q (-C)^+ Q^T``, and ``rge Y`` inside
 ``Q rge C`` is ``rge Y subset ker A intersect rge W``.  ``W`` is never
 factorized as an n-by-n matrix.
 """
@@ -32,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import _kept, _norm, _psd, _small, symmetrize
-from .cones import _in_polar, _polar_top
+from .cones import _in_polar, _polar_form
 from .support import PreconditionError, eval_support
 
 __all__ = [
@@ -109,11 +110,11 @@ def eval_gauge(point, pair):
     _require_homogeneous(pair)
     tol = pair.tol
     Y = point.Y
-    spec = _polar_top(point.W, pair.kernel, tol, vectors=True)
-    if spec is None or not _psd(spec[0], tol):
+    neg = _polar_form(point.W, pair.kernel, tol)
+    if neg is None or not _psd(neg, tol):
         return GaugeResult.infinite()
     # the kept eigenpairs of -C give Q rge C and (-W)^+ = Q (-C)^+ Q^T
-    lam_w, v = spec
+    lam_w, v = np.linalg.eigh(neg)
     keep = _kept(lam_w, tol)
     vk, lam_k = pair.kernel.basis @ v[:, keep], lam_w[keep]
     if not _small(Y - vk @ (vk.T @ Y), Y, tol.range_tol):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, _kept, _norm, _psd, _small, frobenius_inner, symmetrize
-from .cones import _in_aff_polar, _in_polar, _polar_top
+from .cones import _in_aff_polar, _in_polar, _polar_form
 from .support import ConstraintPair, PreconditionError, _freeze_point, eval_support
 
 __all__ = [
@@ -180,9 +180,10 @@ def caratheodory_witness(point, pair, epsilon):
     The construction decomposes ``-(1/2 Y Y^T + W)`` into at most
     ``N = n(n+1)/2 + 1`` rank-one terms ``mu_i v_i v_i^T`` with ``v_i = Q u_i``
     in ``ker A``, from the eigendecomposition of the k-by-k matrix
-    ``Q^T (-(1/2 Y Y^T + W)) Q``, the one whose spectrum decides hull
-    membership (eigenvalues at most ``rank_tol`` times the largest count as
-    zero, and zero terms pad the list up to N), then forms components
+    ``Q^T (-(1/2 Y Y^T + W)) Q``, taken once the sign test of that matrix,
+    which decides hull membership, has passed (eigenvalues at most
+    ``rank_tol`` times the largest count as zero, and zero terms pad the
+    list up to N), then forms components
 
         Y_1     = Z0 + (Y - Z0) / sqrt(1 - eps),
         Y_{i+1} = Z0 + [ sqrt(2 mu_i / lam) v_i, 0, ..., 0 ],
@@ -212,17 +213,14 @@ def caratheodory_witness(point, pair, epsilon):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if pair.m == 0:
         raise ValueError("witness construction needs at least one column (m >= 1)")
-    # the test of in_hull, through eigh so that the eigenvectors come with
-    # the spectrum
-    spec = None
-    if _feasible(point, pair):
-        spec = _polar_top(_gap(point), pair.kernel, pair.tol, vectors=True)
-    if spec is None or not _psd(spec[0], pair.tol):
+    # the test of in_hull, then eigh of the matrix it passed
+    neg = _polar_form(_gap(point), pair.kernel, pair.tol) if _feasible(point, pair) else None
+    if neg is None or not _psd(neg, pair.tol):
         raise PreconditionError("point is not in the hull; no witness exists")
 
     n, m = pair.n, pair.m
     count = n * (n + 1) // 2 + 1
-    w, u = spec
+    w, u = np.linalg.eigh(neg)
     mu = np.maximum(w[::-1], 0.0)
     # mu is descending, so the significant terms are a leading slice
     rank = np.count_nonzero(_kept(mu, pair.tol))

@@ -10,6 +10,14 @@ every other module calls: ``_kept`` (the rank cutoff), ``_small`` (the
 relative residual test) and ``_psd`` (the eigenvalue sign test).  So "zero",
 "inside", and "equal" mean the same thing in every module.
 
+A sign test compares the smallest eigenvalue of a k-by-k compression with a
+threshold, and its answer is the one ``eigvalsh`` gives.  It is decided by
+a Cholesky factorization of the shifted matrix wherever Cholesky's rounding
+error provably cannot change that answer (``_above``), and by ``eigvalsh``
+only inside that band, so no module calls ``eigvalsh`` or ``cholesky`` but
+this one.  The reduced support solve reads its sign test and its rank
+cutoff from one such certificate (``_psd_nonsingular``).
+
 Symmetry is established once and never re-checked on the hot path.  Public
 functions that take a raw matrix (``psd_on_subspace``, ``sym_eig`` and the
 functions built on them) symmetrize it once, at entry; the points of
@@ -18,6 +26,7 @@ when built; and the private kernels (``_compress``, ``_psd_on``) take
 operands that are symmetric by construction.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -110,12 +119,102 @@ def _small(resid, ref, bound):
         return _fro(resid) <= bound * max(1.0, _fro(ref))
 
 
-def _psd(w, tol, strict=False):
-    # the sign test on an ascending spectrum: every value >= -psd_tol, or
-    # > psd_tol when strict; vacuously true for an empty spectrum
-    if w.size == 0:
+# c * eps in the half-width of _above's band, with c = 4
+_BAND = 4.0 * np.finfo(float).eps
+# the smallest normal number; eps times it is the spacing of subnormals
+_TINY = np.finfo(float).tiny
+# the range of ||h||_F^2 in which _above needs no rescaling
+_SAFE = (2.0 ** -800, 2.0 ** 800)
+
+
+def _factors(m):
+    # whether numpy's Cholesky of the symmetric m runs to completion
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _above(h, t, reject, rel=0.0):
+    # A three-way Cholesky certificate on lambda_min of a symmetric k-by-k h,
+    # k >= 1, against the threshold T = t + rel * ||h||_F and the reject
+    # threshold R = reject <= T: True when cholesky(h - (T + d) I) succeeds,
+    # which proves eigvalsh(h)[0] > T; False when cholesky(h - (R - d) I)
+    # fails, which proves eigvalsh(h)[0] < R; None otherwise, in the band
+    # where only eigvalsh can decide.  The half-width is d = 4 k (k+1) eps (||h||_F + |T| + tiny),
+    # for the larger of |T| and |R| and the smallest normal number tiny.
+    # With u = eps/2 and M = fl(h - s I), whose diagonal is at most
+    # ||h||_F + |s| and off by u of that:
+    # - success: the computed factor has G^T G = M + E with
+    #   |E| <= gamma_{k+1} |G^T| |G| (Higham, Accuracy and Stability of
+    #   Numerical Algorithms, Thm 10.3), and ||G||_F^2 = tr(M + E), so
+    #   lambda_min(M) >= -k (k+1) u (||h||_F + |s|) (1 + O(k u));
+    # - failure: by Demmel's condition (Higham Thm 10.7) the factorization
+    #   runs to completion once lambda_min(M) exceeds k gamma_{k+1} /
+    #   (1 - k gamma_{k+1}) times M's largest diagonal entry, so a failure
+    #   means lambda_min(M) <= k (k+1) u (||h||_F + |s|) (1 + O(k u));
+    # - eigvalsh is backward stable: each computed eigenvalue lies within
+    #   O(k) u ||h||_2 of the exact one (Weyl), and within the spacing
+    #   eps * tiny of subnormals, to which it rounds.
+    # d is eight times either of the first two bounds, which leaves about
+    # 7 k (k+1) u (||h||_F + tiny) for the third; a larger c costs only more
+    # eigvalsh calls.  An h whose ||h||_F^2 would overflow or underflow is
+    # scaled by an exact power of two, with thresholds beyond every
+    # eigenvalue clamped first; the zero matrix has the exact spectrum 0.
+    k = h.shape[0]
+    tiny = _TINY
+    # vdot, unlike norm and dot, raises no overflow warning
+    sq = float(np.vdot(h, h))
+    if not _SAFE[0] < sq < _SAFE[1]:
+        s = float(np.abs(h).max())
+        if s == 0.0:
+            return True if t < 0.0 else False if reject > 0.0 else None
+        e = -math.frexp(s)[1]
+        lim = 4.0 * k * s
+        t = math.ldexp(min(max(t, -lim), lim), e)
+        reject = math.ldexp(min(max(reject, -lim), lim), e)
+        tiny = math.ldexp(tiny, e)
+        h = np.ldexp(h, e)
+        sq = float(np.vdot(h, h))
+    nrm = math.sqrt(sq)
+    t += rel * nrm
+    d = _BAND * k * (k + 1) * (nrm + max(abs(t), abs(reject)) + tiny)
+    m = h.copy()
+    diag = m.reshape(-1)[:: k + 1]
+    np.subtract(h.diagonal(), t + d, out=diag)
+    if _factors(m):
         return True
-    return bool(w[0] > tol.psd_tol if strict else w[0] >= -tol.psd_tol)
+    np.subtract(h.diagonal(), reject - d, out=diag)
+    return None if _factors(m) else False
+
+
+def _psd(h, tol, strict=False):
+    # the sign test on a symmetric k-by-k h: lambda_min(h) >= -psd_tol, or
+    # > psd_tol when strict, as read from eigvalsh(h); vacuously true when
+    # k = 0.  _above decides it by Cholesky outside its rounding band, and
+    # eigvalsh decides inside it
+    if h.shape[0] == 0:
+        return True
+    t = tol.psd_tol if strict else -tol.psd_tol
+    ok = _above(h, t, t)
+    if ok is None:
+        w = np.linalg.eigvalsh(h)[0]
+        ok = bool(w > t if strict else w >= t)
+    return ok
+
+
+def _psd_nonsingular(h, tol):
+    # (psd, nonsingular) for a symmetric k-by-k h, k >= 1: the sign test
+    # lambda_min(h) >= -psd_tol and "_kept keeps every eigenvalue", both as
+    # read from eigvalsh(h); nonsingular matters only when psd.  A Cholesky
+    # at rank_tol * ||h||_F, which is at least rank_tol * lambda_max,
+    # certifies both, and one at -psd_tol rejects; eigvalsh decides the rest
+    ok = _above(h, 0.0, -tol.psd_tol, rel=tol.rank_tol)
+    if ok is not None:
+        return ok, ok
+    w = np.linalg.eigvalsh(h)
+    return bool(w[0] >= -tol.psd_tol), bool(_kept(w, tol).all())
 
 
 def symmetrize(S):
@@ -267,12 +366,13 @@ def psd_on_subspace(V, subspace, strict=False, tol=DEFAULT_TOL):
 
     Non-strict mode requires ``lambda_min(Q^T V Q) >= -psd_tol``; strict mode
     requires ``lambda_min(Q^T V Q) > psd_tol`` (stability under eq_tol-sized
-    perturbation).  Both are vacuously true on the zero subspace.  ``V`` is
-    symmetrized once, at entry.
+    perturbation), both as read from ``eigvalsh`` and decided by a Cholesky
+    factorization away from the threshold.  Both are vacuously true on the
+    zero subspace.  ``V`` is symmetrized once, at entry.
     """
     return _psd_on(symmetrize(V), subspace, tol, strict)
 
 
 def _psd_on(V, subspace, tol, strict=False):
     # the test of psd_on_subspace on a V that is symmetric by construction
-    return _psd(np.linalg.eigvalsh(_compress(V, subspace)), tol, strict)
+    return _psd(_compress(V, subspace), tol, strict)

@@ -17,15 +17,17 @@ minimum-norm solution of ``A Y = B`` and ``Q`` an orthonormal basis of
 ``ker A``; the problem becomes the unconstrained maximization of
 ``<R, G> - 1/2 <H, G G^T>`` with the k-by-k reduced Hessian ``H = Q^T V Q``
 and ``R = Q^T (X - V Y0)``.  The domain is ``H >= 0`` and ``rge R`` inside
-``rge H``; the maximizer is ``Y* = Y0 + Q H^+ R``.  The eigenvalues of ``H``
-decide the sign test, exactly as :func:`gmfrac.cones.in_cone` does.  The
-pseudoinverse matters only where ``H`` is singular: when the rank cutoff
-keeps every eigenvalue, ``R`` is in range and ``H^+ R = H^-1 R`` is one LU
-solve, and only a singular ``H`` takes a full eigendecomposition for the
-range test and the minimum-norm ``H^+ R``.  The multiplier ``Z*`` is the
-minimum-norm solution of ``A^T Z = X - V Y*``.  Both pieces of ``A`` this
-needs, ``Q`` and ``Y0``, come from the single SVD taken when the
-:class:`ConstraintPair` is built.  :func:`saddle_matrix` builds ``M(V)`` for checking the result
+``rge H``; the maximizer is ``Y* = Y0 + Q H^+ R``.  The sign test and the
+rank cutoff on ``H`` are those of :func:`gmfrac.cones.in_cone`: one Cholesky
+factorization of ``H`` shifted by the rank threshold certifies both away
+from their thresholds, and ``eigvalsh`` decides only inside Cholesky's
+rounding band.  The pseudoinverse matters only where ``H`` is singular: when
+the rank cutoff keeps every eigenvalue, ``R`` is in range and
+``H^+ R = H^-1 R`` is one LU solve, and only a singular ``H`` takes a full
+eigendecomposition for the range test and the minimum-norm ``H^+ R``.  The
+multiplier ``Z*`` is the minimum-norm solution of ``A^T Z = X - V Y*``.
+Both pieces of ``A`` this needs, ``Q`` and ``Y0``, come from the single SVD
+taken when the :class:`ConstraintPair` is built.  :func:`saddle_matrix` builds ``M(V)`` for checking the result
 against the closed form.
 """
 
@@ -41,7 +43,7 @@ from .linalg import (
     _compress,
     _kept,
     _norm,
-    _psd,
+    _psd_nonsingular,
     _small,
     frobenius_inner,
     symmetrize,
@@ -252,21 +254,22 @@ def _check_point(point, pair):
 
 def _reduced_solve(point, pair, solve=True):
     # G* = H^+ R for H = sym(Q^T V Q) and R = Q^T (X - V Y0), or None when
-    # (X, V) is outside the domain.  The sign test reads in_cone's eigvalsh
-    # of the same H.  When the rank cutoff keeps every eigenvalue, H is
-    # nonsingular, R lies in its range and G* = H^-1 R is one LU solve; with
-    # solve off that case returns True, as the domain test needs no G.  Only
-    # a singular H takes eigh, for the range test and the minimum-norm H^+ R.
+    # (X, V) is outside the domain.  The sign test and the rank cutoff are
+    # in_cone's decisions on the same H, from one Cholesky outside the
+    # rounding band and eigvalsh inside it.  When the rank cutoff keeps
+    # every eigenvalue, H is nonsingular, R lies in its range and
+    # G* = H^-1 R is one LU solve; with solve off that case returns True, as
+    # the domain test needs no G.  Only a singular H takes eigh, for the
+    # range test and the minimum-norm H^+ R.
     _check_point(point, pair)
     tol = pair.tol
     kernel = pair.kernel
     if kernel.dim == 0:
         return np.zeros((0, pair.m))
     h = _compress(point.V, kernel)
-    w = np.linalg.eigvalsh(h)
-    if not _psd(w, tol):
+    psd, nonsingular = _psd_nonsingular(h, tol)
+    if not psd:
         return None
-    nonsingular = _kept(w, tol).all()
     if nonsingular and not solve:
         return True
     r = kernel.basis.T @ (point.X - point.V @ pair.min_norm_solution)
@@ -287,10 +290,12 @@ def in_domain(point, pair):
     True iff ``V`` lies in the cone of matrices PSD on ``ker A`` and
     ``rge (X; B) subset rge M(V)``.  With ``H = Q^T V Q`` and
     ``R = Q^T (X - V Y0)`` this is tested as ``lambda_min(H) >= -psd_tol``,
-    from the same ``eigvalsh`` of ``H`` as :func:`gmfrac.cones.in_cone`, so
+    by the same sign test as :func:`gmfrac.cones.in_cone` (a Cholesky
+    factorization of ``H``, and ``eigvalsh`` within its rounding band), so
     that sign test and ``in_cone`` agree on every ``V``.  When the rank
-    cutoff keeps every eigenvalue, ``H`` is nonsingular and that test
-    decides; otherwise one ``eigh`` of ``H`` tests that the residual of
+    cutoff keeps every eigenvalue, which one Cholesky certifies for all but
+    nearly singular ``H``, ``H`` is nonsingular and that test decides;
+    otherwise one ``eigh`` of ``H`` tests that the residual of
     ``R`` outside the eigenspace of ``H``'s kept eigenvalues is at most
     ``range_tol * max(1, ||R||_F)``.  This set is not closed: with
     ``A = B = 0`` and ``X != 0``, every ``V = eta I`` with ``eta > 0`` is in
@@ -313,9 +318,10 @@ def eval_support(point, pair):
     of ``A^T Z = X - V Y*``, and ``value = 1/2 (<X, Y*> + <B, Z*>)``.  The
     domain is decided as in :func:`in_domain`.  When ``H`` is nonsingular,
     ``H^+ R = H^-1 R`` is one LU solve and ``(Y*, Z*)`` are the blocks of
-    ``M(V)^+ (X; B)``.  Only a singular ``H`` inside the domain takes the
-    pseudoinverse, from one ``eigh``; there the maximizers form the set
-    ``Y* + Q ker H`` and ``Y*`` is the one of minimum norm.
+    ``M(V)^+ (X; B)``.  A clearly nonsingular ``H`` costs one Cholesky
+    factorization and that solve.  Only a singular ``H`` inside the domain
+    takes the pseudoinverse, from one ``eigh``; there the maximizers form the
+    set ``Y* + Q ker H`` and ``Y*`` is the one of minimum norm.
     """
     g = _reduced_solve(point, pair)
     if g is None:

@@ -2,12 +2,17 @@
 
 Every factorizing entry point of ``numpy.linalg`` is counted, linear solves
 included.  Each matrix object is factorized once: a ``ConstraintPair`` by
-one SVD of ``A``, a domain test by one ``eigvalsh`` of the reduced Hessian
-``H = Q^T V Q``.  A support solve adds one LU ``solve`` with ``H`` where
-``H`` is nonsingular, and one ``eigh`` of ``H`` only where it is singular.
-Subspace tests read the kernel basis ``Q`` and never factorize the n-by-n
-projector onto ``ker A``.  In the same way each n-by-n matrix is symmetrized
-once: a point when it is built, a gap matrix when it is formed.
+one SVD of ``A``, a sign test away from its threshold by one Cholesky of a
+shifted k-by-k compression (two when it rejects).  ``eigvalsh`` decides only
+inside the Cholesky rounding band, as where the reduced Hessian
+``H = Q^T V Q`` is singular.  A support solve adds one LU ``solve`` with
+``H`` where ``H`` is nonsingular, and one ``eigh`` of ``H`` only where it is
+singular; the witness and the gauge add one ``eigh`` after their sign test
+has passed.  The names of the tests that say ``eigvalsh`` predate the
+Cholesky sign test; each pin below is the count.  Subspace tests read the
+kernel basis ``Q`` and never factorize the n-by-n projector onto ``ker A``.
+In the same way each n-by-n matrix is symmetrized once: a point when it is
+built, a gap matrix when it is formed.
 """
 
 import sys
@@ -65,12 +70,12 @@ def test_support_and_domain_decide_by_one_eigvalsh(counts, n, m, p):
     point = interior_dual(rng, pair)
     taken(counts)
     assert eval_support(point, pair).finite
-    assert taken(counts) == {"eigvalsh": 1, "solve": 1}
+    assert taken(counts) == {"cholesky": 1, "solve": 1}
     assert in_domain(point, pair)
-    assert taken(counts) == {"eigvalsh": 1}
+    assert taken(counts) == {"cholesky": 1}
     outside = DualPoint(point.X, -np.eye(n))
     assert not eval_support(outside, pair).finite
-    assert taken(counts) == {"eigvalsh": 1}
+    assert taken(counts) == {"cholesky": 2}
 
 
 @pytest.mark.parametrize("n, m, p", [(4, 3, 2), (50, 5, 20)])
@@ -80,8 +85,9 @@ def test_subdifferential_is_two_eigvalsh(counts, n, m, p):
     point = interior_dual(rng, pair)
     sub = canonical_subgradient(point, pair)
     taken(counts)
+    # the domain test's Cholesky; the graph point's gap matrix is exactly 0
     assert in_subdifferential(sub.point, point, pair)
-    assert taken(counts) == {"eigvalsh": 2}
+    assert taken(counts) == {"cholesky": 1}
 
 
 @pytest.mark.parametrize("n, p", [(4, 1), (6, 2), (3, 0)])
@@ -91,10 +97,11 @@ def test_singular_hessian_adds_one_eigh(counts, n, p):
     pair = ConstraintPair(a, a @ rng.standard_normal((n, 2)))
     point = singular_hessian_point(rng, pair, False)
     taken(counts)
+    # neither Cholesky certificate decides a singular H
     assert eval_support(point, pair).finite
-    assert taken(counts) == {"eigvalsh": 1, "eigh": 1}
+    assert taken(counts) == {"cholesky": 2, "eigvalsh": 1, "eigh": 1}
     assert in_domain(point, pair)
-    assert taken(counts) == {"eigvalsh": 1, "eigh": 1}
+    assert taken(counts) == {"cholesky": 2, "eigvalsh": 1, "eigh": 1}
 
 
 @pytest.mark.parametrize("n, m, p", [(4, 3, 2), (50, 5, 20), (6, 2, 0)])
@@ -104,7 +111,7 @@ def test_hull_rint_is_one_eigvalsh_and_aff_is_none(counts, n, m, p):
     point = rint_member(rng, pair)
     taken(counts)
     assert in_hull_rint(point, pair)
-    assert taken(counts) == {"eigvalsh": 1}
+    assert taken(counts) == {"cholesky": 1}
     assert in_hull_aff(point, pair)
     assert taken(counts) == {}
 
@@ -129,7 +136,7 @@ def test_gauge_factorizes_w_once(counts, eigh_shapes, n, m, p):
     point = PrimalPoint(y, w)
     taken(counts)
     assert eval_gauge(point, pair).finite
-    assert taken(counts) == {"svd": 1, "eigh": 2}
+    assert taken(counts) == {"cholesky": 1, "svd": 1, "eigh": 2}
     k = pair.kernel.dim
     assert all(shape[0] <= k for shape in eigh_shapes)
 
@@ -141,7 +148,7 @@ def test_witness_eigh_is_k_by_k(counts, eigh_shapes, n, m, p):
     point = hull_member(rng, pair)
     taken(counts)
     caratheodory_witness(point, pair, 1e-3)
-    assert taken(counts) == {"eigh": 1}
+    assert taken(counts) == {"cholesky": 1, "eigh": 1}
     k = pair.kernel.dim
     assert eigh_shapes == [(k, k)]
 

@@ -309,6 +309,20 @@ def test_rank_and_psd_tolerances_are_read_only_in_linalg():
     assert readers == {"linalg.py"}
 
 
+def test_sign_factorizations_are_called_only_in_linalg():
+    # every sign decision is one predicate of linalg: no other module calls
+    # eigvalsh or cholesky
+    callers = {
+        path.name
+        for path in _package_files()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("eigvalsh", "cholesky")
+    }
+    assert callers == {"linalg.py"}
+
+
 def test_bruteforce_imports_no_other_gmfrac_module():
     # the oracles share no code with the closed forms they check
     (path,) = [p for p in _package_files() if p.name == "bruteforce.py"]

@@ -1,12 +1,14 @@
 """The two branches of the reduced support solve.
 
-``eval_support`` and ``in_domain`` read the spectrum of the reduced Hessian
-``H = Q^T V Q`` from ``eigvalsh``, the routine ``in_cone`` reads, and solve
-``H G = R`` by one LU factorization when the rank cutoff keeps every
-eigenvalue.  Only a singular ``H`` takes ``eigh``.  These tests place
-``H``'s smallest eigenvalue at the two thresholds that choose the branch,
-``-psd_tol`` and ``rank_tol * max|lambda|``, and check the LU branch on
-ill-conditioned ``H`` against a 50-digit solve of the KKT system.
+``eval_support`` and ``in_domain`` take the sign test and the rank cutoff
+of the reduced Hessian ``H = Q^T V Q`` from the rule ``in_cone`` uses: a
+Cholesky certificate away from the thresholds, and ``eigvalsh`` inside its
+rounding band.  They solve ``H G = R`` by one LU factorization when the
+rank cutoff keeps every eigenvalue.  Only a singular ``H`` takes ``eigh``.
+These tests place ``H``'s smallest eigenvalue at the two thresholds that
+choose the branch, ``-psd_tol`` and ``rank_tol * max|lambda|``, and check
+the LU branch on ill-conditioned ``H`` against a 50-digit solve of the KKT
+system.
 """
 
 import mpmath
@@ -102,7 +104,7 @@ def test_ill_conditioned_hessian_matches_50_digits(counts):
         taken(counts)
         res = eval_support(point, pair)
         assert res.finite
-        assert taken(counts) == {"eigvalsh": 1, "solve": 1}
+        assert taken(counts) == {"cholesky": 1, "solve": 1}
         value, y = kkt_reference(point, pair)
         bound = k * EPS * np.linalg.norm(point.V, 2) / lam[-1]
         assert abs(res.value - value) <= bound * abs(value)
@@ -128,7 +130,7 @@ def test_rank_cutoff_chooses_the_branch(counts, n, m, p):
         taken(counts)
         res = eval_support(point, pair)
         assert res.finite == finite
-        assert taken(counts) == {"eigvalsh": 1, branch: 1}
+        assert taken(counts) == {"cholesky": 2, "eigvalsh": 1, branch: 1}
         assert in_domain(point, pair) == finite
         if finite:
             g = q.T @ (res.maximizer - pair.min_norm_solution)
