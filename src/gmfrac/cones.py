@@ -8,19 +8,27 @@ affine hull of the polar ``{W : rge W subset S}``, the relative interior of
 the polar, and a sampler of polar elements built from the generating set
 ``{-v v^T : v in S}``.  Every test reads the k-by-k compression
 ``Q^T W Q`` or the part of ``W`` outside S; none forms the n-by-n
-projector onto S.  Each cone and polar test is one sign test ``_psd`` of
+projector onto S.  Each cone test is one sign test ``_psd`` of
 :mod:`gmfrac.linalg` on a k-by-k compression: a Cholesky factorization
-decides it outside a rounding band, and ``eigvalsh`` inside.  The hull
-witness and the gauge take the same sign test on ``-Q^T W Q`` and factorize
-it with ``eigh`` only after it has passed.  The thresholds are applied by
-the rules of :mod:`gmfrac.linalg`.
+decides it outside a rounding band, and ``eigvalsh`` inside.
+
+A polar test is the AND of a sign test and a support test, and
+``_polar_form`` takes them in order of cost, for every caller: the polar
+and relative-interior tests, the hull tests, the hull witness and the
+gauge.  An exactly zero ``W`` has ``C = Q^T W Q = 0`` and takes no product:
+it lies in the polar cone, and in its relative interior only on the zero
+subspace.  Otherwise the k-by-k sign test of ``-C`` runs first, and the
+n-by-n support residual ``W - Q C Q^T`` is formed only once it has passed.
+Both tests are pure predicates, so the order changes no answer.  The hull
+witness and the gauge factorize the ``-C`` that passed with ``eigh``.  The
+thresholds are applied by the rules of :mod:`gmfrac.linalg`.
 
 The public tests take a raw matrix and symmetrize it once, at entry.  The
-private predicates ``_in_polar`` and ``_in_aff_polar`` and the compression
-``_polar_form`` take a matrix that is symmetric by construction (a point's
-``V`` or ``W``, or a gap matrix symmetrized once when it is formed); the hull,
-normal-cone and gauge tests call them, and never the public tests, so no
-matrix is symmetrized twice.
+private predicates ``_in_polar`` and ``_in_aff_polar`` and ``_polar_form``
+take a matrix that is symmetric by construction (a point's ``V`` or ``W``,
+or a gap matrix symmetrized once when it is formed); the hull, normal-cone
+and gauge tests call them, and never the public tests, so no matrix is
+symmetrized twice.
 """
 
 import numpy as np
@@ -55,25 +63,33 @@ def in_int_cone(V, subspace, tol=DEFAULT_TOL):
     return psd_on_subspace(V, subspace, strict=True, tol=tol)
 
 
-def _polar_form(W, subspace, tol):
-    # -C for C = sym(Q^T W Q) if W is supported on the subspace (W = Q C Q^T
-    # within eq_tol), and None if it is not.  W is in the polar cone iff -C
-    # passes the sign test _psd.  W must be symmetric already; only the
-    # k-by-k C is symmetrized, by _compress.
-    q = subspace.basis
+def _polar_form(W, subspace, tol, strict=False):
+    # -C for C = sym(Q^T W Q) if the symmetric W lies in the polar cone (in
+    # its relative interior when strict), and None if it does not.  The
+    # tests run in order of cost: an exactly zero W has C = 0 and needs no
+    # product; otherwise the k-by-k sign test _psd(-C) runs first, and the
+    # n-by-n support residual W - Q C Q^T, tested within eq_tol, is formed
+    # only once the sign test has passed.  Only the k-by-k C is
+    # symmetrized, by _compress.
+    if not W.any():
+        neg = np.zeros((subspace.dim, subspace.dim))
+        return neg if _psd(neg, tol, strict) else None
     c = _compress(W, subspace)
-    if not _small(W - q @ c @ q.T, W, tol.eq_tol):
+    neg = -c
+    if not _psd(neg, tol, strict):
         return None
-    return -c
+    q = subspace.basis
+    return neg if _small(W - q @ c @ q.T, W, tol.eq_tol) else None
 
 
 def in_polar_cone(W, subspace, tol=DEFAULT_TOL):
     """Polar-cone membership: ``W = Q C Q^T`` and ``C <= 0`` for ``C = Q^T W Q``.
 
-    The support condition is tested as a relative residual,
-    ``||W - Q C Q^T||_F <= eq_tol * max(1, ||W||_F)``; the sign condition on
-    the subspace must satisfy ``lambda_max(C) <= psd_tol``.  For the zero
-    subspace the polar is ``{0}``.
+    The sign condition on the subspace must satisfy
+    ``lambda_max(C) <= psd_tol``; the support condition is tested as a
+    relative residual, ``||W - Q C Q^T||_F <= eq_tol * max(1, ||W||_F)``, and
+    only once the sign condition holds.  The zero matrix is a member and
+    takes no product.  For the zero subspace the polar is ``{0}``.
     """
     return _in_polar(symmetrize(W), subspace, tol)
 
@@ -81,8 +97,7 @@ def in_polar_cone(W, subspace, tol=DEFAULT_TOL):
 def _in_polar(W, subspace, tol, strict=False):
     # polar-cone membership of a symmetric W, of its relative interior when
     # strict
-    neg = _polar_form(W, subspace, tol)
-    return neg is not None and _psd(neg, tol, strict)
+    return _polar_form(W, subspace, tol, strict) is not None
 
 
 def in_aff_polar(W, subspace, tol=DEFAULT_TOL):
@@ -102,10 +117,12 @@ def in_rint_polar(W, subspace, tol=DEFAULT_TOL):
     """Relative interior of the polar cone.
 
     For a nonzero subspace this means polar membership plus a strictly
-    negative form on the subspace (``lambda_max(Q^T W Q) < -psd_tol``).  For
-    the zero subspace the polar is ``{0}`` and its relative interior is
-    ``{0}`` as well: ``Q^T W Q`` is empty, so its spectrum passes the sign
-    test vacuously and only the support test on ``W`` remains.
+    negative form on the subspace (``lambda_max(Q^T W Q) < -psd_tol``), the
+    sign test taken first and the support test only once it has passed; the
+    zero matrix is not a member.  For the zero subspace the polar is ``{0}``
+    and its relative interior is ``{0}`` as well: ``Q^T W Q`` is empty, so
+    its spectrum passes the sign test vacuously and only the support test on
+    ``W`` remains, and the zero matrix is a member.
     """
     return _in_polar(symmetrize(W), subspace, tol, strict=True)
 

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import _kept, _norm, _psd, _small, symmetrize
+from .linalg import _kept, _norm, _small, symmetrize
 from .cones import _in_polar, _polar_form
 from .support import PreconditionError, eval_support
 
@@ -111,7 +111,7 @@ def eval_gauge(point, pair):
     tol = pair.tol
     Y = point.Y
     neg = _polar_form(point.W, pair.kernel, tol)
-    if neg is None or not _psd(neg, tol):
+    if neg is None:
         return GaugeResult.infinite()
     # the kept eigenpairs of -C give Q rge C and (-W)^+ = Q (-C)^+ Q^T
     lam_w, v = np.linalg.eigh(neg)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _kept, _norm, _psd, _small, frobenius_inner, symmetrize
+from .linalg import DEFAULT_TOL, _kept, _norm, _small, frobenius_inner, symmetrize
 from .cones import _in_aff_polar, _in_polar, _polar_form
 from .support import ConstraintPair, PreconditionError, _freeze_point, eval_support
 
@@ -215,7 +215,7 @@ def caratheodory_witness(point, pair, epsilon):
         raise ValueError("witness construction needs at least one column (m >= 1)")
     # the test of in_hull, then eigh of the matrix it passed
     neg = _polar_form(_gap(point), pair.kernel, pair.tol) if _feasible(point, pair) else None
-    if neg is None or not _psd(neg, pair.tol):
+    if neg is None:
         raise PreconditionError("point is not in the hull; no witness exists")
 
     n, m = pair.n, pair.m

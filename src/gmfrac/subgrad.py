@@ -81,7 +81,9 @@ def canonical_subgradient(dual, pair):
     Takes ``(Y*, Z*)`` from the KKT solve and returns the graph-set
     representative ``(Y*, -1/2 Y* Y*^T)``; its gap matrix is exactly zero, so
     complementarity holds for free and the subdifferential meets the graph
-    set at every domain point.
+    set at every domain point.  The hull test on that point is free as
+    well: a zero gap matrix is in the polar cone without a compression or a
+    factorization.
 
     Raises
     ------
@@ -102,7 +104,9 @@ def in_subdifferential(candidate, dual, pair):
     Equivalent to hull membership plus normal-cone membership of the dual at
     the candidate.  The domain test already places ``V`` in the cone, so of
     the normal-cone conditions only complementarity and ``Q^T (X - V Y) = 0``
-    remain to check.
+    remain to check.  At a graph point such as the canonical subgradient the
+    gap matrix is exactly zero and the hull test forms no product, so the
+    call compresses only the domain's ``H = Q^T V Q``.
 
     Raises
     ------

@@ -3,6 +3,7 @@
 import numpy as np
 
 from gmfrac import ConstraintPair, DualPoint, PrimalPoint, sample_polar
+from gmfrac.linalg import _compress, _psd, _small
 
 
 def rand_sym(rng, n, scale=1.0):
@@ -79,6 +80,22 @@ def rint_member(rng, pair, margin=0.5):
     g = rng.standard_normal((k, k))
     neg = q @ (g @ g.T + margin * np.eye(k)) @ q.T
     return PrimalPoint(y, -0.5 * (y @ y.T) - 0.5 * (neg + neg.T))
+
+
+def residual_first_polar_form(W, subspace, tol, strict=False):
+    """``cones._polar_form`` with its two tests in the earlier order.
+
+    The n-by-n support residual ``W - Q C Q^T`` is formed for every ``W``,
+    the zero matrix included, and the sign test of ``-C`` runs only once the
+    residual has passed.  Returns ``-C`` or ``None`` as ``_polar_form``
+    does; the equivalence tests swap it in as the reference.
+    """
+    q = subspace.basis
+    c = _compress(W, subspace)
+    if not _small(W - q @ c @ q.T, W, tol.eq_tol):
+        return None
+    neg = -c
+    return neg if _psd(neg, tol, strict) else None
 
 
 def taken(tally):

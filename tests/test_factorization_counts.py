@@ -26,6 +26,7 @@ from gmfrac import (
     DualPoint,
     InfeasiblePairError,
     PrimalPoint,
+    SubspaceBasis,
     canonical_subgradient,
     caratheodory_witness,
     eval_gauge,
@@ -198,3 +199,84 @@ def test_each_n_by_n_matrix_is_symmetrized_once(symmetrized, n, m, p):
     assert square(lambda: eval_support(dual, pair).finite) == 0
     assert square(lambda: in_domain(dual, pair)) == 0
     assert square(lambda: eval_gauge(gauge_point, gauge_pair).finite) == 0
+
+
+@pytest.fixture
+def compressed(monkeypatch):
+    """Arguments of ``_compress``, through every gmfrac binding."""
+    operands = []
+    original = gmfrac.linalg._compress
+
+    def recorded(V, subspace):
+        operands.append(V)
+        return original(V, subspace)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gmfrac" or name.startswith("gmfrac."):
+            if getattr(module, "_compress", None) is original:
+                monkeypatch.setattr(module, "_compress", recorded)
+    return operands
+
+
+class _Products(np.ndarray):
+    """A basis that records the shape of every matrix product it enters."""
+
+    shapes = None
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        args = [np.asarray(x) if isinstance(x, _Products) else x for x in inputs]
+        out = getattr(ufunc, method)(*args, **kwargs)
+        if ufunc is np.matmul:
+            self.shapes.append(np.shape(out))
+        return out
+
+
+@pytest.fixture
+def basis_products(monkeypatch):
+    """Shapes of the products that read a pair's kernel basis ``Q``."""
+    shapes = []
+    monkeypatch.setattr(_Products, "shapes", shapes)
+
+    def watch(pair):
+        basis = pair.kernel.basis.view(_Products)
+        monkeypatch.setattr(pair, "kernel", SubspaceBasis(basis))
+        return pair
+
+    return shapes, watch
+
+
+@pytest.mark.parametrize("n, m, p", [(4, 3, 2), (50, 5, 20), (6, 2, 0)])
+def test_graph_point_gap_takes_no_compression(compressed, n, m, p):
+    rng = np.random.default_rng(8)
+    pair = rand_pair(rng, n, m, p)
+    dual = interior_dual(rng, pair)
+    point = canonical_subgradient(dual, pair).point
+    del compressed[:]
+    assert in_hull(point, pair)
+    assert compressed == []
+    # only the cone test on V
+    assert in_normal_cone(dual, point, pair)
+    assert len(compressed) == 1 and compressed[0] is dual.V
+    del compressed[:]
+    # only the domain's H = Q^T V Q
+    assert in_subdifferential(point, dual, pair)
+    assert len(compressed) == 1 and compressed[0] is dual.V
+
+
+@pytest.mark.parametrize("n, m, p", [(7, 2, 3), (50, 5, 20)])
+def test_sign_rejected_hull_test_forms_no_reconstruction(basis_products, n, m, p):
+    shapes, watch = basis_products
+    rng = np.random.default_rng(9)
+    pair = watch(rand_pair(rng, n, m, p))
+    point = rint_member(rng, pair)
+    q = pair.kernel.basis
+    # positive on ker A: the sign test rejects, the support test would pass
+    rejected = PrimalPoint(point.Y, point.W + 10.0 * (q @ q.T))
+    del shapes[:]
+    assert not in_hull(rejected, pair)
+    assert (n, n) not in shapes
+    assert shapes
+    # an accepted point forms Q C Q^T once
+    del shapes[:]
+    assert in_hull(point, pair)
+    assert shapes.count((n, n)) == 1

@@ -352,3 +352,44 @@ def test_internal_tests_use_the_symmetric_operand_path():
             else:
                 continue
             assert name not in raw_input, f"{path.name} uses {name}"
+
+
+def _matmul_operands(node):
+    # the operands of a chain a @ b @ ... in either association
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return _matmul_operands(node.left) + _matmul_operands(node.right)
+    return [node]
+
+
+def _is_reconstruction(node):
+    # Q C Q^T: a product of three or more factors whose last is the
+    # transpose of its first
+    ops = _matmul_operands(node)
+    last = ops[-1]
+    return (
+        len(ops) >= 3
+        and isinstance(last, ast.Attribute)
+        and last.attr == "T"
+        and ast.dump(last.value) == ast.dump(ops[0])
+    )
+
+
+def test_compression_and_reconstruction_have_one_home():
+    # _compress is called only by the modules that own the subspace tests,
+    # and the n-by-n support residual W - Q C Q^T is formed only in the one
+    # cones helper that orders the polar test
+    compressing, reconstructing = set(), set()
+    for path in _package_files():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and (
+                    getattr(node.func, "attr", getattr(node.func, "id", None)) == "_compress"
+                ):
+                    compressing.add(path.name)
+                if _is_reconstruction(node):
+                    reconstructing.add((path.name, func.name))
+    assert compressing == {"linalg.py", "cones.py", "support.py"}
+    assert reconstructing == {("cones.py", "_polar_form")}
