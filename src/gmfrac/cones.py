@@ -20,15 +20,17 @@ it lies in the polar cone, and in its relative interior only on the zero
 subspace.  Otherwise the k-by-k sign test of ``-C`` runs first, and the
 n-by-n support residual ``W - Q C Q^T`` is formed only once it has passed.
 Both tests are pure predicates, so the order changes no answer.  The hull
-witness and the gauge factorize the ``-C`` that passed with ``eigh``.  The
-thresholds are applied by the rules of :mod:`gmfrac.linalg`.
+witness and the gauge read the kept eigenpairs of the ``-C`` that passed
+from ``linalg._eig_kept``.  The thresholds are applied by the rules of
+:mod:`gmfrac.linalg`.
 
-The public tests take a raw matrix and symmetrize it once, at entry.  The
-private predicates ``_in_polar`` and ``_in_aff_polar`` and ``_polar_form``
-take a matrix that is symmetric by construction (a point's ``V`` or ``W``,
-or a gap matrix symmetrized once when it is formed); the hull, normal-cone
-and gauge tests call them, and never the public tests, so no matrix is
-symmetrized twice.
+The public tests take a raw matrix through one entry, ``_entry``, which
+rejects a non-finite matrix with ``ValueError`` and symmetrizes it once.
+The private predicates ``_in_cone``, ``_in_polar``, ``_in_aff_polar`` and
+``_polar_form`` take a matrix that is symmetric by construction (a point's
+``V`` or ``W``, or a gap matrix symmetrized once when it is formed); the
+hull, normal-cone and gauge tests call them, and never the public tests,
+so no matrix is symmetrized twice.
 """
 
 import numpy as np
@@ -39,7 +41,6 @@ from .linalg import (
     _outside,
     _psd,
     _small,
-    psd_on_subspace,
     symmetrize,
 )
 
@@ -53,14 +54,39 @@ __all__ = [
 ]
 
 
+def _entry(M):
+    # the raw matrix of a public test, rejected unless finite (a NaN would
+    # pass a Cholesky certificate) and symmetrized once
+    M = np.asarray(M, dtype=float)
+    if not np.isfinite(M).all():
+        raise ValueError("matrix must have finite entries")
+    return symmetrize(M)
+
+
 def in_cone(V, subspace, tol=DEFAULT_TOL):
-    """True iff ``u^T V u >= 0`` for all ``u`` in the subspace."""
-    return psd_on_subspace(V, subspace, strict=False, tol=tol)
+    """True iff ``u^T V u >= 0`` for all ``u`` in the subspace.
+
+    Tested as ``lambda_min(Q^T V Q) >= -psd_tol``, as read from ``eigvalsh``
+    and decided by a Cholesky factorization away from the threshold;
+    vacuously true on the zero subspace.  Raises ``ValueError`` on a
+    non-finite ``V``.
+    """
+    return _in_cone(_entry(V), subspace, tol)
 
 
 def in_int_cone(V, subspace, tol=DEFAULT_TOL):
-    """True iff ``u^T V u > 0`` for all nonzero ``u`` in the subspace."""
-    return psd_on_subspace(V, subspace, strict=True, tol=tol)
+    """True iff ``u^T V u > 0`` for all nonzero ``u`` in the subspace.
+
+    Tested as ``lambda_min(Q^T V Q) > psd_tol`` (stability under
+    perturbation of that size); vacuously true on the zero subspace.
+    Raises ``ValueError`` on a non-finite ``V``.
+    """
+    return _in_cone(_entry(V), subspace, tol, strict=True)
+
+
+def _in_cone(V, subspace, tol, strict=False):
+    # cone membership of a symmetric V, of its interior when strict
+    return _psd(_compress(V, subspace), tol, strict)
 
 
 def _polar_form(W, subspace, tol, strict=False):
@@ -89,9 +115,10 @@ def in_polar_cone(W, subspace, tol=DEFAULT_TOL):
     ``lambda_max(C) <= psd_tol``; the support condition is tested as a
     relative residual, ``||W - Q C Q^T||_F <= eq_tol * max(1, ||W||_F)``, and
     only once the sign condition holds.  The zero matrix is a member and
-    takes no product.  For the zero subspace the polar is ``{0}``.
+    takes no product.  For the zero subspace the polar is ``{0}``.  Raises
+    ``ValueError`` on a non-finite ``W``.
     """
-    return _in_polar(symmetrize(W), subspace, tol)
+    return _in_polar(_entry(W), subspace, tol)
 
 
 def _in_polar(W, subspace, tol, strict=False):
@@ -103,9 +130,10 @@ def _in_polar(W, subspace, tol, strict=False):
 def in_aff_polar(W, subspace, tol=DEFAULT_TOL):
     """Affine hull of the polar cone: ``rge W subset S`` (sign-free).
 
-    Tested as ``||W - Q Q^T W||_F <= range_tol * max(1, ||W||_F)``.
+    Tested as ``||W - Q Q^T W||_F <= range_tol * max(1, ||W||_F)``.  Raises
+    ``ValueError`` on a non-finite ``W``.
     """
-    return _in_aff_polar(symmetrize(W), subspace, tol)
+    return _in_aff_polar(_entry(W), subspace, tol)
 
 
 def _in_aff_polar(W, subspace, tol):
@@ -122,9 +150,10 @@ def in_rint_polar(W, subspace, tol=DEFAULT_TOL):
     zero matrix is not a member.  For the zero subspace the polar is ``{0}``
     and its relative interior is ``{0}`` as well: ``Q^T W Q`` is empty, so
     its spectrum passes the sign test vacuously and only the support test on
-    ``W`` remains, and the zero matrix is a member.
+    ``W`` remains, and the zero matrix is a member.  Raises ``ValueError`` on
+    a non-finite ``W``.
     """
-    return _in_polar(symmetrize(W), subspace, tol, strict=True)
+    return _in_polar(_entry(W), subspace, tol, strict=True)
 
 
 def sample_polar(subspace, generators, rng, count=1, tol=DEFAULT_TOL):

@@ -20,10 +20,13 @@ gauge zero, e.g. ``Y = 0`` with ``W`` in the polar cone.
 
 The domain test is the polar-cone test on ``W``, the sign test of
 ``-C = -Q^T W Q`` that :func:`gmfrac.cones.in_polar_cone` takes, followed,
-once it passes, by one k-by-k eigendecomposition of ``-C``: on the polar
-cone ``W = Q C Q^T``, so ``(-W)^+ = Q (-C)^+ Q^T``, and ``rge Y`` inside
-``Q rge C`` is ``rge Y subset ker A intersect rge W``.  ``W`` is never
-factorized as an n-by-n matrix.
+once it passes, by the kept eigenpairs of the k-by-k ``-C`` from
+``linalg._eig_kept``: on the polar cone ``W = Q C Q^T``, so
+``(-W)^+ = Q (-C)^+ Q^T``, and ``rge Y`` inside ``Q rge C`` is
+``rge Y subset ker A intersect rge W``.  An eigenvalue of ``-C`` that is
+negative, which the sign test counted as zero, is never kept, so the gauge
+is finite only where :func:`gmfrac.hull.in_hull` can accept the point.
+``W`` is never factorized as an n-by-n matrix.
 """
 
 import math
@@ -32,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import _kept, _norm, _small, symmetrize
+from .linalg import _eig_kept, _kept, _norm, _small, symmetrize
 from .cones import _in_polar, _polar_form
 from .support import PreconditionError, eval_support
 
@@ -114,9 +117,8 @@ def eval_gauge(point, pair):
     if neg is None:
         return GaugeResult.infinite()
     # the kept eigenpairs of -C give Q rge C and (-W)^+ = Q (-C)^+ Q^T
-    lam_w, v = np.linalg.eigh(neg)
-    keep = _kept(lam_w, tol)
-    vk, lam_k = pair.kernel.basis @ v[:, keep], lam_w[keep]
+    lam_k, v = _eig_kept(neg, tol)
+    vk = pair.kernel.basis @ v
     if not _small(Y - vk @ (vk.T @ Y), Y, tol.range_tol):
         return GaugeResult.infinite()
     if _norm(Y) <= tol.eq_tol:
@@ -124,18 +126,18 @@ def eval_gauge(point, pair):
     u, s, vt = np.linalg.svd(Y, full_matrices=False)
     rank = np.count_nonzero(_kept(s, tol))
     ur, sr, vr = u[:, :rank], s[:rank], vt[:rank].T
-    # compressed form of Y^T (-W)^+ Y; its top eigenvalue decides the gauge
+    # compressed form of Y^T (-W)^+ Y, PSD by construction; its top
+    # eigenvalue decides the gauge
     t = vk.T @ ur
     reduced = symmetrize(((t.T / lam_k) @ t) * np.outer(sr, sr))
-    lam, q = np.linalg.eigh(reduced)
-    keep = _kept(np.maximum(lam, 0.0), tol)
-    if not np.any(keep):
+    lam, q = _eig_kept(reduced, tol)
+    if lam.size == 0:
         return GaugeResult(finite=True, value=0.0)
     top = float(lam[-1])
     # critical matrix = pinv(-Y^T W^+ Y); its smallest nonzero singular
     # value is 1 / lambda_max(reduced)
-    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
-    critical = symmetrize((vr @ q * inv) @ (vr @ q).T)
+    vq = vr @ q
+    critical = symmetrize((vq * (1.0 / lam)) @ vq.T)
     sigma_min = 1.0 / top
     return GaugeResult(
         finite=True, value=0.5 * top, critical_matrix=critical, sigma_min=sigma_min

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _kept, _norm, _small, frobenius_inner, symmetrize
+from .linalg import DEFAULT_TOL, _eig_kept, _norm, _small, frobenius_inner, symmetrize
 from .cones import _in_aff_polar, _in_polar, _polar_form
 from .support import ConstraintPair, PreconditionError, _freeze_point, eval_support
 
@@ -181,9 +181,9 @@ def caratheodory_witness(point, pair, epsilon):
     ``N = n(n+1)/2 + 1`` rank-one terms ``mu_i v_i v_i^T`` with ``v_i = Q u_i``
     in ``ker A``, from the eigendecomposition of the k-by-k matrix
     ``Q^T (-(1/2 Y Y^T + W)) Q``, taken once the sign test of that matrix,
-    which decides hull membership, has passed (eigenvalues at most
-    ``rank_tol`` times the largest count as zero, and zero terms pad the
-    list up to N), then forms components
+    which decides hull membership, has passed (negative eigenvalues and
+    those at most ``rank_tol`` times the largest count as zero, and zero
+    terms pad the list up to N), then forms components
 
         Y_1     = Z0 + (Y - Z0) / sqrt(1 - eps),
         Y_{i+1} = Z0 + [ sqrt(2 mu_i / lam) v_i, 0, ..., 0 ],
@@ -213,18 +213,18 @@ def caratheodory_witness(point, pair, epsilon):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if pair.m == 0:
         raise ValueError("witness construction needs at least one column (m >= 1)")
-    # the test of in_hull, then eigh of the matrix it passed
+    # the test of in_hull, then the kept eigenpairs of the matrix it passed
     neg = _polar_form(_gap(point), pair.kernel, pair.tol) if _feasible(point, pair) else None
     if neg is None:
         raise PreconditionError("point is not in the hull; no witness exists")
 
     n, m = pair.n, pair.m
     count = n * (n + 1) // 2 + 1
-    w, u = np.linalg.eigh(neg)
-    mu = np.maximum(w[::-1], 0.0)
-    # mu is descending, so the significant terms are a leading slice
-    rank = np.count_nonzero(_kept(mu, pair.tol))
-    vecs = pair.kernel.basis @ u[:, ::-1][:, :rank]
+    w, u = _eig_kept(neg, pair.tol)
+    # the terms in descending order of mu
+    mu = w[::-1]
+    rank = mu.size
+    vecs = pair.kernel.basis @ u[:, ::-1]
 
     lam = epsilon / count
     weights = np.full(count + 1, lam)

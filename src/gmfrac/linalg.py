@@ -1,14 +1,14 @@
 """Tolerance-governed dense symmetric linear algebra kernel.
 
 Every higher-level test in this package (cone membership, support-function
-domains, hull geometry, gauges) reduces to a handful of rank-revealing
-primitives collected here: symmetric eigendecomposition, symmetric
-pseudoinverse, kernel bases, range-inclusion tests, and PSD tests restricted
-to a subspace.  All rank and membership decisions are governed by a single
-:class:`ToleranceConfig` and applied only here, by three private rules that
-every other module calls: ``_kept`` (the rank cutoff), ``_small`` (the
-relative residual test) and ``_psd`` (the eigenvalue sign test).  So "zero",
-"inside", and "equal" mean the same thing in every module.
+domains, hull geometry, gauges) reduces to a k-by-k compression of a
+symmetric matrix onto a subspace (``_compress``), or the part of a matrix
+outside it (``_outside``), and a few rules applied to them.  All rank and
+membership decisions are governed by a single :class:`ToleranceConfig` and
+applied only here, by three private rules that every other module calls:
+``_kept`` (the rank cutoff), ``_small`` (the relative residual test) and
+``_psd`` (the eigenvalue sign test).  So "zero", "inside", and "equal" mean
+the same thing in every module.
 
 A sign test compares the smallest eigenvalue of a k-by-k compression with a
 threshold, and its answer is the one ``eigvalsh`` gives.  It is decided by
@@ -16,14 +16,18 @@ a Cholesky factorization of the shifted matrix wherever Cholesky's rounding
 error provably cannot change that answer (``_above``), and by ``eigvalsh``
 only inside that band, so no module calls ``eigvalsh`` or ``cholesky`` but
 this one.  The reduced support solve reads its sign test and its rank
-cutoff from one such certificate (``_psd_nonsingular``).
+cutoff from one such certificate (``_psd_nonsingular``).  Once a matrix has
+passed its sign test, ``_eig_kept`` gives the eigenpairs that ``_kept``
+keeps, with the negative eigenvalues the sign test counted as zero set to
+zero first; the support value on a singular Hessian, the gauge's
+pseudoinverse and the hull witness read that one spectrum, and it is the
+package's only ``eigh``.
 
-Symmetry is established once and never re-checked on the hot path.  Public
-functions that take a raw matrix (``psd_on_subspace``, ``sym_eig`` and the
-functions built on them) symmetrize it once, at entry; the points of
+Symmetry is established once and never re-checked on the hot path.  The
+public cone tests symmetrize a raw matrix once, at entry; the points of
 :mod:`gmfrac.support` and :mod:`gmfrac.hull` are frozen and symmetrized once
-when built; and the private kernels (``_compress``, ``_psd_on``) take
-operands that are symmetric by construction.
+when built; and the private kernels (``_compress``, ``_psd``,
+``_eig_kept``) take operands that are symmetric by construction.
 """
 
 import math
@@ -35,14 +39,9 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
     "SubspaceBasis",
-    "SpectralData",
     "symmetrize",
     "frobenius_inner",
-    "sym_eig",
-    "sym_pinv",
     "kernel_basis",
-    "range_inclusion",
-    "psd_on_subspace",
 ]
 
 
@@ -53,8 +52,11 @@ class ToleranceConfig:
     Attributes
     ----------
     rank_tol : float
-        Cutoff, relative to the largest magnitude, below which a singular
-        value or eigenvalue counts as zero; applied by ``_kept``.
+        Cutoff, relative to the largest magnitude, below which a value
+        counts as zero; applied by ``_kept``.  It reads the singular values
+        of ``A`` and, through ``_eig_kept``, the eigenvalues of a k-by-k
+        compression that has passed its sign test, with its negative
+        eigenvalues counted as zero.
     psd_tol : float
         Absolute eigenvalue slack for semidefinite and strict-definite
         decisions; applied by ``_psd``.
@@ -217,6 +219,16 @@ def _psd_nonsingular(h, tol):
     return bool(w[0] >= -tol.psd_tol), bool(_kept(w, tol).all())
 
 
+def _eig_kept(h, tol):
+    # the eigenpairs (w, u) of a symmetric k-by-k h that has passed its sign
+    # test, ascending, that _kept keeps once the negative eigenvalues, which
+    # that test counted as zero, are set to zero; so each kept w > 0.  The
+    # package's only eigh
+    w, u = np.linalg.eigh(h)
+    keep = _kept(np.maximum(w, 0.0), tol)
+    return w[keep], u[:, keep]
+
+
 def symmetrize(S):
     """Return ``(S + S^T) / 2`` as a float array."""
     S = np.asarray(S, dtype=float)
@@ -266,49 +278,6 @@ class SubspaceBasis:
         return cls(np.zeros((n, 0)))
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def sym_eig(S):
-    """Eigendecomposition of a symmetric matrix.
-
-    The input is symmetrized (``(S + S^T)/2``) before factorization, so
-    asymmetric floating-point noise in file input is harmless.
-
-    Parameters
-    ----------
-    S : array_like, shape (n, n)
-
-    Returns
-    -------
-    SpectralData
-        Eigenvalues in descending order with matching orthonormal
-        eigenvector columns.
-    """
-    S = symmetrize(S)
-    w, q = np.linalg.eigh(S)
-    return SpectralData(eigenvalues=w[::-1].copy(), eigenvectors=q[:, ::-1].copy())
-
-
-def sym_pinv(M, tol=DEFAULT_TOL):
-    """Moore-Penrose pseudoinverse of a symmetric matrix.
-
-    Eigenvalues with ``|lambda| <= rank_tol * max|lambda|`` are treated as
-    zero; the remaining spectrum is inverted.
-    """
-    sd = sym_eig(M)
-    w, q = sd.eigenvalues, sd.eigenvectors
-    if w.size == 0:
-        return np.zeros_like(np.asarray(M, float))
-    inv = np.divide(1.0, w, out=np.zeros_like(w), where=_kept(w, tol))
-    return symmetrize((q * inv) @ q.T)
-
-
 def kernel_basis(A, tol=DEFAULT_TOL):
     """Orthonormal basis of ``ker A = {u : A u = 0}``.
 
@@ -326,26 +295,6 @@ def kernel_basis(A, tol=DEFAULT_TOL):
     return SubspaceBasis(vh[np.count_nonzero(_kept(s, tol)) :].T.copy())
 
 
-def range_inclusion(C, M, tol=DEFAULT_TOL):
-    """Test ``rge C  subset  rge M`` for symmetric ``M``.
-
-    True iff ``||M M^+ C - C||_F <= range_tol * max(1, ||C||_F)``, where
-    ``M M^+`` is realized as the orthogonal projector onto the nonzero
-    eigenspace of ``M`` (the same matrix, computed stably).
-    """
-    C = np.asarray(C, dtype=float)
-    if C.ndim == 1:
-        C = C.reshape(-1, 1)
-    sd = sym_eig(M)
-    w, q = sd.eigenvalues, sd.eigenvectors
-    if C.shape[0] != q.shape[0]:
-        raise ValueError(
-            f"incompatible shapes: C has {C.shape[0]} rows, M is {q.shape[0]}x{q.shape[0]}"
-        )
-    qk = q[:, _kept(w, tol)]
-    return _small(qk @ (qk.T @ C) - C, C, tol.range_tol)
-
-
 def _compress(V, subspace):
     # the k-by-k form sym(Q^T V Q) of a symmetric V on the subspace, whose
     # spectrum every cone and domain test reads.  V is not symmetrized again;
@@ -359,20 +308,3 @@ def _outside(C, subspace):
     # every range test against the subspace reads
     q = subspace.basis
     return C - q @ (q.T @ C)
-
-
-def psd_on_subspace(V, subspace, strict=False, tol=DEFAULT_TOL):
-    """Test whether the quadratic form of ``V`` is nonnegative on a subspace.
-
-    Non-strict mode requires ``lambda_min(Q^T V Q) >= -psd_tol``; strict mode
-    requires ``lambda_min(Q^T V Q) > psd_tol`` (stability under eq_tol-sized
-    perturbation), both as read from ``eigvalsh`` and decided by a Cholesky
-    factorization away from the threshold.  Both are vacuously true on the
-    zero subspace.  ``V`` is symmetrized once, at entry.
-    """
-    return _psd_on(symmetrize(V), subspace, tol, strict)
-
-
-def _psd_on(V, subspace, tol, strict=False):
-    # the test of psd_on_subspace on a V that is symmetric by construction
-    return _psd(_compress(V, subspace), tol, strict)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _norm, _psd_on, _small, frobenius_inner
+from .linalg import _norm, _small, frobenius_inner
+from .cones import _in_cone
 from .support import PreconditionError, eval_support, in_domain
 from .hull import PrimalPoint, _gap, _in_hull, graph_point
 
@@ -58,7 +59,7 @@ def in_normal_cone(dual, base, pair):
     gap = _gap(base)
     if not _in_hull(base, gap, pair):
         raise PreconditionError("normal cone is only defined at hull points")
-    if not _psd_on(dual.V, pair.kernel, pair.tol):
+    if not _in_cone(dual.V, pair.kernel, pair.tol):
         return False
     return _normal_conditions(dual, base, gap, pair)
 

@@ -23,12 +23,14 @@ factorization of ``H`` shifted by the rank threshold certifies both away
 from their thresholds, and ``eigvalsh`` decides only inside Cholesky's
 rounding band.  The pseudoinverse matters only where ``H`` is singular: when
 the rank cutoff keeps every eigenvalue, ``R`` is in range and
-``H^+ R = H^-1 R`` is one LU solve, and only a singular ``H`` takes a full
-eigendecomposition for the range test and the minimum-norm ``H^+ R``.  The
+``H^+ R = H^-1 R`` is one LU solve.  Only a singular ``H`` is
+eigendecomposed, for the range test and the minimum-norm ``H^+ R``, and
+then its kept spectrum is the one ``linalg._eig_kept`` gives every caller:
+a negative eigenvalue that passed the sign test counts as zero.  The
 multiplier ``Z*`` is the minimum-norm solution of ``A^T Z = X - V Y*``.
 Both pieces of ``A`` this needs, ``Q`` and ``Y0``, come from the single SVD
-taken when the :class:`ConstraintPair` is built.  :func:`saddle_matrix` builds ``M(V)`` for checking the result
-against the closed form.
+taken when the :class:`ConstraintPair` is built.  :func:`saddle_matrix`
+builds ``M(V)`` for checking the result against the closed form.
 """
 
 import math
@@ -41,6 +43,7 @@ from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
     _compress,
+    _eig_kept,
     _kept,
     _norm,
     _psd_nonsingular,
@@ -259,8 +262,8 @@ def _reduced_solve(point, pair, solve=True):
     # rounding band and eigvalsh inside it.  When the rank cutoff keeps
     # every eigenvalue, H is nonsingular, R lies in its range and
     # G* = H^-1 R is one LU solve; with solve off that case returns True, as
-    # the domain test needs no G.  Only a singular H takes eigh, for the
-    # range test and the minimum-norm H^+ R.
+    # the domain test needs no G.  Only a singular H takes _eig_kept, for
+    # the range test and the minimum-norm H^+ R.
     _check_point(point, pair)
     tol = pair.tol
     kernel = pair.kernel
@@ -275,13 +278,11 @@ def _reduced_solve(point, pair, solve=True):
     r = kernel.basis.T @ (point.X - point.V @ pair.min_norm_solution)
     if nonsingular:
         return np.linalg.solve(h, r)
-    w, u = np.linalg.eigh(h)
-    keep = _kept(w, tol)
-    uk = u[:, keep]
-    coef = uk.T @ r
-    if not _small(r - uk @ coef, r, tol.range_tol):
+    w, u = _eig_kept(h, tol)
+    coef = u.T @ r
+    if not _small(r - u @ coef, r, tol.range_tol):
         return None
-    return uk @ (coef / w[keep, None])
+    return u @ (coef / w[:, None])
 
 
 def in_domain(point, pair):
@@ -295,9 +296,11 @@ def in_domain(point, pair):
     that sign test and ``in_cone`` agree on every ``V``.  When the rank
     cutoff keeps every eigenvalue, which one Cholesky certifies for all but
     nearly singular ``H``, ``H`` is nonsingular and that test decides;
-    otherwise one ``eigh`` of ``H`` tests that the residual of
+    otherwise one eigendecomposition of ``H`` tests that the residual of
     ``R`` outside the eigenspace of ``H``'s kept eigenvalues is at most
-    ``range_tol * max(1, ||R||_F)``.  This set is not closed: with
+    ``range_tol * max(1, ||R||_F)``.  An eigenvalue is kept when it exceeds
+    ``rank_tol`` times the largest; a negative one that passed the sign
+    test is never kept.  This set is not closed: with
     ``A = B = 0`` and ``X != 0``, every ``V = eta I`` with ``eta > 0`` is in
     the domain but the limit ``V = 0`` is not.
     """
@@ -320,7 +323,8 @@ def eval_support(point, pair):
     ``H^+ R = H^-1 R`` is one LU solve and ``(Y*, Z*)`` are the blocks of
     ``M(V)^+ (X; B)``.  A clearly nonsingular ``H`` costs one Cholesky
     factorization and that solve.  Only a singular ``H`` inside the domain
-    takes the pseudoinverse, from one ``eigh``; there the maximizers form the
+    takes the pseudoinverse, from its kept eigenpairs (see
+    :func:`in_domain`); there the maximizers form the
     set ``Y* + Q ker H`` and ``Y*`` is the one of minimum norm.
     """
     g = _reduced_solve(point, pair)

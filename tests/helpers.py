@@ -1,9 +1,11 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and reference computations for the test suite."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from gmfrac import ConstraintPair, DualPoint, PrimalPoint, sample_polar
-from gmfrac.linalg import _compress, _psd, _small
+from gmfrac import DEFAULT_TOL, ConstraintPair, DualPoint, PrimalPoint, sample_polar, symmetrize
+from gmfrac.linalg import _compress, _kept, _psd, _small
 
 
 def rand_sym(rng, n, scale=1.0):
@@ -96,6 +98,58 @@ def residual_first_polar_form(W, subspace, tol, strict=False):
         return None
     neg = -c
     return neg if _psd(neg, tol, strict) else None
+
+
+@dataclass(frozen=True)
+class SpectralData:
+    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def sym_eig(S):
+    """Eigendecomposition of ``(S + S^T)/2``, eigenvalues descending.
+
+    The eigenvectors are orthonormal columns matching the eigenvalues.
+    """
+    w, q = np.linalg.eigh(symmetrize(S))
+    return SpectralData(eigenvalues=w[::-1].copy(), eigenvectors=q[:, ::-1].copy())
+
+
+def sym_pinv(M, tol=DEFAULT_TOL):
+    """Moore-Penrose pseudoinverse of a symmetric matrix.
+
+    Eigenvalues with ``|lambda| <= rank_tol * max|lambda|`` are treated as
+    zero; the remaining spectrum is inverted.  The reference for the saddle
+    matrix closed form ``M(V)^+``.
+    """
+    sd = sym_eig(M)
+    w, q = sd.eigenvalues, sd.eigenvectors
+    if w.size == 0:
+        return np.zeros_like(np.asarray(M, float))
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=_kept(w, tol))
+    return symmetrize((q * inv) @ q.T)
+
+
+def range_inclusion(C, M, tol=DEFAULT_TOL):
+    """Test ``rge C  subset  rge M`` for symmetric ``M``.
+
+    True iff ``||M M^+ C - C||_F <= range_tol * max(1, ||C||_F)``, where
+    ``M M^+`` is realized as the orthogonal projector onto the nonzero
+    eigenspace of ``M``.  The reference for the saddle matrix domain test.
+    """
+    C = np.asarray(C, dtype=float)
+    if C.ndim == 1:
+        C = C.reshape(-1, 1)
+    sd = sym_eig(M)
+    w, q = sd.eigenvalues, sd.eigenvectors
+    if C.shape[0] != q.shape[0]:
+        raise ValueError(
+            f"incompatible shapes: C has {C.shape[0]} rows, M is {q.shape[0]}x{q.shape[0]}"
+        )
+    qk = q[:, _kept(w, tol)]
+    return _small(qk @ (qk.T @ C) - C, C, tol.range_tol)
 
 
 def taken(tally):

@@ -10,7 +10,6 @@ from gmfrac import (
     in_polar_cone,
     in_rint_polar,
     kernel_basis,
-    psd_on_subspace,
     sample_polar,
     symmetrize,
 )
@@ -163,7 +162,7 @@ def test_polar_scaling():
 def test_asymmetric_input_decides_as_its_symmetric_part():
     # the public tests symmetrize a raw matrix once, at entry; a skew part
     # as large as the matrix itself must not change any decision
-    tests = (in_cone, in_int_cone, psd_on_subspace, in_polar_cone, in_rint_polar, in_aff_polar)
+    tests = (in_cone, in_int_cone, in_polar_cone, in_rint_polar, in_aff_polar)
     seen = {test: set() for test in tests}
     rng = np.random.default_rng(31)
     for n, p in ((5, 2), (8, 3), (6, 0), (4, 1)):
@@ -182,3 +181,18 @@ def test_asymmetric_input_decides_as_its_symmetric_part():
                 seen[test].add(want)
     for test in tests:
         assert seen[test] == {True, False}, test.__name__
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("test", [in_cone, in_int_cone, in_polar_cone, in_aff_polar, in_rint_polar])
+def test_public_tests_reject_non_finite(test, bad):
+    # a NaN matrix passes a Cholesky certificate, so it must not reach one;
+    # the zero subspace, where every spectrum test is vacuous, rejects too
+    full = kernel_basis(np.zeros((0, 3)))
+    for subspace in (full, SubspaceBasis.zero_subspace(3)):
+        with pytest.raises(ValueError):
+            test(np.full((3, 3), bad), subspace)
+        m = -np.eye(3)
+        m[0, 2] = bad
+        with pytest.raises(ValueError):
+            test(m, subspace)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gmfrac import (
+    ConstraintPair,
     DualPoint,
     PreconditionError,
     PrimalPoint,
@@ -11,6 +12,7 @@ from gmfrac import (
     eval_polar_gauge,
     eval_support,
     gauge_bisection,
+    in_hull,
     in_polar_cone,
     in_scaled_hull,
     pairing,
@@ -171,6 +173,19 @@ def test_gauge_zero_iff_polar_membership():
         bad = w + 0.5 * np.eye(pair.n)
         assert not in_polar_cone(bad, pair.kernel)
         assert not eval_gauge(PrimalPoint(zero_y, bad), pair).finite
+
+
+# With p = 0 and Y = e2, -W has the eigenvalue -w22 along e2.  At
+# w22 = 5e-10 it passes the sign test within psd_tol and counts as zero, as
+# at w22 = 0: rge Y is outside rge W, and the gauge is +inf at both.  A rank
+# cutoff on |eigenvalue| kept it and answered a finite 0.0.
+@pytest.mark.parametrize("w22", [0.0, 5e-10])
+def test_gauge_counts_a_passed_negative_eigenvalue_as_zero(w22):
+    pair = ConstraintPair(np.zeros((0, 2)), np.zeros((0, 1)))
+    point = primal([0.0, 1.0], np.diag([-1.0, w22]))
+    assert not eval_gauge(point, pair).finite
+    assert not in_hull(point, pair)
+    assert not any(in_scaled_hull(point, t, pair) for t in (1.0, 1e3, 1e9))
 
 
 # Noise of 1e-9 outside ker A tilts the eigenvectors of the n-by-n -W off

@@ -1,9 +1,10 @@
 """The null-space support solve checked against the paper's closed form.
 
 ``eval_support`` never builds the saddle matrix.  These tests build it with
-``saddle_matrix`` and solve ``M(V) (Y; Z) = (X; B)`` by ``sym_pinv``, the
-closed form ``1/2 tr((X; B)^T M(V)^+ (X; B))``, and compare the value, the
-maximizer ``Y*`` and the multiplier ``Z*`` with the null-space solve.
+``saddle_matrix`` and solve ``M(V) (Y; Z) = (X; B)`` by the reference
+``helpers.sym_pinv``, the closed form ``1/2 tr((X; B)^T M(V)^+ (X; B))``,
+and compare the value, the maximizer ``Y*`` and the multiplier ``Z*`` with
+the null-space solve.
 """
 
 import numpy as np
@@ -15,11 +16,9 @@ from gmfrac import (
     eval_support,
     in_cone,
     in_domain,
-    range_inclusion,
     saddle_matrix,
-    sym_pinv,
 )
-from helpers import interior_dual, rand_pair, rand_sym
+from helpers import interior_dual, rand_pair, rand_sym, range_inclusion, sym_pinv
 
 
 def closed_form(point, pair):

@@ -135,3 +135,19 @@ def test_rank_cutoff_chooses_the_branch(counts, n, m, p):
         if finite:
             g = q.T @ (res.maximizer - pair.min_norm_solution)
             assert np.linalg.norm(g) == pytest.approx(np.linalg.norm(s) / lam[-1], rel=1e-4)
+
+
+@pytest.mark.parametrize("column", [1, 2])
+def test_singular_branch_counts_a_passed_negative_eigenvalue_as_zero(column):
+    # p = 0 and V = diag(1, 0, -5e-10): the sign test passes within psd_tol
+    # and counts the third eigenvalue as zero, like the second, so X = e2
+    # and X = e3 both lie outside the kept range and the value is +inf at
+    # each.  A rank cutoff on |eigenvalue| kept -5e-10 and answered -1e9 at
+    # X = e3, below the value 0 of the feasible Y = 0
+    pair = ConstraintPair(np.zeros((0, 3)), np.zeros((0, 1)))
+    x = np.zeros((3, 1))
+    x[column] = 1.0
+    point = DualPoint(x, np.diag([1.0, 0.0, -5e-10]))
+    assert in_cone(point.V, pair.kernel)
+    assert not eval_support(point, pair).finite
+    assert not in_domain(point, pair)
