@@ -15,7 +15,6 @@ from gmfrac import (
     SampleConfig,
     eval_support,
     in_domain,
-    saddle_matrix,
     support_lower_bound,
 )
 
@@ -23,8 +22,9 @@ from gmfrac import (
 pair = ConstraintPair([[1.0, 0.0]], [[0.0]])
 dual = DualPoint(np.array([[0.0], [1.0]]), np.eye(2))
 
+# the library never forms M(V); it is built here only to show it
 print("saddle matrix M(I):")
-print(saddle_matrix(dual.V, pair))
+print(np.block([[dual.V, pair.A.T], [pair.A, np.zeros((pair.p, pair.p))]]))
 
 res = eval_support(dual, pair)
 print(f"\nsupport value at X = (0, 1), V = I: {res.value}")

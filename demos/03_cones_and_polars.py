@@ -22,7 +22,7 @@ from gmfrac import (
 # S = ker [1, 0] = span{e2}
 sub = kernel_basis(np.array([[1.0, 0.0]]))
 print("subspace dimension:", sub.dim)
-print("projector:\n", sub.projector)
+print("projector Q Q^T:\n", sub.basis @ sub.basis.T)
 
 print("\ncone membership (only the S-block matters):")
 for v in (np.diag([-7.0, 0.0]), np.diag([0.0, -1e-3]), np.diag([-1.0, 1.0])):

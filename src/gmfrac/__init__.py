@@ -7,7 +7,8 @@ PSD cones and their polars, the closed convex hull with explicit
 convex-combination witnesses, normal cones and subdifferentials, polar and
 horizon cones, and the gauge calculus of the homogeneous case.  Every
 closed form has an independent brute-force counterpart in
-:mod:`gmfrac.bruteforce` for verification.
+:mod:`gmfrac.bruteforce` for verification, and :mod:`gmfrac.verify` runs
+those checks on one pair.
 """
 
 from .linalg import *  # noqa: F401,F403
@@ -17,7 +18,8 @@ from .hull import *  # noqa: F401,F403
 from .subgrad import *  # noqa: F401,F403
 from .gauges import *  # noqa: F401,F403
 from .bruteforce import *  # noqa: F401,F403
-from . import bruteforce, cones, gauges, hull, linalg, subgrad, support
+from .verify import *  # noqa: F401,F403
+from . import bruteforce, cones, gauges, hull, linalg, subgrad, support, verify
 
 __version__ = "0.1.0"
 
@@ -25,6 +27,6 @@ __version__ = "0.1.0"
 # defines it.
 __all__ = [
     name
-    for module in (linalg, cones, support, hull, subgrad, gauges, bruteforce)
+    for module in (linalg, cones, support, hull, subgrad, gauges, bruteforce, verify)
     for name in module.__all__
 ]

@@ -10,8 +10,9 @@ precondition violated (e.g. an infeasible pair).
 Thirteen subcommands are one library call each; the ``_COMMANDS`` table
 gives each its help text, the points it reads, the call and the shape of
 its report, and both the parser and the dispatch read that table.
-``witness`` and ``verify`` take flags of their own and have their own
-bodies.  The tolerance flags are read from the fields of
+``witness`` and ``verify`` take flags of their own; ``witness`` has its own
+body, and ``verify`` is one call of :func:`gmfrac.verify.verify_pair`, the
+library's oracle suite.  The tolerance flags are read from the fields of
 :class:`ToleranceConfig`, and the point flags from the fields of
 :class:`DualPoint` and :class:`PrimalPoint`.
 """
@@ -28,7 +29,6 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .linalg import ToleranceConfig
-from .cones import sample_polar
 from .support import (
     ConstraintPair,
     DualPoint,
@@ -48,14 +48,8 @@ from .hull import (
     in_hull_rint,
 )
 from .subgrad import canonical_subgradient, in_normal_cone, in_subdifferential
-from .gauges import GaugeResult, eval_gauge, eval_polar_gauge, in_scaled_hull
-from .bruteforce import (
-    SampleConfig,
-    convexity_fuzz,
-    gauge_bisection,
-    sample_feasible,
-    support_lower_bound,
-)
+from .gauges import GaugeResult, eval_gauge, eval_polar_gauge
+from .verify import verify_pair
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -283,97 +277,7 @@ def _cmd_witness(args, pair, inputs):
 
 
 def _cmd_verify(args, pair, inputs):
-    tol = pair.tol
-    seed = args.seed if args.seed is not None else 0
-    trials = args.trials
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    sc = SampleConfig(count=trials, rng_seed=seed)
-    ys = sample_feasible(pair, sc)
-    resid = float(np.linalg.norm(pair.A @ ys - pair.B, axis=(1, 2)).max()) if pair.p else 0.0
-    checks.append(
-        {
-            "name": "feasible-sample-residual",
-            "passed": resid <= tol.feas_tol * max(1.0, float(np.linalg.norm(pair.B))),
-            "max_residual": resid,
-        }
-    )
-
-    def hull_sampler(gen):
-        y = pair.min_norm_solution
-        k = pair.kernel.dim
-        if k:
-            y = y + pair.kernel.basis @ gen.standard_normal((k, pair.m))
-        t = sample_polar(pair.kernel, 2, gen, tol=tol)[0]
-        return (y, -0.5 * (y @ y.T) + t)
-
-    fuzz = convexity_fuzz(
-        lambda pt: in_hull(PrimalPoint(pt[0], pt[1]), pair),
-        hull_sampler,
-        SampleConfig(count=trials, rng_seed=seed + 1),
-    )
-    checks.append(
-        {"name": "hull-convexity-fuzz", "passed": fuzz.passed, "failures": fuzz.failures}
-    )
-
-    worst_gap = 0.0
-    dominance_ok = True
-    for i in range(max(1, trials // 10)):
-        x = rng.standard_normal((pair.n, pair.m))
-        g = rng.standard_normal((pair.n, pair.n))
-        v = g @ g.T + 0.5 * np.eye(pair.n)
-        dual = DualPoint(x, v)
-        res = eval_support(dual, pair)
-        if not res.finite:
-            dominance_ok = False
-            break
-        bound = support_lower_bound(
-            dual, pair, SampleConfig(count=500, rng_seed=seed + 2 + i), center=res.maximizer
-        )
-        scale = max(1.0, abs(res.value))
-        worst_gap = max(worst_gap, bound - res.value)
-        if res.value < bound - 1e-9 * scale:
-            dominance_ok = False
-            break
-    checks.append(
-        {"name": "support-dominance", "passed": dominance_ok, "worst_gap": worst_gap}
-    )
-
-    recession_ok = True
-    for _ in range(20):
-        y, w = hull_sampler(rng)
-        t_dir = sample_polar(pair.kernel, 2, rng, tol=tol)[0]
-        for t in (1.0, 1e3):
-            if not in_hull(PrimalPoint(y, w + t * t_dir), pair):
-                recession_ok = False
-    checks.append({"name": "hull-recession", "passed": recession_ok})
-
-    if pair.homogeneous:
-        gauge_ok = True
-        worst = 0.0
-        k = pair.kernel.dim
-        for _ in range(20):
-            if k == 0:
-                break
-            y = pair.kernel.basis @ rng.standard_normal((k, pair.m))
-            r = pair.kernel.basis @ rng.standard_normal((k, k))
-            w = -(r @ r.T) - 0.2 * (y @ y.T)
-            pt = PrimalPoint(y, w)
-            res = eval_gauge(pt, pair)
-            ref = gauge_bisection(pt, pair, in_scaled_hull)
-            if not res.finite or math.isinf(ref):
-                gauge_ok = False
-                break
-            err = abs(res.value - ref) / max(1.0, res.value)
-            worst = max(worst, err)
-            if err > 1e-6:
-                gauge_ok = False
-        checks.append(
-            {"name": "gauge-bisection-agreement", "passed": gauge_ok, "worst_rel_err": worst}
-        )
-
-    return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
+    return verify_pair(pair, args.trials, args.seed if args.seed is not None else 0)
 
 
 def _add_tol_flags(parser):

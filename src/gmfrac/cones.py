@@ -156,7 +156,7 @@ def in_rint_polar(W, subspace, tol=DEFAULT_TOL):
     return _in_polar(_entry(W), subspace, tol, strict=True)
 
 
-def sample_polar(subspace, generators, rng, count=1, tol=DEFAULT_TOL):
+def sample_polar(subspace, generators, rng, count=1):
     """Draw random elements of the polar cone.
 
     Each sample is ``W = -sum_{i<=r} lam_i v_i v_i^T`` with ``r =

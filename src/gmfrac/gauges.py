@@ -85,11 +85,11 @@ def in_scaled_hull(point, t, pair):
     PreconditionError
         If the pair has ``B != 0``.
     ValueError
-        If ``t < 0``.
+        If ``t`` is negative or not finite.
     """
     _require_homogeneous(pair)
-    if t < 0:
-        raise ValueError(f"scale t must be nonnegative, got {t!r}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"scale t must be finite and nonnegative, got {t!r}")
     if not _small(pair.A @ point.Y, 0.0, pair.tol.feas_tol):
         return False
     gap = symmetrize(0.5 * (point.Y @ point.Y.T) + t * point.W)

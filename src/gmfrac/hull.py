@@ -54,12 +54,6 @@ class PrimalPoint:
     def __post_init__(self):
         _freeze_point(self)
 
-    def norm(self):
-        return math.hypot(_norm(self.Y), _norm(self.W))
-
-    def scaled(self, t):
-        return PrimalPoint(t * self.Y, t * self.W)
-
 
 def graph_point(Y):
     """The graph set point ``(Y, -1/2 Y Y^T)``."""

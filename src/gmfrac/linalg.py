@@ -21,7 +21,9 @@ passed its sign test, ``_eig_kept`` gives the eigenpairs that ``_kept``
 keeps, with the negative eigenvalues the sign test counted as zero set to
 zero first; the support value on a singular Hessian, the gauge's
 pseudoinverse and the hull witness read that one spectrum, and it is the
-package's only ``eigh``.
+package's only ``eigh``.  ``ker A`` likewise has one body, ``_split``: one
+SVD of ``A`` and the rank cutoff, for both
+:class:`gmfrac.support.ConstraintPair` and :func:`kernel_basis`.
 
 Symmetry is established once and never re-checked on the hot path.  The
 public cone tests symmetrize a raw matrix once, at entry; the points of
@@ -230,11 +232,15 @@ def _eig_kept(h, tol):
 
 
 def symmetrize(S):
-    """Return ``(S + S^T) / 2`` as a float array."""
+    """Return ``(S + S^T) / 2`` as a float array.
+
+    Formed as ``S/2 + S^T/2``, which cannot overflow for finite ``S``.
+    """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")
-    return 0.5 * (S + S.T)
+    h = 0.5 * S
+    return h + h.T
 
 
 def frobenius_inner(A, B):
@@ -254,8 +260,8 @@ class SubspaceBasis:
     subspace; ``k = 0`` encodes the zero subspace.  It is the only stored
     representation: every subspace test in this package reads ``Q``, either
     through the k-by-k compression ``Q^T V Q`` of a matrix or through its
-    part ``C - Q (Q^T C)`` outside the subspace.  ``projector`` forms the
-    n-by-n orthogonal projection ``Q Q^T`` on demand.
+    part ``C - Q (Q^T C)`` outside the subspace, and none forms the n-by-n
+    projector ``Q Q^T``.
     """
 
     basis: np.ndarray
@@ -268,31 +274,37 @@ class SubspaceBasis:
     def dim(self):
         return self.basis.shape[1]
 
-    @property
-    def projector(self):
-        """The n-by-n orthogonal projector ``Q Q^T`` onto the subspace."""
-        return symmetrize(self.basis @ self.basis.T)
-
-    @classmethod
-    def zero_subspace(cls, n):
-        return cls(np.zeros((n, 0)))
-
 
 def kernel_basis(A, tol=DEFAULT_TOL):
     """Orthonormal basis of ``ker A = {u : A u = 0}``.
 
     ``A`` may have zero rows (no constraints), in which case the kernel is
     all of R^n and the basis is the identity.  The rank of ``A`` is decided
-    by the relative singular-value cutoff ``rank_tol``.
+    by the relative singular-value cutoff ``rank_tol``.  This is the basis
+    :class:`gmfrac.support.ConstraintPair` stores.  Raises ``ValueError`` on
+    a non-finite ``A``.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-D constraint matrix, got shape {A.shape}")
+    return _split(A, tol)[0]
+
+
+def _split(A, tol):
+    # ker A and the range factors of a p-by-n float A, from its one SVD
+    # A = U S V^T: the kernel basis (the rows of V^T past the rank r that
+    # _kept decides), U_r, the r kept singular values and the rows V_r^T.
+    # p = 0 takes no SVD and has r = 0; a non-finite A raises ValueError
+    if not np.isfinite(A).all():
+        raise ValueError("A must have finite entries")
     p, n = A.shape
     if p == 0:
-        return SubspaceBasis(np.eye(n))
-    _, s, vh = np.linalg.svd(A)
-    return SubspaceBasis(vh[np.count_nonzero(_kept(s, tol)) :].T.copy())
+        return SubspaceBasis(np.eye(n)), np.zeros((0, 0)), np.zeros(0), np.zeros((0, n))
+    u, s, vh = np.linalg.svd(A)
+    r = np.count_nonzero(_kept(s, tol))
+    # copies of what is kept, so that the full p-by-p and n-by-n factors are
+    # freed once the caller has used V_r^T
+    return SubspaceBasis(vh[r:].T.copy()), u[:, :r].copy(), s[:r].copy(), vh[:r]
 
 
 def _compress(V, subspace):

@@ -29,11 +29,10 @@ then its kept spectrum is the one ``linalg._eig_kept`` gives every caller:
 a negative eigenvalue that passed the sign test counts as zero.  The
 multiplier ``Z*`` is the minimum-norm solution of ``A^T Z = X - V Y*``.
 Both pieces of ``A`` this needs, ``Q`` and ``Y0``, come from the single SVD
-taken when the :class:`ConstraintPair` is built.  :func:`saddle_matrix`
-builds ``M(V)`` for checking the result against the closed form.
+taken when the :class:`ConstraintPair` is built; ``M(V)`` itself is never
+formed.
 """
 
-import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -41,13 +40,12 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    SubspaceBasis,
     _compress,
     _eig_kept,
-    _kept,
     _norm,
     _psd_nonsingular,
     _small,
+    _split,
     frobenius_inner,
     symmetrize,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "ConstraintPair",
     "DualPoint",
     "SupportResult",
-    "saddle_matrix",
     "in_domain",
     "eval_support",
 ]
@@ -90,10 +87,12 @@ class ConstraintPair:
     -----
     ``A`` and ``B`` are stored as read-only copies, so a later change to the
     caller's arrays cannot leave the cached factorization stale.  One SVD of
-    ``A`` gives its rank, the feasibility test, the orthonormal
-    kernel basis and the minimum-norm solution of ``A Y = B``; these are
-    computed once and cached, and all downstream operations read them from
-    here.  Of the range side of the SVD only ``U_r`` (p-by-r) and the
+    ``A`` (none when ``p = 0``), taken by the same body as
+    :func:`gmfrac.linalg.kernel_basis`, gives its rank, the feasibility
+    test, the orthonormal kernel basis and the minimum-norm solution of
+    ``A Y = B``; these are computed once and cached, and all downstream
+    operations read them from here.  A non-finite ``A`` or ``B`` raises
+    ``ValueError``.  Of the range side of the SVD only ``U_r`` (p-by-r) and the
     nonzero singular values are kept, enough for the minimum-norm solution
     of ``A^T Z = C``.
     """
@@ -107,32 +106,20 @@ class ConstraintPair:
             raise ValueError(
                 f"A and B must have the same number of rows, got {A.shape} and {B.shape}"
             )
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-            raise ValueError("A and B must have finite entries")
+        if not np.isfinite(B).all():
+            raise ValueError("B must have finite entries")
         A.setflags(write=False)
         B.setflags(write=False)
         self.A = A
         self.B = B
         self.tol = tol
-        p, n = A.shape
-        if p == 0:
-            self.kernel = SubspaceBasis(np.eye(n))
-            self._min_norm = np.zeros((n, self.m))
-            self._range_basis = np.zeros((0, 0))
-            self._range_sv = np.zeros(0)
-            return
-        u, s, vh = np.linalg.svd(A)
-        r = np.count_nonzero(_kept(s, tol))
-        # copies, so that the full p-by-p and n-by-n factors are freed here
-        ur = u[:, :r].copy()
-        sr = s[:r].copy()
+        self.kernel, ur, sr, vr = _split(A, tol)
         if np.any(B):
             if not _small(B - ur @ (ur.T @ B), B, tol.range_tol):
                 raise InfeasiblePairError(
                     "rge B is not contained in rge A: the manifold {A Y = B} is empty"
                 )
-        self.kernel = SubspaceBasis(vh[r:].T.copy())
-        self._min_norm = vh[:r].T @ ((ur.T @ B) / sr[:, None])
+        self._min_norm = vr.T @ ((ur.T @ B) / sr[:, None])
         self._range_basis = ur
         self._range_sv = sr
 
@@ -205,12 +192,6 @@ class DualPoint:
     def __post_init__(self):
         _freeze_point(self)
 
-    def norm(self):
-        return math.hypot(_norm(self.X), _norm(self.V))
-
-    def scaled(self, t):
-        return DualPoint(t * self.X, t * self.V)
-
 
 @dataclass
 class SupportResult:
@@ -230,22 +211,6 @@ class SupportResult:
     @classmethod
     def infinite(cls):
         return cls(finite=False)
-
-
-def saddle_matrix(V, pair):
-    """The KKT saddle matrix ``M(V) = [[V, A^T], [A, 0]]``.
-
-    For ``p = 0`` this is just ``V``.  The support function's closed form is
-    stated in terms of this matrix; :func:`eval_support` does not build it,
-    so it serves to check results against that closed form.
-    """
-    V = symmetrize(V)
-    if V.shape[0] != pair.n:
-        raise ValueError(f"V must be {pair.n}x{pair.n}, got {V.shape}")
-    p = pair.p
-    if p == 0:
-        return V
-    return np.block([[V, pair.A.T], [pair.A, np.zeros((p, p))]])
 
 
 def _check_point(point, pair):

@@ -1,11 +1,56 @@
 """Shared random-instance generators and reference computations for the test suite."""
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from gmfrac import DEFAULT_TOL, ConstraintPair, DualPoint, PrimalPoint, sample_polar, symmetrize
-from gmfrac.linalg import _compress, _kept, _psd, _small
+from gmfrac import (
+    DEFAULT_TOL,
+    ConstraintPair,
+    DualPoint,
+    PrimalPoint,
+    SubspaceBasis,
+    sample_polar,
+    symmetrize,
+)
+from gmfrac.linalg import _compress, _kept, _norm, _psd, _small
+
+
+def projector(subspace):
+    """The n-by-n orthogonal projector ``Q Q^T`` onto the subspace."""
+    return symmetrize(subspace.basis @ subspace.basis.T)
+
+
+def zero_subspace(n):
+    """The zero subspace of R^n: an n-by-0 basis."""
+    return SubspaceBasis(np.zeros((n, 0)))
+
+
+def point_norm(point):
+    """The norm ``sqrt(||first||_F^2 + ||second||_F^2)`` of a dual or primal point."""
+    return math.hypot(*(_norm(getattr(point, f.name)) for f in fields(point)))
+
+
+def scaled_point(point, t):
+    """The point of the same class with both fields multiplied by ``t``."""
+    return type(point)(*(t * getattr(point, f.name) for f in fields(point)))
+
+
+def saddle_matrix(V, pair):
+    """The KKT saddle matrix ``M(V) = [[V, A^T], [A, 0]]``.
+
+    For ``p = 0`` this is just ``V``.  The support function's closed form is
+    stated in terms of this matrix; :func:`gmfrac.eval_support` does not
+    build it, so it serves to check results against that closed form.
+    """
+    V = symmetrize(V)
+    if V.shape[0] != pair.n:
+        raise ValueError(f"V must be {pair.n}x{pair.n}, got {V.shape}")
+    p = pair.p
+    if p == 0:
+        return V
+    return np.block([[V, pair.A.T], [pair.A, np.zeros((p, p))]])
 
 
 def rand_sym(rng, n, scale=1.0):
@@ -48,7 +93,7 @@ def cone_member(rng, subspace, margin=0.0):
     q = subspace.basis
     lam_min = np.linalg.eigvalsh(q.T @ v @ q)[0]
     shift = max(0.0, -lam_min) + margin
-    return v + shift * subspace.projector
+    return v + shift * projector(subspace)
 
 
 def interior_dual(rng, pair, margin=0.5):
@@ -69,7 +114,7 @@ def feasible_matrix(rng, pair, scale=1.0):
 def hull_member(rng, pair, generators=2):
     """A random hull point: feasible Y plus a polar-cone shift of the graph."""
     y = feasible_matrix(rng, pair)
-    t = sample_polar(pair.kernel, generators, rng, tol=pair.tol)[0]
+    t = sample_polar(pair.kernel, generators, rng)[0]
     return PrimalPoint(y, -0.5 * (y @ y.T) + t)
 
 

@@ -1,12 +1,14 @@
 import io
+import itertools
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import gmfrac.cli
+import gmfrac.verify
 from gmfrac import (
     ConvexWitness,
     DualPoint,
@@ -285,6 +287,37 @@ def test_verify_passes(capsys, tmp_path, f1_files):
     names = {c["name"] for c in rep["outputs"]["checks"]}
     assert "support-dominance" in names
     assert "gauge-bisection-agreement" in names  # B = 0 here
+
+
+def _support_lowered_by_one(point, pair):
+    res = eval_support(point, pair)
+    return replace(res, value=res.value - 1.0)
+
+
+def _hull_rejecting_every_other_call():
+    calls = itertools.count()
+    return lambda point, pair: next(calls) % 2 == 0 and in_hull(point, pair)
+
+
+@pytest.mark.parametrize(
+    "name, wrong, failing",
+    [
+        ("eval_support", lambda: _support_lowered_by_one, "support-dominance"),
+        ("in_hull", _hull_rejecting_every_other_call, "hull-convexity-fuzz"),
+    ],
+    ids=["eval_support", "in_hull"],
+)
+def test_verify_fails_on_a_wrong_closed_form(capsys, f1_files, monkeypatch, name, wrong, failing):
+    argv = ["verify", "--A", f1_files["A"], "--B", f1_files["B"], "--trials", "20", "--seed", "0"]
+    code, rep = run(capsys, argv)
+    assert code == gmfrac.cli.EXIT_OK
+    assert all(c["passed"] for c in rep["outputs"]["checks"])
+    monkeypatch.setattr(gmfrac.verify, name, wrong())
+    code, rep = run(capsys, argv)
+    assert code == gmfrac.cli.EXIT_CHECK_FAILED
+    assert rep["outputs"]["all_passed"] is False
+    checks = {c["name"]: c["passed"] for c in rep["outputs"]["checks"]}
+    assert checks[failing] is False
 
 
 @pytest.mark.parametrize("entry", ["abc", "nan", "inf"])

@@ -1,7 +1,7 @@
 import gmfrac
-from gmfrac import bruteforce, cones, gauges, hull, linalg, subgrad, support
+from gmfrac import bruteforce, cones, gauges, hull, linalg, subgrad, support, verify
 
-MODULES = (linalg, cones, support, hull, subgrad, gauges, bruteforce)
+MODULES = (linalg, cones, support, hull, subgrad, gauges, bruteforce, verify)
 
 
 def test_package_exports_are_the_modules_exports():
@@ -18,3 +18,15 @@ def test_each_export_is_the_object_its_module_defines():
             obj = getattr(module, name)
             assert getattr(gmfrac, name) is obj
             assert getattr(obj, "__module__", module.__name__) == module.__name__
+
+
+def test_reference_constructions_are_not_public():
+    # M(V), the projector Q Q^T and the point norms check results in the
+    # tests (tests/helpers.py); the library never forms them
+    assert "saddle_matrix" not in gmfrac.__all__
+    assert not hasattr(gmfrac, "saddle_matrix")
+    for name in ("projector", "zero_subspace"):
+        assert not hasattr(gmfrac.SubspaceBasis, name)
+    for cls in (gmfrac.DualPoint, gmfrac.PrimalPoint):
+        for name in ("norm", "scaled"):
+            assert not hasattr(cls, name)

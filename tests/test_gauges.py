@@ -19,7 +19,7 @@ from gmfrac import (
     sample_polar,
     symmetrize,
 )
-from helpers import gauge_instance, rand_zero_pair
+from helpers import gauge_instance, rand_zero_pair, scaled_point
 
 
 def primal(y, w):
@@ -47,8 +47,9 @@ def test_scaled_membership_examples(pair_f0, pair_f1):
 
 def test_scaled_membership_argument_errors(pair_fb, pair_f0):
     pt = primal([1.0], [[-1.0]])
-    with pytest.raises(ValueError):
-        in_scaled_hull(pt, -1.0, pair_f0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            in_scaled_hull(pt, t, pair_f0)
     with pytest.raises(PreconditionError):
         in_scaled_hull(primal([0.0, 0.0], np.zeros((2, 2))), 1.0, pair_fb)
 
@@ -132,7 +133,7 @@ def test_gauge_positive_homogeneity():
         pt = finite_gauge_point(rng, pair)
         base = eval_gauge(pt, pair)
         for t in (0.5, 2.0):
-            scaled = eval_gauge(pt.scaled(t), pair)
+            scaled = eval_gauge(scaled_point(pt, t), pair)
             assert scaled.finite
             assert scaled.value == pytest.approx(t * base.value, rel=1e-8)
 

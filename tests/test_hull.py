@@ -22,7 +22,15 @@ from gmfrac import (
     sample_feasible,
     sample_polar,
 )
-from helpers import feasible_matrix, hull_member, interior_dual, rand_pair, rint_member
+from helpers import (
+    feasible_matrix,
+    hull_member,
+    interior_dual,
+    point_norm,
+    rand_pair,
+    rint_member,
+    scaled_point,
+)
 
 
 def primal(y, w):
@@ -127,7 +135,7 @@ def test_witness_on_graph_points():
         pair = rand_pair(rng, n, m, p)
         pt = graph_point(feasible_matrix(rng, pair))
         # with no rank-one terms the construction is exact to O(eps)
-        scale = max(1.0, pt.norm() + np.linalg.norm(pair.min_norm_solution) ** 2)
+        scale = max(1.0, point_norm(pt) + np.linalg.norm(pair.min_norm_solution) ** 2)
         for eps in (1e-2, 1e-4, 1e-6):
             wit = caratheodory_witness(pt, pair, eps)
             assert wit.distance_to(pt) <= 4.0 * eps * scale
@@ -263,7 +271,7 @@ def test_polar_horizon_is_a_cone():
             continue
         found += 1
         for t in (2.0, 10.0):
-            assert in_hull_polar_horizon(d.scaled(t), pair)
+            assert in_hull_polar_horizon(scaled_point(d, t), pair)
 
 
 def test_hull_sandwich_on_samples():

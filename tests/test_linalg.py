@@ -1,4 +1,5 @@
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ from gmfrac import (
     ConstraintPair,
     DualPoint,
     PrimalPoint,
-    SubspaceBasis,
     ToleranceConfig,
     eval_support,
     frobenius_inner,
@@ -22,7 +22,16 @@ from gmfrac import (
     kernel_basis,
     symmetrize,
 )
-from helpers import rand_sym, range_inclusion, sym_eig, sym_pinv
+from helpers import (
+    point_norm,
+    projector,
+    rand_sym,
+    range_inclusion,
+    sym_eig,
+    sym_pinv,
+    taken,
+    zero_subspace,
+)
 
 
 def test_tolerances_validated():
@@ -38,6 +47,22 @@ def test_tolerances_validated():
 def test_symmetrize_rejects_nonsquare():
     with pytest.raises(ValueError):
         symmetrize(np.zeros((2, 3)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_symmetrize_does_not_overflow_on_finite_input():
+    # S/2 + S^T/2 stays finite where S + S^T would overflow, and gives the
+    # bits of (S + S^T)/2 wherever that sum neither overflows nor underflows
+    big = np.full((2, 2), 1e308)
+    np.testing.assert_array_equal(symmetrize(big), big)
+    full = kernel_basis(np.zeros((0, 2)))
+    assert in_cone(big, full)
+    assert in_polar_cone(-big, full)
+    np.testing.assert_array_equal(DualPoint(np.ones((2, 1)), -big).V, -big)
+    rng = np.random.default_rng(29)
+    for n in (1, 3, 8):
+        s = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-200, 200, (n, n))
+        assert symmetrize(s).tobytes() == (0.5 * (s + s.T)).tobytes()
 
 
 # sym_eig, sym_pinv and range_inclusion are the references of tests/helpers.py
@@ -117,19 +142,19 @@ def test_kernel_basis_coordinate():
     basis = kernel_basis(np.array([[1.0, 0.0]]))
     assert basis.dim == 1
     assert np.allclose(np.abs(basis.basis.ravel()), [0.0, 1.0])
-    assert np.allclose(basis.projector, np.diag([0.0, 1.0]))
+    assert np.allclose(projector(basis), np.diag([0.0, 1.0]))
 
 
 def test_kernel_basis_zero_map():
     basis = kernel_basis(np.zeros((1, 1)))
     assert basis.dim == 1
-    assert np.allclose(basis.projector, [[1.0]])
+    assert np.allclose(projector(basis), [[1.0]])
 
 
 def test_kernel_basis_no_rows():
     basis = kernel_basis(np.zeros((0, 3)))
     assert basis.dim == 3
-    assert np.allclose(basis.projector, np.eye(3))
+    assert np.allclose(projector(basis), np.eye(3))
 
 
 def test_kernel_basis_rank_deficient():
@@ -155,9 +180,38 @@ def test_kernel_basis_properties():
         rank_a = np.linalg.matrix_rank(a) if p else 0
         assert basis.dim + rank_a == n
         assert np.allclose(q.T @ q, np.eye(basis.dim), atol=1e-12)
-        p_mat = basis.projector
+        p_mat = projector(basis)
         assert np.allclose(p_mat, p_mat.T)
         assert np.linalg.norm(p_mat @ p_mat - p_mat) <= tol.eq_tol
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernel_basis_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        kernel_basis(np.array([[bad, 0.0, 0.0]]))
+
+
+def test_kernel_basis_is_the_pair_kernel(counts):
+    # one SVD path for ker A: the same bits as the pair's kernel, from one
+    # SVD (none when p = 0)
+    rng = np.random.default_rng(30)
+    a = rng.standard_normal((3, 6))
+    cases = [
+        np.zeros((0, 5)),
+        np.zeros((2, 4)),
+        np.vstack([a[:2], np.zeros((1, 6)), a[2:]]),
+        a[:1].repeat(3, axis=0),
+        a,
+    ]
+    for A in cases:
+        B = A @ rng.standard_normal((A.shape[1], 2))
+        one = {"svd": 1} if A.shape[0] else {}
+        basis = kernel_basis(A).basis
+        assert taken(counts) == one
+        pair_basis = ConstraintPair(A, B).kernel.basis
+        assert taken(counts) == one
+        assert basis.shape == pair_basis.shape
+        assert basis.tobytes() == pair_basis.tobytes()
 
 
 def test_range_inclusion_zero_and_diagonal():
@@ -208,7 +262,7 @@ def test_psd_on_subspace_examples():
 
 
 def test_psd_on_subspace_zero_subspace_vacuous():
-    zero = SubspaceBasis.zero_subspace(3)
+    zero = zero_subspace(3)
     w = -np.eye(3)
     assert in_cone(w, zero)
     assert in_int_cone(w, zero)
@@ -276,8 +330,8 @@ def test_decisions_unchanged_at_entry_scale_1e200():
         assert test(*args) is expected
         assert test(*big_args) is expected
     big = PrimalPoint(1e200 * np.ones((2, 1)), 1e200 * np.eye(2))
-    assert np.isclose(big.norm(), 1e200 * np.sqrt(4.0), rtol=1e-14)
-    assert DualPoint(big.Y, big.W).norm() == big.norm()
+    assert np.isclose(point_norm(big), 1e200 * np.sqrt(4.0), rtol=1e-14)
+    assert point_norm(DualPoint(big.Y, big.W)) == point_norm(big)
 
 
 def test_frobenius_inner_is_the_tensordot_form():
@@ -326,6 +380,33 @@ def test_sign_factorizations_are_called_only_in_linalg():
         in ("eigvalsh", "cholesky", "eigh")
     }
     assert callers == {"linalg.py"}
+
+
+def test_svd_is_called_only_in_linalg_and_gauges():
+    # ker A has one SVD path, shared by ConstraintPair and kernel_basis; the
+    # gauge takes the SVD of Y
+    callers = {
+        path.name
+        for path in _package_files()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "svd"
+    }
+    assert callers == {"linalg.py", "gauges.py"}
+
+
+def test_cli_reads_no_tolerance_and_imports_no_oracle():
+    # the oracle suite lives in gmfrac.verify, so the CLI compares nothing
+    # with a threshold itself
+    tolerances = {f.name for f in fields(ToleranceConfig)}
+    (path,) = [p for p in _package_files() if p.name == "cli.py"]
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in tolerances, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").rpartition(".")[2] != "bruteforce"
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.endswith("bruteforce") for alias in node.names)
 
 
 def test_bruteforce_imports_no_other_gmfrac_module():

@@ -16,9 +16,16 @@ from gmfrac import (
     eval_support,
     in_cone,
     in_domain,
-    saddle_matrix,
 )
-from helpers import interior_dual, rand_pair, rand_sym, range_inclusion, sym_pinv
+from helpers import (
+    interior_dual,
+    projector,
+    rand_pair,
+    rand_sym,
+    range_inclusion,
+    saddle_matrix,
+    sym_pinv,
+)
 
 
 def closed_form(point, pair):
@@ -175,7 +182,7 @@ def test_domain_decision_matches_closed_form():
             # V = 0: in the domain only when X is orthogonal to ker A
             x = rng.standard_normal((n, m))
             if rng.integers(0, 2):
-                x = x - pair.kernel.projector @ x
+                x = x - projector(pair.kernel) @ x
             point = DualPoint(x, np.zeros((n, n)))
         else:
             point = interior_dual(rng, pair)

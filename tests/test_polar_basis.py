@@ -12,7 +12,7 @@ import pytest
 
 from gmfrac import DEFAULT_TOL, in_aff_polar, in_polar_cone, in_rint_polar, kernel_basis
 from gmfrac.linalg import _compress, _outside
-from helpers import rand_sym
+from helpers import projector, rand_sym
 
 
 def norm(M):
@@ -21,7 +21,7 @@ def norm(M):
 
 def reference(W, subspace, tol=DEFAULT_TOL):
     """(polar, aff, rint) decisions computed from ``P`` alone."""
-    P = subspace.projector
+    P = projector(subspace)
     scale = max(1.0, norm(W))
     supported = norm(W - P @ W @ P) <= tol.eq_tol * scale
     aff = norm(W - P @ W) <= tol.range_tol * scale
@@ -73,7 +73,7 @@ def test_basis_tests_match_projector_references():
     rng = np.random.default_rng(7)
     seen = set()
     for name, subspace in subspaces(rng).items():
-        P = subspace.projector
+        P = projector(subspace)
         q = subspace.basis
         for W in polar_probes(rng, subspace):
             atol = 1e-12 * max(1.0, norm(W))

@@ -13,10 +13,16 @@ from gmfrac import (
     in_domain,
     in_hull,
     sample_feasible,
-    saddle_matrix,
     support_lower_bound,
 )
-from helpers import hull_member, interior_dual, rand_pair
+from helpers import (
+    hull_member,
+    interior_dual,
+    projector,
+    rand_pair,
+    saddle_matrix,
+    scaled_point,
+)
 
 
 def dual(x, v):
@@ -44,7 +50,7 @@ def test_min_norm_solution_is_feasible_and_minimal(pair_fb):
     y0 = pair_fb.min_norm_solution
     assert np.allclose(pair_fb.A @ y0, pair_fb.B)
     # minimum-norm solution has no kernel component
-    assert np.allclose(pair_fb.kernel.projector @ y0, 0.0, atol=1e-12)
+    assert np.allclose(projector(pair_fb.kernel) @ y0, 0.0, atol=1e-12)
 
 
 def test_saddle_matrix_zero_row(pair_f2):
@@ -169,7 +175,7 @@ def test_positive_homogeneity_homogeneous_case():
         pt = interior_dual(rng, pair)
         base = eval_support(pt, pair)
         for t in (0.5, 3.0):
-            scaled = eval_support(pt.scaled(t), pair)
+            scaled = eval_support(scaled_point(pt, t), pair)
             assert scaled.finite
             assert scaled.value == pytest.approx(t * base.value, rel=1e-9, abs=1e-12)
 
