@@ -12,9 +12,10 @@ gives each its help text, the points it reads, the call and the shape of
 its report, and both the parser and the dispatch read that table.
 ``witness`` and ``verify`` take flags of their own; ``witness`` has its own
 body, and ``verify`` is one call of :func:`gmfrac.verify.verify_pair`, the
-library's oracle suite.  The tolerance flags are read from the fields of
-:class:`ToleranceConfig`, and the point flags from the fields of
-:class:`DualPoint` and :class:`PrimalPoint`.
+library's oracle suite, and the one subcommand that takes ``--seed``.  The
+tolerance flags are read from the fields of :class:`ToleranceConfig`, and
+the point flags from the fields of :class:`DualPoint` and
+:class:`PrimalPoint`.
 """
 
 import argparse
@@ -280,12 +281,6 @@ def _cmd_verify(args, pair, inputs):
     return verify_pair(pair, args.trials, args.seed if args.seed is not None else 0)
 
 
-def _add_tol_flags(parser):
-    for f in fields(ToleranceConfig):
-        parser.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
-    parser.add_argument("--seed", type=int, default=None)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gmfrac",
@@ -295,7 +290,8 @@ def build_parser():
 
     def add(name, help_, points, run):
         p = sub.add_parser(name, help=help_)
-        _add_tol_flags(p)
+        for f in fields(ToleranceConfig):
+            p.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
         p.add_argument("--A", required=True, help="constraint matrix file (p x n)")
         p.add_argument("--B", required=True, help="right-hand side file (p x m)")
         for kind in points:
@@ -314,6 +310,7 @@ def build_parser():
     w.add_argument("--out", required=True, help="output file for the witness blocks")
     v = add("verify", "run the brute-force oracle suite against this pair", (), _cmd_verify)
     v.add_argument("--trials", type=int, default=200)
+    v.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -342,10 +339,12 @@ def main(argv=None):
         "command": list(argv),
         "inputs": inputs,
         "tolerances": asdict(pair.tol),
-        "seed": args.seed,
         "outputs": outputs,
         "wall_time_s": time.perf_counter() - started,
     }
+    if "seed" in args:
+        # only verify draws samples; its report echoes the seed
+        report["seed"] = args.seed
     _emit(report)
     if args.command == "verify" and not outputs["all_passed"]:
         return EXIT_CHECK_FAILED

@@ -94,9 +94,8 @@ def _polar_form(W, subspace, tol, strict=False):
     # its relative interior when strict), and None if it does not.  The
     # tests run in order of cost: an exactly zero W has C = 0 and needs no
     # product; otherwise the k-by-k sign test _psd(-C) runs first, and the
-    # n-by-n support residual W - Q C Q^T, tested within eq_tol, is formed
-    # only once the sign test has passed.  Only the k-by-k C is
-    # symmetrized, by _compress.
+    # n-by-n support residual W - Q C Q^T is formed only once the sign test
+    # has passed.  Only the k-by-k C is symmetrized, by _compress.
     if not W.any():
         neg = np.zeros((subspace.dim, subspace.dim))
         return neg if _psd(neg, tol, strict) else None
@@ -105,7 +104,7 @@ def _polar_form(W, subspace, tol, strict=False):
     if not _psd(neg, tol, strict):
         return None
     q = subspace.basis
-    return neg if _small(W - q @ c @ q.T, W, tol.eq_tol) else None
+    return neg if _small(W - q @ c @ q.T, W, tol) else None
 
 
 def in_polar_cone(W, subspace, tol=DEFAULT_TOL):
@@ -113,10 +112,13 @@ def in_polar_cone(W, subspace, tol=DEFAULT_TOL):
 
     The sign condition on the subspace must satisfy
     ``lambda_max(C) <= psd_tol``; the support condition is tested as a
-    relative residual, ``||W - Q C Q^T||_F <= eq_tol * max(1, ||W||_F)``, and
-    only once the sign condition holds.  The zero matrix is a member and
-    takes no product.  For the zero subspace the polar is ``{0}``.  Raises
-    ``ValueError`` on a non-finite ``W``.
+    relative residual, ``||W - Q C Q^T||_F <= range_tol * max(1, ||W||_F)``,
+    and only once the sign condition holds.  It is the condition
+    ``rge W subset S`` of :func:`in_aff_polar` at the same threshold, on a
+    residual at least as large, so every member lies in the affine hull.
+    The zero matrix is a member and takes no product.  For the zero
+    subspace the polar is ``{0}``.  Raises ``ValueError`` on a non-finite
+    ``W``.
     """
     return _in_polar(_entry(W), subspace, tol)
 
@@ -138,7 +140,7 @@ def in_aff_polar(W, subspace, tol=DEFAULT_TOL):
 
 def _in_aff_polar(W, subspace, tol):
     # the test of in_aff_polar on a symmetric W
-    return _small(_outside(W, subspace), W, tol.range_tol)
+    return _small(_outside(W, subspace), W, tol)
 
 
 def in_rint_polar(W, subspace, tol=DEFAULT_TOL):

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import _eig_kept, _kept, _norm, _small, symmetrize
+from .linalg import _eig_kept, _kept, _small, symmetrize
 from .cones import _in_polar, _polar_form
 from .support import PreconditionError, eval_support
 
@@ -90,7 +90,7 @@ def in_scaled_hull(point, t, pair):
     _require_homogeneous(pair)
     if not 0.0 <= t < math.inf:
         raise ValueError(f"scale t must be finite and nonnegative, got {t!r}")
-    if not _small(pair.A @ point.Y, 0.0, pair.tol.feas_tol):
+    if not _small(pair.A @ point.Y, 0.0, pair.tol):
         return False
     gap = symmetrize(0.5 * (point.Y @ point.Y.T) + t * point.W)
     return _in_polar(gap, pair.kernel, pair.tol)
@@ -119,9 +119,9 @@ def eval_gauge(point, pair):
     # the kept eigenpairs of -C give Q rge C and (-W)^+ = Q (-C)^+ Q^T
     lam_k, v = _eig_kept(neg, tol)
     vk = pair.kernel.basis @ v
-    if not _small(Y - vk @ (vk.T @ Y), Y, tol.range_tol):
+    if not _small(Y - vk @ (vk.T @ Y), Y, tol):
         return GaugeResult.infinite()
-    if _norm(Y) <= tol.eq_tol:
+    if _small(Y, 0.0, tol):
         return GaugeResult(finite=True, value=0.0)
     u, s, vt = np.linalg.svd(Y, full_matrices=False)
     rank = np.count_nonzero(_kept(s, tol))

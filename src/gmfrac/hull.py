@@ -80,7 +80,7 @@ def _gap(point):
 
 
 def _feasible(point, pair):
-    return _small(pair.A @ point.Y - pair.B, pair.B, pair.tol.feas_tol)
+    return _small(pair.A @ point.Y - pair.B, pair.B, pair.tol)
 
 
 def _in_hull(point, gap, pair):
@@ -120,20 +120,18 @@ def in_free_hull(point, strict=False, tol=DEFAULT_TOL):
 def in_hull_polar(dual, pair):
     """Polar-set membership: support value at ``(X, V)`` finite and ``<= 1``."""
     res = eval_support(dual, pair)
-    return res.finite and res.value <= 1.0 + pair.tol.eq_tol
+    return res.finite and _small(max(res.value - 1.0, 0.0), 0.0, pair.tol)
 
 
 def in_hull_horizon(point, pair):
     """Horizon (recession) cone membership: ``Y = 0`` and ``W`` in the polar cone."""
-    if _norm(point.Y) > pair.tol.eq_tol:
-        return False
-    return _in_polar(point.W, pair.kernel, pair.tol)
+    return _small(point.Y, 0.0, pair.tol) and _in_polar(point.W, pair.kernel, pair.tol)
 
 
 def in_hull_polar_horizon(dual, pair):
     """Horizon cone of the polar set: support value finite and ``<= 0``."""
     res = eval_support(dual, pair)
-    return res.finite and res.value <= pair.tol.eq_tol
+    return res.finite and _small(max(res.value, 0.0), 0.0, pair.tol)
 
 
 @dataclass

@@ -6,9 +6,10 @@ symmetric matrix onto a subspace (``_compress``), or the part of a matrix
 outside it (``_outside``), and a few rules applied to them.  All rank and
 membership decisions are governed by a single :class:`ToleranceConfig` and
 applied only here, by three private rules that every other module calls:
-``_kept`` (the rank cutoff), ``_small`` (the relative residual test) and
-``_psd`` (the eigenvalue sign test).  So "zero", "inside", and "equal" mean
-the same thing in every module.
+``_kept`` (the rank cutoff, at ``rank_tol``), ``_small`` (the residual
+test, at ``range_tol``) and ``_psd`` (the eigenvalue sign test, at
+``psd_tol``).  No other module reads a tolerance field, so "zero",
+"inside", and "equal" mean the same thing in every module.
 
 A sign test compares the smallest eigenvalue of a k-by-k compression with a
 threshold, and its answer is the one ``eigvalsh`` gives.  It is decided by
@@ -63,21 +64,17 @@ class ToleranceConfig:
         Absolute eigenvalue slack for semidefinite and strict-definite
         decisions; applied by ``_psd``.
     range_tol : float
-        Relative residual bound for range-inclusion tests; applied by
-        ``_small``.
-    eq_tol : float
-        Relative bound for matrix equality tests, applied by ``_small``, and
-        for the few scalar tests on a norm or a value.
-    feas_tol : float
-        Relative bound for constraint residuals ``A Y - B``; applied by
-        ``_small``.
+        Relative bound for every residual test, applied by ``_small``:
+        range inclusions, matrix equalities, the constraint residual
+        ``A Y - B``, complementarity, and the scalar tests on a norm or a
+        value.  One threshold, so that a condition stated twice, such as
+        ``W = Q C Q^T`` and ``rge W subset S`` for a symmetric ``W``, is
+        decided alike by every test that reads it.
     """
 
     rank_tol: float = 1e-10
     psd_tol: float = 1e-9
     range_tol: float = 1e-9
-    eq_tol: float = 1e-8
-    feas_tol: float = 1e-9
 
     def __post_init__(self):
         for f in fields(self):
@@ -100,8 +97,10 @@ def _kept(w, tol):
 
 def _fro(x):
     # Frobenius norm without spurious overflow or underflow, for callers
-    # inside an errstate that ignores both: the plain norm, taken again on
-    # x / max|x| only when it came out 0 or inf
+    # inside an errstate that ignores both: |x| for a float, cheaply; else
+    # the plain norm, taken again on x / max|x| only when it came out 0 or inf
+    if isinstance(x, float):
+        return abs(x)
     r = float(np.linalg.norm(x))
     if r == 0.0 or r == np.inf:
         s = float(np.max(np.abs(x), initial=0.0))
@@ -116,11 +115,12 @@ def _norm(x):
         return _fro(x)
 
 
-def _small(resid, ref, bound):
-    # the relative residual test ||resid|| <= bound * max(1, ||ref||), both
-    # norms under one errstate
+def _small(resid, ref, tol):
+    # the residual test ||resid|| <= range_tol * max(1, ||ref||), both norms
+    # under one errstate; resid and ref may be arrays or scalars, and a
+    # scalar ref of 0 makes the test absolute
     with np.errstate(over="ignore", under="ignore"):
-        return _fro(resid) <= bound * max(1.0, _fro(ref))
+        return _fro(resid) <= tol.range_tol * max(1.0, _fro(ref))
 
 
 # c * eps in the half-width of _above's band, with c = 4

@@ -46,7 +46,7 @@ def in_normal_cone(dual, base, pair):
 
     Checks the three conditions: ``V`` in the cone over ``ker A``,
     complementarity ``<V, 1/2 Y Y^T + W> = 0`` within
-    ``eq_tol * max(1, ||V|| ||1/2 Y Y^T + W||)``, and
+    ``range_tol * max(1, ||V|| ||1/2 Y Y^T + W||)``, and
     ``||Q^T (X - V Y)||_F <= range_tol * max(1, ||X - V Y||_F)`` (existence of
     a multiplier ``Z`` with ``X - V Y = A^T Z``, since ``rge A^T`` is the
     orthogonal complement of ``ker A``).
@@ -70,10 +70,10 @@ def _normal_conditions(dual, base, gap, pair):
     # cone test on V are known; ||Q^T R||_F = ||Q Q^T R||_F since Q has
     # orthonormal columns
     V = dual.V
-    if not _small(frobenius_inner(V, gap), _norm(V) * _norm(gap), pair.tol.eq_tol):
+    if not _small(frobenius_inner(V, gap), _norm(V) * _norm(gap), pair.tol):
         return False
     resid = dual.X - V @ base.Y
-    return _small(pair.kernel.basis.T @ resid, resid, pair.tol.range_tol)
+    return _small(pair.kernel.basis.T @ resid, resid, pair.tol)
 
 
 def canonical_subgradient(dual, pair):

@@ -42,7 +42,6 @@ from .linalg import (
     DEFAULT_TOL,
     _compress,
     _eig_kept,
-    _norm,
     _psd_nonsingular,
     _small,
     _split,
@@ -115,7 +114,7 @@ class ConstraintPair:
         self.tol = tol
         self.kernel, ur, sr, vr = _split(A, tol)
         if np.any(B):
-            if not _small(B - ur @ (ur.T @ B), B, tol.range_tol):
+            if not _small(B - ur @ (ur.T @ B), B, tol):
                 raise InfeasiblePairError(
                     "rge B is not contained in rge A: the manifold {A Y = B} is empty"
                 )
@@ -148,8 +147,8 @@ class ConstraintPair:
 
     @property
     def homogeneous(self):
-        """True iff ``B = 0`` within ``feas_tol`` (gauge calculus applies)."""
-        return _norm(self.B) <= self.tol.feas_tol
+        """True iff ``||B||_F <= range_tol`` (gauge calculus applies)."""
+        return _small(self.B, 0.0, self.tol)
 
     def __repr__(self):
         return f"ConstraintPair(p={self.p}, n={self.n}, m={self.m})"
@@ -245,7 +244,7 @@ def _reduced_solve(point, pair, solve=True):
         return np.linalg.solve(h, r)
     w, u = _eig_kept(h, tol)
     coef = u.T @ r
-    if not _small(r - u @ coef, r, tol.range_tol):
+    if not _small(r - u @ coef, r, tol):
         return None
     return u @ (coef / w[:, None])
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .linalg import _small
 from .cones import sample_polar
 from .support import DualPoint, eval_support
 from .hull import PrimalPoint, in_hull
@@ -38,8 +39,7 @@ def verify_pair(pair, trials=200, seed=0):
     rng = np.random.default_rng(seed)
     ys = sample_feasible(pair, SampleConfig(count=trials, rng_seed=seed))
     resid = float(np.linalg.norm(pair.A @ ys - pair.B, axis=(1, 2)).max()) if pair.p else 0.0
-    limit = pair.tol.feas_tol * max(1.0, float(np.linalg.norm(pair.B)))
-    checks = [{"name": "feasible-sample-residual", "passed": resid <= limit,
+    checks = [{"name": "feasible-sample-residual", "passed": _small(resid, pair.B, pair.tol),
                "max_residual": resid}]
 
     def hull_sampler(gen):

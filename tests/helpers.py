@@ -139,7 +139,7 @@ def residual_first_polar_form(W, subspace, tol, strict=False):
     """
     q = subspace.basis
     c = _compress(W, subspace)
-    if not _small(W - q @ c @ q.T, W, tol.eq_tol):
+    if not _small(W - q @ c @ q.T, W, tol):
         return None
     neg = -c
     return neg if _psd(neg, tol, strict) else None
@@ -194,7 +194,7 @@ def range_inclusion(C, M, tol=DEFAULT_TOL):
             f"incompatible shapes: C has {C.shape[0]} rows, M is {q.shape[0]}x{q.shape[0]}"
         )
     qk = q[:, _kept(w, tol)]
-    return _small(qk @ (qk.T @ C) - C, C, tol.range_tol)
+    return _small(qk @ (qk.T @ C) - C, C, tol)
 
 
 def taken(tally):

@@ -103,7 +103,8 @@ def test_support_f1(capsys, tmp_path, f1_files):
     assert rep["outputs"]["value"] == pytest.approx(0.5)
     assert rep["outputs"]["maximizer"] == [[0.0], [1.0]]
     assert set(rep["inputs"]) == {"A", "B", "X", "V"}
-    assert rep["tolerances"]["eq_tol"] == 1e-8
+    assert rep["tolerances"] == {"rank_tol": 1e-10, "psd_tol": 1e-9, "range_tol": 1e-9}
+    assert "seed" not in rep
 
 
 def test_support_infinite_serializes_inf(capsys, tmp_path):
@@ -268,7 +269,7 @@ def test_reports_deterministic_modulo_walltime(capsys, tmp_path, f1_files):
     x = mat_file(tmp_path, "X.txt", [[0.3], [0.7]])
     v = mat_file(tmp_path, "V.txt", [[2.0, 0.1], [0.1, 1.0]])
     argv = ["support", "--A", f1_files["A"], "--B", f1_files["B"],
-            "--X", x, "--V", v, "--seed", "5"]
+            "--X", x, "--V", v]
     _, rep1 = run(capsys, argv)
     _, rep2 = run(capsys, argv)
     rep1.pop("wall_time_s")
@@ -526,8 +527,10 @@ def test_plain_subcommand_takes_exactly_the_files_its_call_reads(capsys, tmp_pat
     for i in range(1, len(full), 2):
         assert main(full[:i] + full[i + 2:]) == 2
         assert "required" in capsys.readouterr().err
-    for name in sorted(set("XVYW") - set(flags)):
-        assert main(full + [f"--{name}", path]) == 2
+    # nor a seed, which only verify takes, nor a removed tolerance flag
+    extras = [f"--{name}" for name in sorted(set("XVYW") - set(flags))]
+    for flag in extras + ["--seed", "--eq-tol", "--feas-tol"]:
+        assert main(full + [flag, path]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
@@ -549,3 +552,18 @@ def test_tolerance_flags_are_the_tolerance_config_fields(capsys, tmp_path, f1_fi
     code, rep = run(capsys, argv)
     assert code == 0
     assert rep["tolerances"] == values
+
+
+def test_only_verify_takes_and_echoes_a_seed(capsys, f1_files):
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    takers = {name for name, sub in subparsers.choices.items()
+              for a in sub._actions if "--seed" in a.option_strings}
+    assert takers == {"verify"}
+    plain = [opt for a in subparsers.choices["support"]._actions
+             for opt in a.option_strings if opt not in ("-h", "--help", "--A", "--B", "--X", "--V")]
+    assert plain == ["--rank-tol", "--psd-tol", "--range-tol"]
+    argv = ["verify", "--A", f1_files["A"], "--B", f1_files["B"], "--trials", "5"]
+    _, rep = run(capsys, argv + ["--seed", "7"])
+    assert rep["seed"] == 7
+    _, rep = run(capsys, argv)
+    assert rep["seed"] is None

@@ -166,7 +166,7 @@ def test_witness_invariants(pair_fb):
     assert wit.components.shape[0] == n * (n + 1) // 2 + 2
     for comp in wit.components:
         resid = np.linalg.norm(pair_fb.A @ comp - pair_fb.B)
-        assert resid <= pair_fb.tol.feas_tol * max(1.0, np.linalg.norm(pair_fb.B))
+        assert resid <= 1e-9 * max(1.0, np.linalg.norm(pair_fb.B))
     assert in_hull(wit.induced_point(), pair_fb)
 
 
@@ -311,7 +311,7 @@ def test_witness_components_are_each_feasible():
     pt = hull_member(rng, pair)
     wit = caratheodory_witness(pt, pair, 1e-4)
     resid = np.einsum("pn,knm->kpm", pair.A, wit.components) - pair.B
-    bound = pair.tol.feas_tol * max(1.0, np.linalg.norm(pair.B))
+    bound = 1e-9 * max(1.0, np.linalg.norm(pair.B))
     assert np.linalg.norm(resid, axis=(1, 2)).max() <= bound
     assert wit.distance_to(pt) <= 0.05
 

@@ -23,7 +23,7 @@ def reference(W, subspace, tol=DEFAULT_TOL):
     """(polar, aff, rint) decisions computed from ``P`` alone."""
     P = projector(subspace)
     scale = max(1.0, norm(W))
-    supported = norm(W - P @ W @ P) <= tol.eq_tol * scale
+    supported = norm(W - P @ W @ P) <= tol.range_tol * scale
     aff = norm(W - P @ W) <= tol.range_tol * scale
     w, u = np.linalg.eigh(P)
     qp = u[:, w > 0.5]
