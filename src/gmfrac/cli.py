@@ -40,6 +40,7 @@ from .support import (
 )
 from .hull import (
     PrimalPoint,
+    _runs,
     caratheodory_witness,
     in_hull,
     in_hull_aff,
@@ -257,16 +258,15 @@ def _cmd_witness(args, pair, inputs):
             write_matrix(fh, np.array([[wit.epsilon]]), name="epsilon")
             write_matrix(fh, wit.weights.reshape(1, -1), name="weights")
             # all but at most k + 1 components are copies of Z0: format each
-            # run of bitwise-equal ones once (by bytes, since -0.0 == 0.0
-            # but the two print differently)
-            last, text = None, None
-            for i, comp in enumerate(wit.components):
-                raw = comp.tobytes()
-                if raw != last:
-                    buf = io.StringIO()
-                    write_matrix(buf, comp)
-                    last, text = raw, buf.getvalue()
-                fh.write(f"# component {i}\n{text}")
+            # run of equal ones once (equal bitwise, since -0.0 == 0.0 but
+            # the two print differently)
+            starts = _runs(wit.components).tolist()
+            for start, end in zip(starts, starts[1:] + [len(wit.components)]):
+                buf = io.StringIO()
+                write_matrix(buf, wit.components[start])
+                text = buf.getvalue()
+                for i in range(start, end):
+                    fh.write(f"# component {i}\n{text}")
     except OSError as exc:
         raise CliInputError(f"cannot write {args.out}: {exc}") from exc
     return {
@@ -278,7 +278,7 @@ def _cmd_witness(args, pair, inputs):
 
 
 def _cmd_verify(args, pair, inputs):
-    return verify_pair(pair, args.trials, args.seed if args.seed is not None else 0)
+    return verify_pair(pair, args.trials, args.seed)
 
 
 def build_parser():
@@ -310,7 +310,7 @@ def build_parser():
     w.add_argument("--out", required=True, help="output file for the witness blocks")
     v = add("verify", "run the brute-force oracle suite against this pair", (), _cmd_verify)
     v.add_argument("--trials", type=int, default=200)
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--seed", type=int, default=0)
     return parser
 
 

@@ -10,6 +10,12 @@ membership for the hull, its relative interior and affine hull, the
 ``(A, B) = (0, 0)`` special case, the polar set, both horizon cones, and an
 explicit Caratheodory-style convex-combination witness that approximates any
 hull point by graph points to accuracy ``O(sqrt(eps))``.
+
+The witness keeps ``N + 1 = n(n+1)/2 + 2`` components, all but at most
+``rank + 1`` of them copies of the minimum-norm solution ``Z0``; that count
+stays until perfbench's witness oracle, which pins it, is relaxed.  Its
+induced point sums each run of bitwise-equal consecutive components once,
+so evaluating it costs ``O(runs n^2 m)``, not ``O(N n^2 m)``.
 """
 
 import math
@@ -134,6 +140,17 @@ def in_hull_polar_horizon(dual, pair):
     return res.finite and _small(max(res.value, 0.0), 0.0, pair.tol)
 
 
+def _runs(components):
+    """Start index of each run of bitwise-equal consecutive components.
+
+    Equality is of the float64 words, so ``-0.0`` and ``0.0`` differ.
+    """
+    count = len(components)
+    words = np.ascontiguousarray(components, dtype=np.float64).reshape(count, -1).view(np.uint64)
+    changed = (words[1:] != words[:-1]).any(axis=1)
+    return np.concatenate(([0], np.flatnonzero(changed) + 1))
+
+
 @dataclass
 class ConvexWitness:
     """An explicit convex combination of graph points near a hull point.
@@ -145,6 +162,13 @@ class ConvexWitness:
 
     lies in the convex hull of the graph set by construction.  Its distance
     to the witnessed point shrinks like ``sqrt(epsilon)``.
+
+    :meth:`induced_point` treats each run of bitwise-equal consecutive
+    components as one component carrying the run's total weight, so its
+    cost is ``O(runs n^2 m)``.  A witness from :func:`caratheodory_witness`
+    has at most ``rank + 2`` runs among its ``N + 1`` components; the count
+    stays ``N + 1`` until perfbench's witness oracle, which pins it, is
+    relaxed.
     """
 
     weights: np.ndarray
@@ -152,14 +176,16 @@ class ConvexWitness:
     epsilon: float
 
     def induced_point(self):
-        w, ys = self.weights, self.components
-        count, n, m = ys.shape
-        # every component column scaled by sqrt(w_i), written into one new
-        # n-by-(count m) array (never into ``components``), so that
-        # sum_i w_i Y_i Y_i^T is the single BLAS product cols cols^T
-        cols = np.empty((n, count, m))
+        starts = _runs(self.components)
+        w = np.add.reduceat(self.weights, starts)
+        ys = self.components[starts]
+        runs, n, m = ys.shape
+        # every run's column scaled by sqrt(w_r), written into one new
+        # n-by-(runs m) array (never into ``components``), so that
+        # sum_r w_r Y_r Y_r^T is the single BLAS product cols cols^T
+        cols = np.empty((n, runs, m))
         np.multiply(ys.transpose(1, 0, 2), np.sqrt(w)[:, None], out=cols)
-        cols = cols.reshape(n, count * m)
+        cols = cols.reshape(n, runs * m)
         return PrimalPoint(np.tensordot(w, ys, axes=1), -0.5 * (cols @ cols.T))
 
     def distance_to(self, point):

@@ -566,4 +566,4 @@ def test_only_verify_takes_and_echoes_a_seed(capsys, f1_files):
     _, rep = run(capsys, argv + ["--seed", "7"])
     assert rep["seed"] == 7
     _, rep = run(capsys, argv)
-    assert rep["seed"] is None
+    assert rep["seed"] == 0

@@ -154,6 +154,16 @@ def test_witness_eigh_is_k_by_k(counts, eigh_shapes, n, m, p):
     assert eigh_shapes == [(k, k)]
 
 
+def test_witness_distance_takes_no_factorization(counts):
+    rng = np.random.default_rng(5)
+    pair = rand_pair(rng, 50, 5, 20)
+    point = hull_member(rng, pair)
+    wit = caratheodory_witness(point, pair, 1e-3)
+    taken(counts)
+    wit.distance_to(point)
+    assert taken(counts) == {}
+
+
 @pytest.fixture
 def symmetrized(monkeypatch):
     """Shapes of the arguments of ``symmetrize``, through every gmfrac binding."""

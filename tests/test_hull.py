@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gmfrac import (
     ConstraintPair,
+    ConvexWitness,
     DualPoint,
     PreconditionError,
     PrimalPoint,
@@ -22,6 +25,7 @@ from gmfrac import (
     sample_feasible,
     sample_polar,
 )
+from gmfrac.hull import _runs
 from helpers import (
     feasible_matrix,
     hull_member,
@@ -328,3 +332,84 @@ def test_induced_point_is_the_weighted_sum(n, m, p):
     w = -0.5 * sum(w * (c @ c.T) for w, c in zip(wit.weights, wit.components))
     np.testing.assert_allclose(got.Y, y, rtol=1e-12, atol=1e-12 * np.abs(y).max())
     np.testing.assert_allclose(got.W, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+
+def assert_weighted_sum(wit):
+    # the induced point against the sum taken one component at a time
+    before = wit.components.copy()
+    got = wit.induced_point()
+    np.testing.assert_array_equal(wit.components, before)
+    y = sum(w * c for w, c in zip(wit.weights, wit.components))
+    w = -0.5 * sum(w * (c @ c.T) for w, c in zip(wit.weights, wit.components))
+    np.testing.assert_allclose(got.Y, y, rtol=1e-12, atol=1e-12 * np.abs(y).max())
+    np.testing.assert_allclose(got.W, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+
+def hand_witness(components, weights=None):
+    components = np.asarray(components, dtype=float)
+    if weights is None:
+        weights = np.full(len(components), 1.0 / len(components))
+    return ConvexWitness(weights=np.asarray(weights, float), components=components, epsilon=1e-3)
+
+
+def test_equal_components_group_only_when_adjacent():
+    a = np.array([[1.0, -2.0], [0.5, 3.0]])
+    b = np.array([[0.0, 4.0], [-1.0, 2.5]])
+    wit = hand_witness([a, b, a], [0.2, 0.5, 0.3])
+    assert _runs(wit.components).tolist() == [0, 1, 2]
+    assert_weighted_sum(wit)
+    wit = hand_witness([a, a, b, b, b, a], [0.1, 0.2, 0.05, 0.15, 0.3, 0.2])
+    assert _runs(wit.components).tolist() == [0, 2, 5]
+    assert_weighted_sum(wit)
+
+
+def test_negative_zero_starts_a_run():
+    zero = np.array([[0.0], [1.5]])
+    negative = np.array([[-0.0], [1.5]])
+    other = np.array([[2.0], [1e-300]])
+    wit = hand_witness([zero, zero, negative, negative, zero, other, other])
+    assert _runs(wit.components).tolist() == [0, 2, 4, 5]
+    assert_weighted_sum(wit)
+
+
+def test_single_and_all_distinct_components():
+    rng = np.random.default_rng(4)
+    wit = hand_witness(rng.standard_normal((1, 3, 2)), [1.0])
+    assert _runs(wit.components).tolist() == [0]
+    assert_weighted_sum(wit)
+    weights = rng.random(6)
+    wit = hand_witness(rng.standard_normal((6, 3, 2)), weights / weights.sum())
+    assert _runs(wit.components).tolist() == list(range(6))
+    assert_weighted_sum(wit)
+
+
+def test_witness_at_zero_and_full_kernel_rank():
+    rng = np.random.default_rng(6)
+    # k = 0: A is square and invertible, so every term is zero padding
+    pair = rand_pair(rng, 4, 2, 4)
+    assert pair.kernel.dim == 0
+    wit = caratheodory_witness(graph_point(pair.min_norm_solution), pair, 1e-3)
+    assert len(_runs(wit.components)) <= 2
+    assert_weighted_sum(wit)
+    # full rank: the first component, k distinct terms, then the Z0 padding
+    pair = rand_pair(rng, 7, 3, 2)
+    k = pair.kernel.dim
+    wit = caratheodory_witness(rint_member(rng, pair), pair, 1e-3)
+    assert len(_runs(wit.components)) == k + 2 < len(wit.components)
+    assert_weighted_sum(wit)
+
+
+def test_witness_distance_allocates_no_component_sized_buffer():
+    # at (50, 5, 20): 1,277 components (2.55 MB) in at most rank + 2 runs
+    rng = np.random.default_rng(0)
+    pair = rand_pair(rng, 50, 5, 20)
+    pt = hull_member(rng, pair)
+    wit = caratheodory_witness(pt, pair, 1e-4)
+    assert wit.components.shape[0] == 50 * 51 // 2 + 2
+    tracemalloc.start()
+    try:
+        wit.distance_to(pt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < wit.components.nbytes / 4
