@@ -19,14 +19,19 @@ A missing nonzero singular value (``rank_tol`` decides "nonzero") means
 gauge zero, e.g. ``Y = 0`` with ``W`` in the polar cone.
 
 The domain test is the polar-cone test on ``W``, the sign test of
-``-C = -Q^T W Q`` that :func:`gmfrac.cones.in_polar_cone` takes, followed,
-once it passes, by the kept eigenpairs of the k-by-k ``-C`` from
-``linalg._eig_kept``: on the polar cone ``W = Q C Q^T``, so
-``(-W)^+ = Q (-C)^+ Q^T``, and ``rge Y`` inside ``Q rge C`` is
-``rge Y subset ker A intersect rge W``.  An eigenvalue of ``-C`` that is
-negative, which the sign test counted as zero, is never kept, so the gauge
-is finite only where :func:`gmfrac.hull.in_hull` can accept the point.
-``W`` is never factorized as an n-by-n matrix.
+``-C = -Q^T W Q`` that :func:`gmfrac.cones.in_polar_cone` takes.  On the
+polar cone ``W = Q C Q^T``, so ``(-W)^+ = Q (-C)^+ Q^T``, and ``rge Y``
+inside ``Q rge C`` is ``rge Y subset ker A intersect rge W``.  The gauge
+reads ``(-C)^+`` the way the reduced support solve reads ``H^+``: where one
+Cholesky factorization certifies that the rank cutoff keeps every
+eigenvalue of ``-C`` (``linalg._nonsingular``), ``Q rge C`` is ``ker A``,
+the range test is the residual of ``Y`` outside ``ker A``, and
+``(-C)^+ = (-C)^-1`` is one LU solve, with no eigensolve.  Only a singular
+``-C``, or one inside that certificate's rounding band, takes its kept
+eigenpairs from ``linalg._eig_kept``; an eigenvalue that is negative,
+which the sign test counted as zero, is never kept, so the gauge is finite
+only where :func:`gmfrac.hull.in_hull` can accept the point.  ``W`` is
+never factorized as an n-by-n matrix.
 """
 
 import math
@@ -35,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import _eig_kept, _kept, _small, symmetrize
+from .linalg import _eig_kept, _kept, _nonsingular, _outside, _small, symmetrize
 from .cones import _in_polar, _polar_form
 from .support import PreconditionError, eval_support
 
@@ -103,7 +108,10 @@ def eval_gauge(point, pair):
     ``rge Y subset ker A intersect rge W``, tested as ``rge Y`` inside
     ``Q rge C`` for ``C = Q^T W Q``.  On that domain the value is
     ``1/2 / sigma_min`` of the critical matrix (see module docstring); a
-    numerically zero ``Y`` gives gauge 0.
+    numerically zero ``Y`` gives gauge 0.  A ``-C`` certified nonsingular
+    by one Cholesky factorization takes one LU solve and no eigensolve of
+    ``-C``: then ``Q rge C = ker A`` and ``(-W)^+ = Q (-C)^-1 Q^T``.  Only a
+    singular ``-C`` is eigendecomposed, for its kept eigenpairs.
 
     Raises
     ------
@@ -113,13 +121,21 @@ def eval_gauge(point, pair):
     _require_homogeneous(pair)
     tol = pair.tol
     Y = point.Y
-    neg = _polar_form(point.W, pair.kernel, tol)
+    kernel = pair.kernel
+    neg = _polar_form(point.W, kernel, tol)
     if neg is None:
         return GaugeResult.infinite()
-    # the kept eigenpairs of -C give Q rge C and (-W)^+ = Q (-C)^+ Q^T
-    lam_k, v = _eig_kept(neg, tol)
-    vk = pair.kernel.basis @ v
-    if not _small(Y - vk @ (vk.T @ Y), Y, tol):
+    # a certified nonsingular -C keeps every eigenvalue: Q rge C = ker A and
+    # (-W)^+ = Q (-C)^-1 Q^T, with no eigensolve.  Otherwise the kept
+    # eigenpairs of -C give Q rge C and (-W)^+ = Q (-C)^+ Q^T
+    nonsingular = _nonsingular(neg, tol)
+    if nonsingular:
+        outside = _outside(Y, kernel)
+    else:
+        lam_k, v = _eig_kept(neg, tol)
+        vk = kernel.basis @ v
+        outside = Y - vk @ (vk.T @ Y)
+    if not _small(outside, Y, tol):
         return GaugeResult.infinite()
     if _small(Y, 0.0, tol):
         return GaugeResult(finite=True, value=0.0)
@@ -128,8 +144,13 @@ def eval_gauge(point, pair):
     ur, sr, vr = u[:, :rank], s[:rank], vt[:rank].T
     # compressed form of Y^T (-W)^+ Y, PSD by construction; its top
     # eigenvalue decides the gauge
-    t = vk.T @ ur
-    reduced = symmetrize(((t.T / lam_k) @ t) * np.outer(sr, sr))
+    if nonsingular:
+        t = kernel.basis.T @ ur
+        inner = t.T @ np.linalg.solve(neg, t)
+    else:
+        t = vk.T @ ur
+        inner = (t.T / lam_k) @ t
+    reduced = symmetrize(inner * np.outer(sr, sr))
     lam, q = _eig_kept(reduced, tol)
     if lam.size == 0:
         return GaugeResult(finite=True, value=0.0)

@@ -9,7 +9,10 @@ applied only here, by three private rules that every other module calls:
 ``_kept`` (the rank cutoff, at ``rank_tol``), ``_small`` (the residual
 test, at ``range_tol``) and ``_psd`` (the eigenvalue sign test, at
 ``psd_tol``).  No other module reads a tolerance field, so "zero",
-"inside", and "equal" mean the same thing in every module.
+"inside", and "equal" mean the same thing in every module.  ``_small``
+reads each norm from one dot product (``_norm``), and only a sum that
+under- or overflows is rescaled, so the rule sets no floating-point error
+state on its common path and raises no warning under any.
 
 A sign test compares the smallest eigenvalue of a k-by-k compression with a
 threshold, and its answer is the one ``eigvalsh`` gives.  It is decided by
@@ -17,14 +20,16 @@ a Cholesky factorization of the shifted matrix wherever Cholesky's rounding
 error provably cannot change that answer (``_above``), and by ``eigvalsh``
 only inside that band, so no module calls ``eigvalsh`` or ``cholesky`` but
 this one.  The reduced support solve reads its sign test and its rank
-cutoff from one such certificate (``_psd_nonsingular``).  Once a matrix has
-passed its sign test, ``_eig_kept`` gives the eigenpairs that ``_kept``
-keeps, with the negative eigenvalues the sign test counted as zero set to
-zero first; the support value on a singular Hessian, the gauge's
-pseudoinverse and the hull witness read that one spectrum, and it is the
-package's only ``eigh``.  ``ker A`` likewise has one body, ``_split``: one
-SVD of ``A`` and the rank cutoff, for both
-:class:`gmfrac.support.ConstraintPair` and :func:`kernel_basis`.
+cutoff from one such certificate (``_psd_nonsingular``), and the gauge
+reads the same rank certificate (``_nonsingular``) once its sign test has
+passed; where it holds, a pseudoinverse is an inverse, one LU solve.  Once a
+matrix has passed its sign test, ``_eig_kept`` gives the eigenpairs that
+``_kept`` keeps, with the negative eigenvalues the sign test counted as
+zero set to zero first; the support value on a singular Hessian, the
+gauge's pseudoinverse of a singular ``-Q^T W Q`` and the hull witness read
+that one spectrum, and it is the package's only ``eigh``.  ``ker A``
+likewise has one body, ``_split``: one SVD of ``A`` and the rank cutoff,
+for both :class:`gmfrac.support.ConstraintPair` and :func:`kernel_basis`.
 
 Symmetry is established once and never re-checked on the hot path.  The
 public cone tests symmetrize a raw matrix once, at entry; the points of
@@ -95,32 +100,29 @@ def _kept(w, tol):
     return a > tol.rank_tol * a.max(initial=0.0)
 
 
-def _fro(x):
-    # Frobenius norm without spurious overflow or underflow, for callers
-    # inside an errstate that ignores both: |x| for a float, cheaply; else
-    # the plain norm, taken again on x / max|x| only when it came out 0 or inf
+def _norm(x):
+    # the Frobenius norm at the cost of one dot product: |x| for a float;
+    # else sqrt(vdot(x, x)), as vdot, unlike norm and dot, raises no overflow
+    # or underflow warning.  Only a sum that came out 0 or inf is taken again,
+    # on x / max|x| and under an errstate that ignores both, so a caller's
+    # np.seterr(all="raise") never sees the rescaled pass
     if isinstance(x, float):
         return abs(x)
-    r = float(np.linalg.norm(x))
-    if r == 0.0 or r == np.inf:
-        s = float(np.max(np.abs(x), initial=0.0))
-        if 0.0 < s < np.inf:
-            r = s * float(np.linalg.norm(x / s))
+    r = math.sqrt(float(np.vdot(x, x)))
+    if r == 0.0 or r == math.inf:
+        with np.errstate(over="ignore", under="ignore"):
+            s = float(np.max(np.abs(x), initial=0.0))
+            if 0.0 < s < math.inf:
+                y = x / s
+                r = s * math.sqrt(float(np.vdot(y, y)))
     return r
-
-
-def _norm(x):
-    # the overflow-safe Frobenius norm
-    with np.errstate(over="ignore", under="ignore"):
-        return _fro(x)
 
 
 def _small(resid, ref, tol):
     # the residual test ||resid|| <= range_tol * max(1, ||ref||), both norms
-    # under one errstate; resid and ref may be arrays or scalars, and a
-    # scalar ref of 0 makes the test absolute
-    with np.errstate(over="ignore", under="ignore"):
-        return _fro(resid) <= tol.range_tol * max(1.0, _fro(ref))
+    # by _norm; resid and ref may be arrays or scalars, and a scalar ref of 0
+    # makes the test absolute
+    return _norm(resid) <= tol.range_tol * max(1.0, _norm(ref))
 
 
 # c * eps in the half-width of _above's band, with c = 4
@@ -144,10 +146,12 @@ def _above(h, t, reject, rel=0.0):
     # A three-way Cholesky certificate on lambda_min of a symmetric k-by-k h,
     # k >= 1, against the threshold T = t + rel * ||h||_F and the reject
     # threshold R = reject <= T: True when cholesky(h - (T + d) I) succeeds,
-    # which proves eigvalsh(h)[0] > T; False when cholesky(h - (R - d) I)
-    # fails, which proves eigvalsh(h)[0] < R; None otherwise, in the band
-    # where only eigvalsh can decide.  The half-width is d = 4 k (k+1) eps (||h||_F + |T| + tiny),
-    # for the larger of |T| and |R| and the smallest normal number tiny.
+    # which proves eigvalsh(h)[0] > T; False when a diagonal entry of h is
+    # below R - d or cholesky(h - (R - d) I) fails, either of which proves
+    # eigvalsh(h)[0] < R; None otherwise, in the band where only eigvalsh
+    # can decide.  An accept costs one factorization, a reject at most two.
+    # The half-width is d = 4 k (k+1) eps (||h||_F + |T| + tiny), for the
+    # larger of |T| and |R| and the smallest normal number tiny.
     # With u = eps/2 and M = fl(h - s I), whose diagonal is at most
     # ||h||_F + |s| and off by u of that:
     # - success: the computed factor has G^T G = M + E with
@@ -189,7 +193,13 @@ def _above(h, t, reject, rel=0.0):
     np.subtract(h.diagonal(), t + d, out=diag)
     if _factors(m):
         return True
-    np.subtract(h.diagonal(), reject - d, out=diag)
+    # lambda_min(h) <= min h_ii, so a diagonal entry below R - d proves the
+    # reject with no second factorization: it makes a pivot of the shifted
+    # matrix negative, and that Cholesky would fail
+    r = reject - d
+    if h.diagonal().min() < r:
+        return False
+    np.subtract(h.diagonal(), r, out=diag)
     return None if _factors(m) else False
 
 
@@ -219,6 +229,14 @@ def _psd_nonsingular(h, tol):
         return ok, ok
     w = np.linalg.eigvalsh(h)
     return bool(w[0] >= -tol.psd_tol), bool(_kept(w, tol).all())
+
+
+def _nonsingular(h, tol):
+    # whether _psd_nonsingular's one Cholesky, at rank_tol * ||h||_F, proves
+    # that _kept keeps every eigenvalue of a symmetric k-by-k h (and so that
+    # h passes its sign test); vacuously true when k = 0.  False in the
+    # rounding band too, with no eigvalsh: there the caller takes _eig_kept
+    return h.shape[0] == 0 or _above(h, 0.0, -tol.psd_tol, rel=tol.rank_tol) is True
 
 
 def _eig_kept(h, tol):

@@ -3,12 +3,16 @@
 Every factorizing entry point of ``numpy.linalg`` is counted, linear solves
 included.  Each matrix object is factorized once: a ``ConstraintPair`` by
 one SVD of ``A``, a sign test away from its threshold by one Cholesky of a
-shifted k-by-k compression (two when it rejects).  ``eigvalsh`` decides only
-inside the Cholesky rounding band, as where the reduced Hessian
-``H = Q^T V Q`` is singular.  A support solve adds one LU ``solve`` with
-``H`` where ``H`` is nonsingular, and one ``eigh`` of ``H`` only where it is
-singular; the witness and the gauge add one ``eigh`` after their sign test
-has passed.  The names of the tests that say ``eigvalsh`` predate the
+shifted k-by-k compression (two when it rejects, one where a diagonal entry
+already lies below the reject threshold).  ``eigvalsh`` decides only inside
+the Cholesky rounding band, as where the reduced Hessian ``H = Q^T V Q`` is
+singular.  A support solve adds one LU ``solve`` with ``H`` where ``H`` is
+nonsingular, and one ``eigh`` of ``H`` only where it is singular.  The
+gauge does the same with ``-C = -Q^T W Q``: one more Cholesky certifies it
+nonsingular and ``(-W)^+`` is one LU ``solve``; only a singular ``-C`` is
+eigendecomposed, and the reduced matrix takes one ``eigh`` on either path.
+The witness adds one ``eigh`` after its sign test has
+passed.  The names of the tests that say ``eigvalsh`` predate the
 Cholesky sign test; each pin below is the count.  Subspace tests read the
 kernel basis ``Q`` and never factorize the n-by-n projector onto ``ker A``.
 In the same way each n-by-n matrix is symmetrized once: a point when it is
@@ -39,7 +43,15 @@ from gmfrac import (
     in_normal_cone,
     in_subdifferential,
 )
-from helpers import gauge_instance, hull_member, interior_dual, rand_pair, rint_member, taken
+from helpers import (
+    gauge_instance,
+    hull_member,
+    interior_dual,
+    rand_pair,
+    rand_zero_pair,
+    rint_member,
+    taken,
+)
 from test_null_space import singular_hessian_point
 
 
@@ -74,9 +86,10 @@ def test_support_and_domain_decide_by_one_eigvalsh(counts, n, m, p):
     assert taken(counts) == {"cholesky": 1, "solve": 1}
     assert in_domain(point, pair)
     assert taken(counts) == {"cholesky": 1}
+    # H = -I: its diagonal proves the reject once the accept has failed
     outside = DualPoint(point.X, -np.eye(n))
     assert not eval_support(outside, pair).finite
-    assert taken(counts) == {"cholesky": 2}
+    assert taken(counts) == {"cholesky": 1}
 
 
 @pytest.mark.parametrize("n, m, p", [(4, 3, 2), (50, 5, 20)])
@@ -136,10 +149,29 @@ def test_gauge_factorizes_w_once(counts, eigh_shapes, n, m, p):
     pair, y, w = gauge_instance(rng, n, m, p)
     point = PrimalPoint(y, w)
     taken(counts)
+    # the sign test, then the certificate that -C is nonsingular: (-W)^+ is
+    # one LU solve, and the only eigh is the reduced m-by-m matrix's
     assert eval_gauge(point, pair).finite
-    assert taken(counts) == {"cholesky": 1, "svd": 1, "eigh": 2}
+    assert taken(counts) == {"cholesky": 2, "solve": 1, "svd": 1, "eigh": 1}
+    assert all(shape[0] <= m for shape in eigh_shapes)
+
+
+@pytest.mark.parametrize("n, m, p", [(4, 1, 1), (50, 5, 20), (6, 2, 0)])
+def test_singular_gauge_keeps_the_eigh(counts, eigh_shapes, n, m, p):
+    rng = np.random.default_rng(4)
+    pair = rand_zero_pair(rng, n, m, p)
+    q = pair.kernel.basis
     k = pair.kernel.dim
-    assert all(shape[0] <= k for shape in eigh_shapes)
+    # -C = G G^T of rank k - 1, and rge Y inside Q rge G
+    g = q @ rng.standard_normal((k, k - 1))
+    y = g @ rng.standard_normal((k - 1, m))
+    point = PrimalPoint(y, -(g @ g.T))
+    taken(counts)
+    # the certificate's accept and reject Cholesky both run, leaving the band:
+    # the kept eigenpairs of -C give (-W)^+
+    assert eval_gauge(point, pair).finite
+    assert taken(counts) == {"cholesky": 3, "svd": 1, "eigh": 2}
+    assert eigh_shapes[0] == (k, k)
 
 
 @pytest.mark.parametrize("n, m, p", [(4, 3, 2), (30, 2, 10), (5, 1, 0)])

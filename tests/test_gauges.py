@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import gmfrac
 from gmfrac import (
     ConstraintPair,
     DualPoint,
@@ -19,7 +21,10 @@ from gmfrac import (
     sample_polar,
     symmetrize,
 )
+from gmfrac.linalg import _nonsingular
 from helpers import gauge_instance, rand_zero_pair, scaled_point
+
+EPS = np.finfo(float).eps
 
 
 def primal(y, w):
@@ -204,3 +209,85 @@ def test_gauge_ignores_noise_outside_the_kernel(n, m, p, seed):
     noisy = eval_gauge(PrimalPoint(y, w), pair)
     assert noisy.finite
     assert abs(noisy.value - exact.value) <= 1e-6 * exact.value
+
+
+def _gauge_cases(rng):
+    """Random B = 0 pairs with points in and out of the gauge's domain.
+
+    The pairs include p = 0, zero rows of ``A`` and a full-rank square ``A``
+    (k = 0).  The points are a generic ``(Y, W)`` of the domain, the same
+    with rank-one ``Y`` and with ``Y = 0``, then ``Y`` off ``ker A`` and
+    ``W`` off the polar cone.
+    """
+    for trial in range(240):
+        n = int(rng.integers(1, 8))
+        m = int(rng.integers(1, 4))
+        kind = trial % 4
+        if kind == 1:
+            p = int(rng.integers(1, 3))
+            pair = ConstraintPair(np.zeros((p, n)), np.zeros((p, m)))
+        else:
+            p = {0: 0, 2: n}.get(kind, int(rng.integers(0, n)))
+            pair = rand_zero_pair(rng, n, m, p)
+        pt = finite_gauge_point(rng, pair)
+        yield pair, pt
+        yield pair, PrimalPoint(pt.Y[:, :1].repeat(m, axis=1), pt.W)
+        yield pair, PrimalPoint(np.zeros_like(pt.Y), pt.W)
+        yield pair, PrimalPoint(pt.Y + rng.standard_normal(pt.Y.shape), pt.W)
+        yield pair, PrimalPoint(pt.Y, pt.W + np.eye(n))
+
+
+def test_gauge_solve_and_eigen_paths_agree(monkeypatch):
+    # the same gauge through Q (-C)^-1 Q^T and, with the certificate
+    # switched off, through the kept eigenpairs of -C
+    rng = np.random.default_rng(17)
+    cases = list(_gauge_cases(rng))
+    certified = []
+    original = gmfrac.gauges._nonsingular
+
+    def recorded(h, tol):
+        certified.append(original(h, tol))
+        return certified[-1]
+
+    monkeypatch.setattr(gmfrac.gauges, "_nonsingular", recorded)
+    by_solve = [eval_gauge(pt, pair) for pair, pt in cases]
+    monkeypatch.setattr(gmfrac.gauges, "_nonsingular", lambda h, tol: False)
+    by_eigen = [eval_gauge(pt, pair) for pair, pt in cases]
+    # every W here that passes the sign test has a nonsingular -C
+    assert certified and all(certified)
+    assert sum(res.finite for res in by_solve) >= len(cases) // 3
+    for fast, ref in zip(by_solve, by_eigen):
+        assert fast.finite == ref.finite
+        if not fast.finite:
+            continue
+        assert fast.value == pytest.approx(ref.value, rel=1e-10, abs=1e-300)
+        if ref.sigma_min is None:
+            assert fast.sigma_min is None and fast.value == 0.0
+            continue
+        assert fast.sigma_min == pytest.approx(ref.sigma_min, rel=1e-10)
+        scale = np.abs(ref.critical_matrix).max()
+        assert np.allclose(fast.critical_matrix, ref.critical_matrix, rtol=0.0, atol=1e-10 * scale)
+
+
+def test_gauge_on_ill_conditioned_w_matches_mpmath():
+    # p = 0, so Q = I and -C = -W exactly: the gauge of the float input is
+    # 1/2 lambda_max(Y^T (-W)^-1 Y), here in 60 digits.  -W has condition
+    # number about 1e8 and Y leans on its smallest eigenvalues; the solve's
+    # error is within a small multiple of cond * eps (about 0.1 here)
+    rng = np.random.default_rng(29)
+    n, m = 6, 2
+    pair = ConstraintPair(np.zeros((0, n)), np.zeros((0, m)))
+    for _ in range(10):
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = np.logspace(-8, 0, n)
+        y = u[:, :3] @ rng.standard_normal((3, m)) + 1e-3 * rng.standard_normal((n, m))
+        point = PrimalPoint(y, -(u * lam) @ u.T)
+        assert _nonsingular(-point.W, pair.tol)
+        res = eval_gauge(point, pair)
+        assert res.finite
+        with mpmath.workdps(60):
+            ym = mpmath.matrix(point.Y.tolist())
+            reduced = ym.T * mpmath.inverse(mpmath.matrix((-point.W).tolist())) * ym
+            exact = float(max(mpmath.eigsy((reduced + reduced.T) / 2, eigvals_only=True)) / 2)
+        cond = lam[-1] / lam[0]
+        assert abs(res.value - exact) <= 10 * cond * EPS * exact

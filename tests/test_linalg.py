@@ -1,4 +1,5 @@
 import ast
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from gmfrac import (
     kernel_basis,
     symmetrize,
 )
+from gmfrac.linalg import _norm, _small
 from helpers import (
     point_norm,
     projector,
@@ -31,6 +33,8 @@ from helpers import (
     taken,
     zero_subspace,
 )
+
+EPS = np.finfo(float).eps
 
 
 def test_tolerances_validated():
@@ -327,6 +331,45 @@ def test_decisions_unchanged_at_entry_scale_1e200():
     big = PrimalPoint(1e200 * np.ones((2, 1)), 1e200 * np.eye(2))
     assert np.isclose(point_norm(big), 1e200 * np.sqrt(4.0), rtol=1e-14)
     assert point_norm(DualPoint(big.Y, big.W)) == point_norm(big)
+
+
+def _rescaled_norm(x):
+    # the reference: max|x| times the norm of x / max|x|, summed exactly
+    a = np.abs(np.asarray(x, dtype=float)).ravel()
+    s = float(a.max(initial=0.0))
+    if s == 0.0:
+        return 0.0
+    return s * math.sqrt(math.fsum((float(v) / s) ** 2 for v in a))
+
+
+@pytest.mark.filterwarnings("error")
+def test_residual_rule_matches_the_rescaled_norm_with_errors_raised():
+    # _norm sums x^2 once by vdot and rescales only a sum of 0 or inf, so
+    # the caller's errstate, here raise on everything, sees no warning
+    rng = np.random.default_rng(31)
+    big = 1e200 * rng.standard_normal((4, 3))
+    ops = {
+        "big": big,
+        "big transposed": big.T,
+        "tiny": 1e-200 * rng.standard_normal((4, 3)),
+        "subnormal": np.array([5e-324, -1e-320, 3e-310, 0.0]),
+        "mixed": np.array([[1e200, 1e-200], [-1.0, 1e-310]]),
+        "zeros": np.zeros((3, 3)),
+        "empty": np.zeros((0, 3)),
+        "moderate": rng.standard_normal((5, 2)),
+        "float": 1e300,
+        "numpy float": np.float64(-1e-300),
+    }
+    tol = gmfrac.DEFAULT_TOL
+    with np.errstate(all="raise"):
+        for name, x in ops.items():
+            want = _rescaled_norm(x)
+            assert _norm(x) == pytest.approx(want, rel=8 * np.size(x) * EPS, abs=0.0), name
+        for resid in ops.values():
+            for ref in list(ops.values()) + [0.0]:
+                want = _rescaled_norm(resid) <= tol.range_tol * max(1.0, _rescaled_norm(ref))
+                assert _small(resid, ref, tol) == want
+        assert np.geterr()["over"] == np.geterr()["under"] == "raise"
 
 
 def test_frobenius_inner_is_the_tensordot_form():

@@ -106,9 +106,11 @@ def test_public_predicates_decide_as_eigvalsh():
 
 @pytest.mark.parametrize("exponent", [-60, 0, 60])
 def test_clear_cases_take_no_eigvalsh(counts, exponent):
-    # one Cholesky accepts, two reject; at 2^-60 the whole spectrum lies
-    # far inside (-psd_tol, psd_tol), so nothing is outside the non-strict
-    # tests and nothing inside the strict one
+    # one Cholesky accepts; a reject takes two, or one where a diagonal entry
+    # already lies below the reject threshold: at k = 1, where the diagonal
+    # is the spectrum, and at 2^-60 against +psd_tol.  There the whole
+    # spectrum lies far inside (-psd_tol, psd_tol), so nothing is outside
+    # the non-strict tests and nothing inside the strict one
     rng = np.random.default_rng(71)
     scale = 2.0 ** exponent
     for k in (1, 2, 7, 40):
@@ -120,11 +122,11 @@ def test_clear_cases_take_no_eigvalsh(counts, exponent):
         assert taken(counts) == {"cholesky": 2}
         assert _psd(inside, TOL, strict=True) == (exponent >= 0)
         assert not _psd(outside, TOL, strict=True)
-        assert taken(counts) == {"cholesky": 3 if exponent >= 0 else 4}
+        assert taken(counts) == {"cholesky": 2 if k == 1 or exponent < 0 else 3}
         if exponent >= 0:
             assert not _psd(outside, TOL)
             assert _psd_nonsingular(outside, TOL) == (False, False)
-            assert taken(counts) == {"cholesky": 4}
+            assert taken(counts) == {"cholesky": 2 if k == 1 else 4}
 
 
 @pytest.mark.filterwarnings("error")
