@@ -8,9 +8,12 @@ affine hull of the polar ``{W : rge W subset S}``, the relative interior of
 the polar, and a sampler of polar elements built from the generating set
 ``{-v v^T : v in S}``.  Every test reads the k-by-k compression
 ``Q^T W Q`` or the part of ``W`` outside S; none forms the n-by-n
-projector onto S.  Each cone test is one sign test ``_psd`` of
-:mod:`gmfrac.linalg` on a k-by-k compression: a Cholesky factorization
-decides it outside a rounding band, and ``eigvalsh`` inside.
+projector onto S.  The part outside S is read from the n-by-r basis ``U``
+of the complement where the :class:`gmfrac.linalg.SubspaceBasis` stores
+it, which it does when ``r < k``, and from ``Q`` otherwise.  Each cone
+test is one sign test ``_psd`` of :mod:`gmfrac.linalg` on a k-by-k
+compression: a Cholesky factorization decides it outside a rounding band,
+and ``eigvalsh`` inside.
 
 A polar test is the AND of a sign test and a support test, and
 ``_polar_form`` takes them in order of cost, for every caller: the polar
@@ -18,28 +21,37 @@ and relative-interior tests, the hull tests, the hull witness and the
 gauge.  An exactly zero ``W`` has ``C = Q^T W Q = 0`` and takes no product:
 it lies in the polar cone, and in its relative interior only on the zero
 subspace.  Otherwise the k-by-k sign test of ``-C`` runs first, and the
-n-by-n support residual ``W - Q C Q^T`` is formed only once it has passed.
-Both tests are pure predicates, so the order changes no answer.  The hull
+support residual ``||W - Q C Q^T||_F`` only once it has passed: as
+``hypot(||U^T W||_F, ||U^T W Q||_F)`` where ``U`` is stored, which forms no
+n-by-n matrix, and from the n-by-n ``W - Q C Q^T`` otherwise.  Both tests
+are pure predicates, so the order changes no answer.  With ``U`` stored the
+support residual is at least the aff residual ``||U^T W||_F``, read from
+the same product, so polar membership implies aff membership.  The hull
 witness and the gauge read the kept eigenpairs of the ``-C`` that passed
-from ``linalg._eig_kept``.  The thresholds are applied by the rules of
-:mod:`gmfrac.linalg`.
+from ``linalg._eig_kept``; the gauge takes its sign test from the rank
+certificate of ``-C``, whose one Cholesky decides both.  The thresholds are
+applied by the rules of :mod:`gmfrac.linalg`.
 
 The public tests take a raw matrix through one entry, ``_entry``, which
 rejects a non-finite matrix with ``ValueError`` and symmetrizes it once.
 The private predicates ``_in_cone``, ``_in_polar``, ``_in_aff_polar`` and
 ``_polar_form`` take a matrix that is symmetric by construction (a point's
-``V`` or ``W``, or a gap matrix symmetrized once when it is formed); the
+``V`` or ``W``, or a gap matrix, built symmetric bit for bit); the
 hull, normal-cone and gauge tests call them, and never the public tests,
 so no matrix is symmetrized twice.
 """
+
+import math
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
     _compress,
+    _norm,
     _outside,
     _psd,
+    _psd_certified,
     _small,
     symmetrize,
 )
@@ -89,22 +101,38 @@ def _in_cone(V, subspace, tol, strict=False):
     return _psd(_compress(V, subspace), tol, strict)
 
 
-def _polar_form(W, subspace, tol, strict=False):
+def _polar_form(W, subspace, tol, strict=False, rank=False):
     # -C for C = sym(Q^T W Q) if the symmetric W lies in the polar cone (in
-    # its relative interior when strict), and None if it does not.  The
-    # tests run in order of cost: an exactly zero W has C = 0 and needs no
-    # product; otherwise the k-by-k sign test _psd(-C) runs first, and the
-    # n-by-n support residual W - Q C Q^T is formed only once the sign test
-    # has passed.  Only the k-by-k C is symmetrized, by _compress.
-    if not W.any():
+    # its relative interior when strict), and None if it does not; with
+    # rank, the pair (-C, nonsingular) in place of -C, where nonsingular is
+    # linalg._psd_certified's rank certificate on -C, whose one Cholesky
+    # also decides the sign test.  The tests run in order of cost: an
+    # exactly zero W has C = 0 and needs no product; otherwise the k-by-k
+    # sign test of -C runs first, and the support residual only once it has
+    # passed.  That residual is ||W - Q C Q^T||_F; where the subspace stores
+    # its complement U it is read as hypot(||U^T W||_F, ||U^T W Q||_F), the
+    # same norm since Q Q^T + U U^T = I, and no n-by-n matrix is formed.
+    # Only the k-by-k C is symmetrized, by _compress.
+    zero = not W.any()
+    if zero:
         neg = np.zeros((subspace.dim, subspace.dim))
-        return neg if _psd(neg, tol, strict) else None
-    c = _compress(W, subspace)
-    neg = -c
-    if not _psd(neg, tol, strict):
+    else:
+        c = _compress(W, subspace)
+        neg = -c
+    psd, nonsingular = _psd_certified(neg, tol) if rank else (_psd(neg, tol, strict), None)
+    if not psd:
         return None
-    q = subspace.basis
-    return neg if _small(W - q @ c @ q.T, W, tol) else None
+    if not zero:
+        q = subspace.basis
+        u = subspace.complement
+        if u is None:
+            resid = W - q @ c @ q.T
+        else:
+            out = u.T @ W
+            resid = math.hypot(_norm(out), _norm(out @ q))
+        if not _small(resid, W, tol):
+            return None
+    return (neg, nonsingular) if rank else neg
 
 
 def in_polar_cone(W, subspace, tol=DEFAULT_TOL):

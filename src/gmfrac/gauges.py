@@ -18,20 +18,21 @@ between ``rge Y`` and the rest of the kernel and can understate the gauge.
 A missing nonzero singular value (``rank_tol`` decides "nonzero") means
 gauge zero, e.g. ``Y = 0`` with ``W`` in the polar cone.
 
-The domain test is the polar-cone test on ``W``, the sign test of
-``-C = -Q^T W Q`` that :func:`gmfrac.cones.in_polar_cone` takes.  On the
-polar cone ``W = Q C Q^T``, so ``(-W)^+ = Q (-C)^+ Q^T``, and ``rge Y``
-inside ``Q rge C`` is ``rge Y subset ker A intersect rge W``.  The gauge
-reads ``(-C)^+`` the way the reduced support solve reads ``H^+``: where one
+The domain test is the polar-cone test on ``W``, the sign test of ``-C =
+-Q^T W Q`` that :func:`gmfrac.cones.in_polar_cone` takes.  On the polar
+cone ``W = Q C Q^T``, so ``(-W)^+ = Q (-C)^+ Q^T``, and ``rge Y`` inside
+``Q rge C`` is ``rge Y subset ker A intersect rge W``.  The gauge reads
+``(-C)^+`` the way the reduced support solve reads ``H^+``: where one
 Cholesky factorization certifies that the rank cutoff keeps every
-eigenvalue of ``-C`` (``linalg._nonsingular``), ``Q rge C`` is ``ker A``,
-the range test is the residual of ``Y`` outside ``ker A``, and
-``(-C)^+ = (-C)^-1`` is one LU solve, with no eigensolve.  Only a singular
-``-C``, or one inside that certificate's rounding band, takes its kept
-eigenpairs from ``linalg._eig_kept``; an eigenvalue that is negative,
-which the sign test counted as zero, is never kept, so the gauge is finite
-only where :func:`gmfrac.hull.in_hull` can accept the point.  ``W`` is
-never factorized as an n-by-n matrix.
+eigenvalue of ``-C`` (``linalg._psd_certified``, whose certificate also
+decides the sign test, so the polar test hands it back), ``Q rge C`` is
+``ker A``, the range test is the residual of ``Y`` outside ``ker A``
+(``linalg._outside``), and ``(-C)^+ = (-C)^-1`` is one LU solve, with no
+eigensolve.  Only a singular ``-C``, or one inside that certificate's
+rounding band, takes its kept eigenpairs from ``linalg._eig_kept``; an
+eigenvalue that is negative, which the sign test counted as zero, is never
+kept, so the gauge is finite only where :func:`gmfrac.hull.in_hull` can
+accept the point.  ``W`` is never factorized as an n-by-n matrix.
 """
 
 import math
@@ -40,9 +41,10 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import _eig_kept, _kept, _nonsingular, _outside, _small, symmetrize
+from .linalg import _eig_kept, _kept, _outside, _small, symmetrize
 from .cones import _in_polar, _polar_form
 from .support import PreconditionError, eval_support
+from .hull import _gap
 
 __all__ = [
     "GaugeResult",
@@ -97,8 +99,7 @@ def in_scaled_hull(point, t, pair):
         raise ValueError(f"scale t must be finite and nonnegative, got {t!r}")
     if not _small(pair.A @ point.Y, 0.0, pair.tol):
         return False
-    gap = symmetrize(0.5 * (point.Y @ point.Y.T) + t * point.W)
-    return _in_polar(gap, pair.kernel, pair.tol)
+    return _in_polar(_gap(point, t), pair.kernel, pair.tol)
 
 
 def eval_gauge(point, pair):
@@ -109,9 +110,10 @@ def eval_gauge(point, pair):
     ``Q rge C`` for ``C = Q^T W Q``.  On that domain the value is
     ``1/2 / sigma_min`` of the critical matrix (see module docstring); a
     numerically zero ``Y`` gives gauge 0.  A ``-C`` certified nonsingular
-    by one Cholesky factorization takes one LU solve and no eigensolve of
-    ``-C``: then ``Q rge C = ker A`` and ``(-W)^+ = Q (-C)^-1 Q^T``.  Only a
-    singular ``-C`` is eigendecomposed, for its kept eigenpairs.
+    by the one Cholesky factorization that passes its sign test takes one
+    LU solve and no eigensolve of ``-C``: then ``Q rge C = ker A`` and
+    ``(-W)^+ = Q (-C)^-1 Q^T``.  Only a singular ``-C`` is eigendecomposed,
+    for its kept eigenpairs.
 
     Raises
     ------
@@ -122,13 +124,13 @@ def eval_gauge(point, pair):
     tol = pair.tol
     Y = point.Y
     kernel = pair.kernel
-    neg = _polar_form(point.W, kernel, tol)
-    if neg is None:
+    polar = _polar_form(point.W, kernel, tol, rank=True)
+    if polar is None:
         return GaugeResult.infinite()
     # a certified nonsingular -C keeps every eigenvalue: Q rge C = ker A and
     # (-W)^+ = Q (-C)^-1 Q^T, with no eigensolve.  Otherwise the kept
     # eigenpairs of -C give Q rge C and (-W)^+ = Q (-C)^+ Q^T
-    nonsingular = _nonsingular(neg, tol)
+    neg, nonsingular = polar
     if nonsingular:
         outside = _outside(Y, kernel)
     else:

@@ -11,6 +11,11 @@ membership for the hull, its relative interior and affine hull, the
 explicit Caratheodory-style convex-combination witness that approximates any
 hull point by graph points to accuracy ``O(sqrt(eps))``.
 
+Every primal test reads the gap matrix ``1/2 Y Y^T + W``, built in one
+n-by-n buffer.  It is symmetric by construction, bit for bit (numpy forms
+``Y Y^T`` by a symmetric rank-k update and mirrors it, and the point's
+``W`` is symmetric since the point was built), so it is never symmetrized.
+
 The witness keeps ``N + 1 = n(n+1)/2 + 2`` components, all but at most
 ``rank + 1`` of them copies of the minimum-norm solution ``Z0``; that count
 stays until perfbench's witness oracle, which pins it, is relaxed.  Its
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _eig_kept, _norm, _small, frobenius_inner, symmetrize
+from .linalg import DEFAULT_TOL, _eig_kept, _norm, _small, frobenius_inner
 from .cones import _in_aff_polar, _in_polar, _polar_form
 from .support import ConstraintPair, PreconditionError, _freeze_point, eval_support
 
@@ -79,14 +84,18 @@ def distance(a, b):
     return math.hypot(_norm(a.Y - b.Y), _norm(a.W - b.W))
 
 
-def _gap(point):
-    # the matrix 1/2 Y Y^T + W whose polar-cone membership characterizes the
-    # hull, symmetrized once here for every test that reads it
-    return symmetrize(0.5 * (point.Y @ point.Y.T) + point.W)
+def _gap(point, t=1.0):
+    # the matrix 1/2 Y Y^T + t W whose polar-cone membership characterizes
+    # the hull (t = 1) and its multiple t (the gauge), built in one n-by-n
+    # buffer and symmetric by construction (see the module docstring)
+    g = point.Y @ point.Y.T
+    g *= 0.5
+    g += point.W if t == 1.0 else t * point.W
+    return g
 
 
 def _feasible(point, pair):
-    return _small(pair.A @ point.Y - pair.B, pair.B, pair.tol)
+    return _small(pair.A @ point.Y - pair.B, pair.b_norm, pair.tol)
 
 
 def _in_hull(point, gap, pair):

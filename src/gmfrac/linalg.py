@@ -3,16 +3,19 @@
 Every higher-level test in this package (cone membership, support-function
 domains, hull geometry, gauges) reduces to a k-by-k compression of a
 symmetric matrix onto a subspace (``_compress``), or the part of a matrix
-outside it (``_outside``), and a few rules applied to them.  All rank and
-membership decisions are governed by a single :class:`ToleranceConfig` and
-applied only here, by three private rules that every other module calls:
-``_kept`` (the rank cutoff, at ``rank_tol``), ``_small`` (the residual
-test, at ``range_tol``) and ``_psd`` (the eigenvalue sign test, at
-``psd_tol``).  No other module reads a tolerance field, so "zero",
-"inside", and "equal" mean the same thing in every module.  ``_small``
-reads each norm from one dot product (``_norm``), and only a sum that
-under- or overflows is rescaled, so the rule sets no floating-point error
-state on its common path and raises no warning under any.
+outside it (``_outside``), and a few rules applied to them.  A
+:class:`SubspaceBasis` keeps the basis of the orthogonal complement only
+where it is the narrower basis, and the part outside the subspace is read
+from whichever basis has fewer columns.  All rank and membership decisions
+are governed by a single :class:`ToleranceConfig` and applied only here, by
+three private rules that every other module calls: ``_kept`` (the rank
+cutoff, at ``rank_tol``), ``_small`` (the residual test, at ``range_tol``)
+and ``_psd`` (the eigenvalue sign test, at ``psd_tol``).  No other module
+reads a tolerance field, so "zero", "inside", and "equal" mean the same
+thing in every module.  ``_small`` reads each norm from one dot product
+(``_norm``), and only a sum that under- or overflows is rescaled, so the
+rule sets no floating-point error state on its common path and raises no
+warning under any.
 
 A sign test compares the smallest eigenvalue of a k-by-k compression with a
 threshold, and its answer is the one ``eigvalsh`` gives.  It is decided by
@@ -21,25 +24,28 @@ error provably cannot change that answer (``_above``), and by ``eigvalsh``
 only inside that band, so no module calls ``eigvalsh`` or ``cholesky`` but
 this one.  The reduced support solve reads its sign test and its rank
 cutoff from one such certificate (``_psd_nonsingular``), and the gauge
-reads the same rank certificate (``_nonsingular``) once its sign test has
-passed; where it holds, a pseudoinverse is an inverse, one LU solve.  Once a
-matrix has passed its sign test, ``_eig_kept`` gives the eigenpairs that
-``_kept`` keeps, with the negative eigenvalues the sign test counted as
-zero set to zero first; the support value on a singular Hessian, the
-gauge's pseudoinverse of a singular ``-Q^T W Q`` and the hull witness read
-that one spectrum, and it is the package's only ``eigh``.  ``ker A``
-likewise has one body, ``_split``: one SVD of ``A`` and the rank cutoff,
-for both :class:`gmfrac.support.ConstraintPair` and :func:`kernel_basis`.
+reads its sign test and the same rank certificate from one Cholesky
+(``_psd_certified``); where it holds, a pseudoinverse is an inverse, one LU
+solve.  Once a matrix has passed its sign test, ``_eig_kept`` gives the
+eigenpairs that ``_kept`` keeps, with the negative eigenvalues the sign
+test counted as zero set to zero first; the support value on a singular
+Hessian, the gauge's pseudoinverse of a singular ``-Q^T W Q`` and the hull
+witness read that one spectrum, and it is the package's only ``eigh``.
+``ker A`` likewise has one body, ``_split``: one SVD of ``A`` and the rank
+cutoff, for both :class:`gmfrac.support.ConstraintPair` and
+:func:`kernel_basis`.
 
 Symmetry is established once and never re-checked on the hot path.  The
 public cone tests symmetrize a raw matrix once, at entry; the points of
 :mod:`gmfrac.support` and :mod:`gmfrac.hull` are frozen and symmetrized once
-when built; and the private kernels (``_compress``, ``_psd``,
+when built; the hull's gap matrix is symmetric by construction and never
+symmetrized; and the private kernels (``_compress``, ``_psd``,
 ``_eig_kept``) take operands that are symmetric by construction.
 """
 
 import math
 from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -103,16 +109,18 @@ def _kept(w, tol):
 def _norm(x):
     # the Frobenius norm at the cost of one dot product: |x| for a float;
     # else sqrt(vdot(x, x)), as vdot, unlike norm and dot, raises no overflow
-    # or underflow warning.  Only a sum that came out 0 or inf is taken again,
-    # on x / max|x| and under an errstate that ignores both, so a caller's
+    # or underflow warning.  Only a sum that came out 0 or inf is taken again:
+    # s = max|x| first, which raises nothing, so an exactly zero x returns 0
+    # there; only for 0 < s < inf is the sum taken on x / s, under an
+    # errstate that ignores over- and underflow, so a caller's
     # np.seterr(all="raise") never sees the rescaled pass
     if isinstance(x, float):
         return abs(x)
     r = math.sqrt(float(np.vdot(x, x)))
     if r == 0.0 or r == math.inf:
-        with np.errstate(over="ignore", under="ignore"):
-            s = float(np.max(np.abs(x), initial=0.0))
-            if 0.0 < s < math.inf:
+        s = float(np.max(np.abs(x), initial=0.0))
+        if 0.0 < s < math.inf:
+            with np.errstate(over="ignore", under="ignore"):
                 y = x / s
                 r = s * math.sqrt(float(np.vdot(y, y)))
     return r
@@ -231,12 +239,19 @@ def _psd_nonsingular(h, tol):
     return bool(w[0] >= -tol.psd_tol), bool(_kept(w, tol).all())
 
 
-def _nonsingular(h, tol):
-    # whether _psd_nonsingular's one Cholesky, at rank_tol * ||h||_F, proves
-    # that _kept keeps every eigenvalue of a symmetric k-by-k h (and so that
-    # h passes its sign test); vacuously true when k = 0.  False in the
-    # rounding band too, with no eigvalsh: there the caller takes _eig_kept
-    return h.shape[0] == 0 or _above(h, 0.0, -tol.psd_tol, rel=tol.rank_tol) is True
+def _psd_certified(h, tol):
+    # (psd, nonsingular) for a symmetric k-by-k h, both vacuously true when
+    # k = 0: the sign test of _psd, and whether _psd_nonsingular's Cholesky
+    # certificate, at rank_tol * ||h||_F, proves that _kept keeps every
+    # eigenvalue.  That one certificate decides both outside its rounding
+    # band; inside it _psd decides the sign and nonsingular is False, with
+    # no eigvalsh, so the caller takes _eig_kept
+    if h.shape[0] == 0:
+        return True, True
+    ok = _above(h, 0.0, -tol.psd_tol, rel=tol.rank_tol)
+    if ok is not None:
+        return ok, ok
+    return _psd(h, tol), False
 
 
 def _eig_kept(h, tol):
@@ -272,17 +287,23 @@ def frobenius_inner(A, B):
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """An orthonormal basis of a subspace of R^n.
+    """An orthonormal basis of a subspace of R^n, and of its complement.
 
     ``basis`` is n-by-k with orthonormal columns ``Q`` spanning the
-    subspace; ``k = 0`` encodes the zero subspace.  It is the only stored
-    representation: every subspace test in this package reads ``Q``, either
-    through the k-by-k compression ``Q^T V Q`` of a matrix or through its
-    part ``C - Q (Q^T C)`` outside the subspace, and none forms the n-by-n
-    projector ``Q Q^T``.
+    subspace; ``k = 0`` encodes the zero subspace.  ``complement`` is
+    ``None``, or n-by-r with orthonormal columns ``U`` spanning the
+    orthogonal complement, ``r = n - k``; :func:`kernel_basis` and
+    :class:`gmfrac.support.ConstraintPair` store it exactly when it is the
+    narrower basis, ``r < k``.  Every subspace test in this package reads
+    ``Q`` through the k-by-k compression ``Q^T V Q`` of a matrix, and the
+    part of a matrix outside the subspace through ``U`` where it is stored
+    (``U^T C``, of norm ``||C - Q Q^T C||_F`` since ``Q Q^T + U U^T = I``)
+    and through ``C - Q (Q^T C)`` otherwise; none forms the n-by-n projector
+    ``Q Q^T``.
     """
 
     basis: np.ndarray
+    complement: Optional[np.ndarray] = None
 
     @property
     def dim_ambient(self):
@@ -312,17 +333,26 @@ def _split(A, tol):
     # ker A and the range factors of a p-by-n float A, from its one SVD
     # A = U S V^T: the kernel basis (the rows of V^T past the rank r that
     # _kept decides), U_r, the r kept singular values and the rows V_r^T.
-    # p = 0 takes no SVD and has r = 0; a non-finite A raises ValueError
+    # The kernel basis carries V_r, the basis of rge A^T, as its complement
+    # when r < k = n - r, so that a residual outside ker A costs n^2 r, not
+    # 2 n^2 k.  p = 0 takes no SVD and has r = 0; a non-finite A raises
+    # ValueError
     if not np.isfinite(A).all():
         raise ValueError("A must have finite entries")
     p, n = A.shape
     if p == 0:
-        return SubspaceBasis(np.eye(n)), np.zeros((0, 0)), np.zeros(0), np.zeros((0, n))
+        return (
+            SubspaceBasis(np.eye(n), np.zeros((n, 0)) if n else None),
+            np.zeros((0, 0)),
+            np.zeros(0),
+            np.zeros((0, n)),
+        )
     u, s, vh = np.linalg.svd(A)
     r = np.count_nonzero(_kept(s, tol))
     # copies of what is kept, so that the full p-by-p and n-by-n factors are
     # freed once the caller has used V_r^T
-    return SubspaceBasis(vh[r:].T.copy()), u[:, :r].copy(), s[:r].copy(), vh[:r]
+    complement = vh[:r].T.copy() if r < n - r else None
+    return SubspaceBasis(vh[r:].T.copy(), complement), u[:, :r].copy(), s[:r].copy(), vh[:r]
 
 
 def _compress(V, subspace):
@@ -334,7 +364,12 @@ def _compress(V, subspace):
 
 
 def _outside(C, subspace):
-    # the part C - Q (Q^T C) of C's columns outside the subspace, whose norm
-    # every range test against the subspace reads
+    # the part of C's columns outside the subspace, whose norm every range
+    # test against the subspace reads: U^T C in the coordinates of the
+    # complement where it is stored, else C - Q (Q^T C); the two have one
+    # norm, since Q Q^T + U U^T = I
+    u = subspace.complement
+    if u is not None:
+        return u.T @ C
     q = subspace.basis
     return C - q @ (q.T @ C)

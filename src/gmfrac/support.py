@@ -42,6 +42,7 @@ from .linalg import (
     DEFAULT_TOL,
     _compress,
     _eig_kept,
+    _norm,
     _psd_nonsingular,
     _small,
     _split,
@@ -93,7 +94,9 @@ class ConstraintPair:
     operations read them from here.  A non-finite ``A`` or ``B`` raises
     ``ValueError``.  Of the range side of the SVD only ``U_r`` (p-by-r) and the
     nonzero singular values are kept, enough for the minimum-norm solution
-    of ``A^T Z = C``.
+    of ``A^T Z = C``, and ``V_r``, the basis of ``rge A^T``, is kept as the
+    kernel basis's complement when ``r < k``.  ``b_norm`` is ``||B||_F``,
+    taken once here for every feasibility test that reads it.
     """
 
     def __init__(self, A, B, tol=DEFAULT_TOL):
@@ -113,8 +116,9 @@ class ConstraintPair:
         self.B = B
         self.tol = tol
         self.kernel, ur, sr, vr = _split(A, tol)
+        self.b_norm = _norm(B)
         if np.any(B):
-            if not _small(B - ur @ (ur.T @ B), B, tol):
+            if not _small(B - ur @ (ur.T @ B), self.b_norm, tol):
                 raise InfeasiblePairError(
                     "rge B is not contained in rge A: the manifold {A Y = B} is empty"
                 )
@@ -148,7 +152,7 @@ class ConstraintPair:
     @property
     def homogeneous(self):
         """True iff ``||B||_F <= range_tol`` (gauge calculus applies)."""
-        return _small(self.B, 0.0, self.tol)
+        return _small(self.b_norm, 0.0, self.tol)
 
     def __repr__(self):
         return f"ConstraintPair(p={self.p}, n={self.n}, m={self.m})"

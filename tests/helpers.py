@@ -14,7 +14,7 @@ from gmfrac import (
     sample_polar,
     symmetrize,
 )
-from gmfrac.linalg import _compress, _kept, _norm, _psd, _small
+from gmfrac.linalg import _compress, _kept, _norm, _psd, _psd_certified, _small
 
 
 def projector(subspace):
@@ -129,19 +129,24 @@ def rint_member(rng, pair, margin=0.5):
     return PrimalPoint(y, -0.5 * (y @ y.T) - 0.5 * (neg + neg.T))
 
 
-def residual_first_polar_form(W, subspace, tol, strict=False):
+def residual_first_polar_form(W, subspace, tol, strict=False, rank=False):
     """``cones._polar_form`` with its two tests in the earlier order.
 
     The n-by-n support residual ``W - Q C Q^T`` is formed for every ``W``,
     the zero matrix included, and the sign test of ``-C`` runs only once the
     residual has passed.  Returns ``-C`` or ``None`` as ``_polar_form``
-    does; the equivalence tests swap it in as the reference.
+    does, and ``(-C, nonsingular)`` with ``rank``, the sign test then read
+    from the rank certificate; the equivalence tests swap it in as the
+    reference.
     """
     q = subspace.basis
     c = _compress(W, subspace)
     if not _small(W - q @ c @ q.T, W, tol):
         return None
     neg = -c
+    if rank:
+        psd, nonsingular = _psd_certified(neg, tol)
+        return (neg, nonsingular) if psd else None
     return neg if _psd(neg, tol, strict) else None
 
 

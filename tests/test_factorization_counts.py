@@ -8,15 +8,16 @@ already lies below the reject threshold).  ``eigvalsh`` decides only inside
 the Cholesky rounding band, as where the reduced Hessian ``H = Q^T V Q`` is
 singular.  A support solve adds one LU ``solve`` with ``H`` where ``H`` is
 nonsingular, and one ``eigh`` of ``H`` only where it is singular.  The
-gauge does the same with ``-C = -Q^T W Q``: one more Cholesky certifies it
-nonsingular and ``(-W)^+`` is one LU ``solve``; only a singular ``-C`` is
-eigendecomposed, and the reduced matrix takes one ``eigh`` on either path.
+gauge does the same with ``-C = -Q^T W Q``: the one Cholesky that passes
+its sign test certifies it nonsingular and ``(-W)^+`` is one LU ``solve``;
+only a singular ``-C`` is eigendecomposed, and the reduced matrix takes one
+``eigh`` on either path.
 The witness adds one ``eigh`` after its sign test has
 passed.  The names of the tests that say ``eigvalsh`` predate the
 Cholesky sign test; each pin below is the count.  Subspace tests read the
 kernel basis ``Q`` and never factorize the n-by-n projector onto ``ker A``.
-In the same way each n-by-n matrix is symmetrized once: a point when it is
-built, a gap matrix when it is formed.
+In the same way each n-by-n matrix is symmetrized at most once: a point
+when it is built; a gap matrix is symmetric by construction and never is.
 """
 
 import sys
@@ -149,10 +150,10 @@ def test_gauge_factorizes_w_once(counts, eigh_shapes, n, m, p):
     pair, y, w = gauge_instance(rng, n, m, p)
     point = PrimalPoint(y, w)
     taken(counts)
-    # the sign test, then the certificate that -C is nonsingular: (-W)^+ is
-    # one LU solve, and the only eigh is the reduced m-by-m matrix's
+    # one Cholesky passes the sign test and certifies -C nonsingular: (-W)^+
+    # is one LU solve, and the only eigh is the reduced m-by-m matrix's
     assert eval_gauge(point, pair).finite
-    assert taken(counts) == {"cholesky": 2, "solve": 1, "svd": 1, "eigh": 1}
+    assert taken(counts) == {"cholesky": 1, "solve": 1, "svd": 1, "eigh": 1}
     assert all(shape[0] <= m for shape in eigh_shapes)
 
 
@@ -229,14 +230,15 @@ def test_each_n_by_n_matrix_is_symmetrized_once(symmetrized, n, m, p):
         assert call()
         return sum(shape == (n, n) for shape in symmetrized)
 
-    # one gap matrix, or the subgradient's W, each
-    assert square(lambda: in_hull(point, pair)) == 1
-    assert square(lambda: in_hull_rint(point, pair)) == 1
-    assert square(lambda: in_hull_aff(point, pair)) == 1
-    assert square(lambda: in_normal_cone(dual, sub.point, pair)) == 1
-    assert square(lambda: in_subdifferential(sub.point, dual, pair)) == 1
+    # the subgradient's W, when its point is built
     assert square(lambda: canonical_subgradient(dual, pair)) == 1
-    # the point's own V or W, symmetric since it was built
+    # a gap matrix, symmetric by construction (test_hull's bitwise check),
+    # or the point's own V or W, symmetric since it was built
+    assert square(lambda: in_hull(point, pair)) == 0
+    assert square(lambda: in_hull_rint(point, pair)) == 0
+    assert square(lambda: in_hull_aff(point, pair)) == 0
+    assert square(lambda: in_normal_cone(dual, sub.point, pair)) == 0
+    assert square(lambda: in_subdifferential(sub.point, dual, pair)) == 0
     assert square(lambda: in_hull_horizon(horizon, pair)) == 0
     assert square(lambda: eval_support(dual, pair).finite) == 0
     assert square(lambda: in_domain(dual, pair)) == 0

@@ -21,7 +21,7 @@ from gmfrac import (
     sample_polar,
     symmetrize,
 )
-from gmfrac.linalg import _nonsingular
+from gmfrac.linalg import _psd_certified
 from helpers import gauge_instance, rand_zero_pair, scaled_point
 
 EPS = np.finfo(float).eps
@@ -243,18 +243,19 @@ def test_gauge_solve_and_eigen_paths_agree(monkeypatch):
     rng = np.random.default_rng(17)
     cases = list(_gauge_cases(rng))
     certified = []
-    original = gmfrac.gauges._nonsingular
+    original = gmfrac.cones._psd_certified
 
     def recorded(h, tol):
         certified.append(original(h, tol))
         return certified[-1]
 
-    monkeypatch.setattr(gmfrac.gauges, "_nonsingular", recorded)
+    monkeypatch.setattr(gmfrac.cones, "_psd_certified", recorded)
     by_solve = [eval_gauge(pt, pair) for pair, pt in cases]
-    monkeypatch.setattr(gmfrac.gauges, "_nonsingular", lambda h, tol: False)
+    monkeypatch.setattr(gmfrac.cones, "_psd_certified", lambda h, tol: (original(h, tol)[0], False))
     by_eigen = [eval_gauge(pt, pair) for pair, pt in cases]
     # every W here that passes the sign test has a nonsingular -C
-    assert certified and all(certified)
+    passed = [nonsingular for psd, nonsingular in certified if psd]
+    assert passed and all(passed)
     assert sum(res.finite for res in by_solve) >= len(cases) // 3
     for fast, ref in zip(by_solve, by_eigen):
         assert fast.finite == ref.finite
@@ -282,7 +283,7 @@ def test_gauge_on_ill_conditioned_w_matches_mpmath():
         lam = np.logspace(-8, 0, n)
         y = u[:, :3] @ rng.standard_normal((3, m)) + 1e-3 * rng.standard_normal((n, m))
         point = PrimalPoint(y, -(u * lam) @ u.T)
-        assert _nonsingular(-point.W, pair.tol)
+        assert _psd_certified(-point.W, pair.tol) == (True, True)
         res = eval_gauge(point, pair)
         assert res.finite
         with mpmath.workdps(60):

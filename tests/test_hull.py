@@ -24,8 +24,9 @@ from gmfrac import (
     pairing,
     sample_feasible,
     sample_polar,
+    symmetrize,
 )
-from gmfrac.hull import _runs
+from gmfrac.hull import _gap, _runs
 from helpers import (
     feasible_matrix,
     hull_member,
@@ -413,3 +414,41 @@ def test_witness_distance_allocates_no_component_sized_buffer():
     finally:
         tracemalloc.stop()
     assert peak < wit.components.nbytes / 4
+
+
+def _words(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_gap_is_bitwise_symmetric():
+    # _gap is never symmetrized: numpy forms Y @ Y.T by a symmetric rank-k
+    # update and mirrors it, and the point's W is symmetric since it was
+    # built.  Over shapes and 2^j scales it is symmetric bit for bit, and it
+    # equals the earlier symmetrize(1/2 Y Y^T + W) outside subnormal entries
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        n, m = int(rng.integers(1, 60)), int(rng.integers(1, 9))
+        j = int(rng.integers(-60, 61))
+        y = 2.0**j * rng.standard_normal((n, m))
+        w = 4.0**j * rng.standard_normal((n, n))
+        point = PrimalPoint(y, w)
+        for t in (1.0, 0.5, 0.0):
+            g = _gap(point, t)
+            assert np.array_equal(_words(g), _words(g.T))
+            old = symmetrize(0.5 * (point.Y @ point.Y.T) + t * point.W)
+            normal = np.abs(old) >= np.finfo(float).tiny
+            assert np.array_equal(_words(g)[normal], _words(old)[normal])
+
+
+def test_gap_is_one_n_by_n_buffer():
+    # Y @ Y.T is scaled and shifted in place: no second n-by-n temporary
+    rng = np.random.default_rng(42)
+    n, m = 120, 5
+    point = PrimalPoint(rng.standard_normal((n, m)), rng.standard_normal((n, n)))
+    tracemalloc.start()
+    try:
+        _gap(point)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8

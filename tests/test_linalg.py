@@ -508,8 +508,10 @@ def _is_reconstruction(node):
 def test_compression_and_reconstruction_have_one_home():
     # _compress is called only by the modules that own the subspace tests,
     # and the n-by-n support residual W - Q C Q^T is formed only in the one
-    # cones helper that orders the polar test
-    compressing, reconstructing = set(), set()
+    # cones helper that orders the polar test; the complement basis U is
+    # read only by the two residuals outside the subspace, _outside and
+    # that helper's support residual
+    compressing, reconstructing, complementing = set(), set(), set()
     for path in _package_files():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for func in ast.walk(tree):
@@ -522,5 +524,8 @@ def test_compression_and_reconstruction_have_one_home():
                     compressing.add(path.name)
                 if _is_reconstruction(node):
                     reconstructing.add((path.name, func.name))
+                if isinstance(node, ast.Attribute) and node.attr == "complement":
+                    complementing.add((path.name, func.name))
     assert compressing == {"cones.py", "support.py"}
     assert reconstructing == {("cones.py", "_polar_form")}
+    assert complementing == {("linalg.py", "_outside"), ("cones.py", "_polar_form")}
