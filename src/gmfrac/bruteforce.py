@@ -88,15 +88,22 @@ def support_lower_bound(dual, pair, sc, center=None, center_spread=1e-2):
     return float(_objective(dual, ys).max())
 
 
-def gauge_bisection(point, pair, membership, t_max=1e12, iters=100):
+# gauge_bisection's bracket: a gauge above _T_MAX reads as +inf, and the
+# bracket is halved _ITERS times
+_T_MAX = 1e12
+_ITERS = 100
+
+
+def gauge_bisection(point, pair, membership):
     """Gauge value by doubling bracket plus bisection over a membership test.
 
     ``membership(point, t, pair)`` must decide whether the point lies in
     ``t`` times the set; the scaled-membership predicate is passed in
     explicitly so this oracle stays independent of the closed-form gauge.
-    Returns ``math.inf`` if no membership is found by ``t_max``.  Bisection
-    is sound because the membership set in ``t`` is upward closed (the hull
-    is convex and contains the origin when ``B = 0``).
+    Returns ``math.inf`` if no membership is found by ``t = 1e12``, and
+    otherwise the upper end of a bracket halved 100 times.  Bisection is
+    sound because the membership set in ``t`` is upward closed (the hull is
+    convex and contains the origin when ``B = 0``).
     """
     if membership(point, 1.0, pair):
         lo, hi = 0.0, 1.0
@@ -104,12 +111,12 @@ def gauge_bisection(point, pair, membership, t_max=1e12, iters=100):
         hi = 1.0
         while True:
             hi *= 2.0
-            if hi > t_max:
+            if hi > _T_MAX:
                 return math.inf
             if membership(point, hi, pair):
                 lo = hi / 2.0
                 break
-    for _ in range(iters):
+    for _ in range(_ITERS):
         mid = 0.5 * (lo + hi)
         if membership(point, mid, pair):
             hi = mid

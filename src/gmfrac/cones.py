@@ -8,12 +8,14 @@ affine hull of the polar ``{W : rge W subset S}``, the relative interior of
 the polar, and a sampler of polar elements built from the generating set
 ``{-v v^T : v in S}``.  Every test reads the k-by-k compression
 ``Q^T W Q`` or the part of ``W`` outside S; none forms the n-by-n
-projector onto S.  The part outside S is read from the n-by-r basis ``U``
+projector onto S.  Both residuals outside S, ``linalg._outside`` for the
+affine hull and ``linalg._off_subspace`` for the polar cone, choose in
+:mod:`gmfrac.linalg` the basis they are read from: the n-by-r basis ``U``
 of the complement where the :class:`gmfrac.linalg.SubspaceBasis` stores
-it, which it does when ``r < k``, and from ``Q`` otherwise.  Each cone
-test is one sign test ``_psd`` of :mod:`gmfrac.linalg` on a k-by-k
-compression: a Cholesky factorization decides it outside a rounding band,
-and ``eigvalsh`` inside.
+it, which it does when ``r < k``, and ``Q`` otherwise.  Each cone test is
+one sign test ``_psd`` of :mod:`gmfrac.linalg` on a k-by-k compression: a
+Cholesky factorization decides it outside a rounding band, and
+``eigvalsh`` inside; on the zero subspace the empty spectrum passes it.
 
 A polar test is the AND of a sign test and a support test, and
 ``_polar_form`` takes them in order of cost, for every caller: the polar
@@ -23,14 +25,16 @@ it lies in the polar cone, and in its relative interior only on the zero
 subspace.  Otherwise the k-by-k sign test of ``-C`` runs first, and the
 support residual ``||W - Q C Q^T||_F`` only once it has passed: as
 ``hypot(||U^T W||_F, ||U^T W Q||_F)`` where ``U`` is stored, which forms no
-n-by-n matrix, and from the n-by-n ``W - Q C Q^T`` otherwise.  Both tests
-are pure predicates, so the order changes no answer.  With ``U`` stored the
-support residual is at least the aff residual ``||U^T W||_F``, read from
-the same product, so polar membership implies aff membership.  The hull
-witness and the gauge read the kept eigenpairs of the ``-C`` that passed
-from ``linalg._eig_kept``; the gauge takes its sign test from the rank
-certificate of ``-C``, whose one Cholesky decides both.  The thresholds are
-applied by the rules of :mod:`gmfrac.linalg`.
+n-by-n matrix, and from the n-by-n ``W - Q C Q^T`` otherwise, both by
+``linalg._off_subspace``.  Both tests are pure predicates, so the order
+changes no answer.  With ``U`` stored the support residual is at least the
+aff residual ``||U^T W||_F``, read from the same product, so polar
+membership implies aff membership.  The hull witness and the gauge read
+the kept eigenpairs of the ``-C`` that passed from ``linalg._eig_kept``;
+the gauge takes its sign test from the rank certificate of ``-C``, whose
+one Cholesky decides both.  The thresholds are applied by the rules of
+:mod:`gmfrac.linalg`, and ``_polar_form`` keeps only the order of the
+tests.
 
 The public tests take a raw matrix through one entry, ``_entry``, which
 rejects a non-finite matrix with ``ValueError`` and symmetrizes it once.
@@ -41,14 +45,12 @@ hull, normal-cone and gauge tests call them, and never the public tests,
 so no matrix is symmetrized twice.
 """
 
-import math
-
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
     _compress,
-    _norm,
+    _off_subspace,
     _outside,
     _psd,
     _psd_certified,
@@ -109,10 +111,9 @@ def _polar_form(W, subspace, tol, strict=False, rank=False):
     # also decides the sign test.  The tests run in order of cost: an
     # exactly zero W has C = 0 and needs no product; otherwise the k-by-k
     # sign test of -C runs first, and the support residual only once it has
-    # passed.  That residual is ||W - Q C Q^T||_F; where the subspace stores
-    # its complement U it is read as hypot(||U^T W||_F, ||U^T W Q||_F), the
-    # same norm since Q Q^T + U U^T = I, and no n-by-n matrix is formed.
-    # Only the k-by-k C is symmetrized, by _compress.
+    # passed.  That residual, of norm ||W - Q C Q^T||_F, is
+    # linalg._off_subspace's, which chooses the basis it is read from.  Only
+    # the k-by-k C is symmetrized, by _compress.
     zero = not W.any()
     if zero:
         neg = np.zeros((subspace.dim, subspace.dim))
@@ -122,16 +123,8 @@ def _polar_form(W, subspace, tol, strict=False, rank=False):
     psd, nonsingular = _psd_certified(neg, tol) if rank else (_psd(neg, tol, strict), None)
     if not psd:
         return None
-    if not zero:
-        q = subspace.basis
-        u = subspace.complement
-        if u is None:
-            resid = W - q @ c @ q.T
-        else:
-            out = u.T @ W
-            resid = math.hypot(_norm(out), _norm(out @ q))
-        if not _small(resid, W, tol):
-            return None
+    if not zero and not _small(_off_subspace(W, c, subspace), W, tol):
+        return None
     return (neg, nonsingular) if rank else neg
 
 

@@ -15,8 +15,9 @@ intersect rge W``, ``W`` in the polar cone.  Equivalently the value is
 ``-Y^T W^+ Y``; note the block of the inverse here, not the inverse of the
 block: compressing ``W`` itself to ``rge Y`` would drop the coupling
 between ``rge Y`` and the rest of the kernel and can understate the gauge.
-A missing nonzero singular value (``rank_tol`` decides "nonzero") means
-gauge zero, e.g. ``Y = 0`` with ``W`` in the polar cone.
+The reduced SVD of ``Y`` and its rank cut are ``linalg._svd_kept``'s, and a
+missing nonzero singular value (``rank_tol`` decides "nonzero") means gauge
+zero, e.g. ``Y = 0`` with ``W`` in the polar cone.
 
 The domain test is the polar-cone test on ``W``, the sign test of ``-C =
 -Q^T W Q`` that :func:`gmfrac.cones.in_polar_cone` takes.  On the polar
@@ -32,7 +33,8 @@ eigensolve.  Only a singular ``-C``, or one inside that certificate's
 rounding band, takes its kept eigenpairs from ``linalg._eig_kept``; an
 eigenvalue that is negative, which the sign test counted as zero, is never
 kept, so the gauge is finite only where :func:`gmfrac.hull.in_hull` can
-accept the point.  ``W`` is never factorized as an n-by-n matrix.
+accept the point.  ``W`` is never factorized as an n-by-n matrix, and this
+module applies no rank or sign rule of its own.
 """
 
 import math
@@ -41,9 +43,9 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import _eig_kept, _kept, _outside, _small, symmetrize
+from .linalg import _eig_kept, _outside, _small, _svd_kept, symmetrize
 from .cones import _in_polar, _polar_form
-from .support import PreconditionError, eval_support
+from .support import PreconditionError, _check_point, eval_support
 from .hull import _gap
 
 __all__ = [
@@ -54,13 +56,14 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class GaugeResult:
     """Gauge value with the spectral data that produced it.
 
     ``finite`` is the explicit +inf flag.  ``critical_matrix`` is the m-by-m
-    matrix ``-Y^+ W (Y^+)^T`` when it was formed, and ``sigma_min`` its
-    smallest nonzero singular value (``None`` encodes "no nonzero singular
+    matrix ``pinv(Y^T (-W)^+ Y)`` when it was formed, and ``sigma_min`` its
+    smallest nonzero singular value, ``1 / lambda_max(Y^T (-W)^+ Y)``, so
+    that ``value = 1/2 / sigma_min`` (``None`` encodes "no nonzero singular
     value", in which case the gauge is 0 by the ``1/inf = 0`` convention).
     """
 
@@ -92,11 +95,13 @@ def in_scaled_hull(point, t, pair):
     PreconditionError
         If the pair has ``B != 0``.
     ValueError
-        If ``t`` is negative or not finite.
+        If ``t`` is negative or not finite, or ``Y`` is not n-by-m for the
+        pair.
     """
     _require_homogeneous(pair)
     if not 0.0 <= t < math.inf:
         raise ValueError(f"scale t must be finite and nonnegative, got {t!r}")
+    _check_point(point, pair)
     if not _small(pair.A @ point.Y, 0.0, pair.tol):
         return False
     return _in_polar(_gap(point, t), pair.kernel, pair.tol)
@@ -121,6 +126,7 @@ def eval_gauge(point, pair):
         If the pair has ``B != 0``.
     """
     _require_homogeneous(pair)
+    _check_point(point, pair)
     tol = pair.tol
     Y = point.Y
     kernel = pair.kernel
@@ -141,9 +147,7 @@ def eval_gauge(point, pair):
         return GaugeResult.infinite()
     if _small(Y, 0.0, tol):
         return GaugeResult(finite=True, value=0.0)
-    u, s, vt = np.linalg.svd(Y, full_matrices=False)
-    rank = np.count_nonzero(_kept(s, tol))
-    ur, sr, vr = u[:, :rank], s[:rank], vt[:rank].T
+    ur, sr, vr = _svd_kept(Y, tol)
     # compressed form of Y^T (-W)^+ Y, PSD by construction; its top
     # eigenvalue decides the gauge
     if nonsingular:

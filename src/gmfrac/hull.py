@@ -30,7 +30,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, _eig_kept, _norm, _small, frobenius_inner
 from .cones import _in_aff_polar, _in_polar, _polar_form
-from .support import ConstraintPair, PreconditionError, _freeze_point, eval_support
+from .support import ConstraintPair, PreconditionError, _check_point, _freeze_point, eval_support
 
 __all__ = [
     "PrimalPoint",
@@ -49,14 +49,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimalPoint:
     """A point ``(Y, W)`` tested against the hull, normal cones, and gauges.
 
     The point is frozen: ``W`` is symmetrized once, on entry, and ``Y`` and
     ``W`` are stored as read-only copies that cannot be rebound, so a later
     change to the caller's arrays cannot change the point and every test may
-    read ``W`` as symmetric without symmetrizing it again.
+    read ``W`` as symmetric without symmetrizing it again.  Every operation
+    that takes the point with a :class:`gmfrac.support.ConstraintPair` first
+    checks that ``Y`` is n-by-m for it, and raises ``ValueError`` if not.
     """
 
     Y: np.ndarray
@@ -95,6 +97,10 @@ def _gap(point, t=1.0):
 
 
 def _feasible(point, pair):
+    # A Y = B, for a point checked against the pair first; the feasibility
+    # test is where the hull, witness, normal-cone and subdifferential tests
+    # check their primal point
+    _check_point(point, pair)
     return _small(pair.A @ point.Y - pair.B, pair.b_norm, pair.tol)
 
 
@@ -140,6 +146,7 @@ def in_hull_polar(dual, pair):
 
 def in_hull_horizon(point, pair):
     """Horizon (recession) cone membership: ``Y = 0`` and ``W`` in the polar cone."""
+    _check_point(point, pair)
     return _small(point.Y, 0.0, pair.tol) and _in_polar(point.W, pair.kernel, pair.tol)
 
 
@@ -160,7 +167,7 @@ def _runs(components):
     return np.concatenate(([0], np.flatnonzero(changed) + 1))
 
 
-@dataclass
+@dataclass(eq=False)
 class ConvexWitness:
     """An explicit convex combination of graph points near a hull point.
 
@@ -234,7 +241,8 @@ def caratheodory_witness(point, pair, epsilon):
     PreconditionError
         If the point is not in the hull.
     ValueError
-        If ``epsilon`` is out of range or the pair has no columns (m = 0).
+        If ``epsilon`` is out of range, the pair has no columns (m = 0), or
+        ``Y`` is not n-by-m for the pair.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")

@@ -3,10 +3,12 @@
 Every higher-level test in this package (cone membership, support-function
 domains, hull geometry, gauges) reduces to a k-by-k compression of a
 symmetric matrix onto a subspace (``_compress``), or the part of a matrix
-outside it (``_outside``), and a few rules applied to them.  A
+outside it (``_outside``, and ``_off_subspace`` for the polar test's
+support residual ``W - Q C Q^T``), and a few rules applied to them.  A
 :class:`SubspaceBasis` keeps the basis of the orthogonal complement only
 where it is the narrower basis, and the part outside the subspace is read
-from whichever basis has fewer columns.  All rank and membership decisions
+from whichever basis has fewer columns; only this module reads that
+complement or chooses between the bases.  All rank and membership decisions
 are governed by a single :class:`ToleranceConfig` and applied only here, by
 three private rules that every other module calls: ``_kept`` (the rank
 cutoff, at ``rank_tol``), ``_small`` (the residual test, at ``range_tol``)
@@ -22,9 +24,11 @@ threshold, and its answer is the one ``eigvalsh`` gives.  It is decided by
 a Cholesky factorization of the shifted matrix wherever Cholesky's rounding
 error provably cannot change that answer (``_above``), and by ``eigvalsh``
 only inside that band, so no module calls ``eigvalsh`` or ``cholesky`` but
-this one.  The reduced support solve reads its sign test and its rank
-cutoff from one such certificate (``_psd_nonsingular``), and the gauge
-reads its sign test and the same rank certificate from one Cholesky
+this one.  On the zero subspace (k = 0) the empty spectrum lies above every
+threshold, so ``_above`` accepts with no factorization, and no sign test or
+solve branches on k = 0.  The reduced support solve reads its sign test and
+its rank cutoff from one such certificate (``_psd_nonsingular``), and the
+gauge reads its sign test and the same rank certificate from one Cholesky
 (``_psd_certified``); where it holds, a pseudoinverse is an inverse, one LU
 solve.  Once a matrix has passed its sign test, ``_eig_kept`` gives the
 eigenpairs that ``_kept`` keeps, with the negative eigenvalues the sign
@@ -33,7 +37,9 @@ Hessian, the gauge's pseudoinverse of a singular ``-Q^T W Q`` and the hull
 witness read that one spectrum, and it is the package's only ``eigh``.
 ``ker A`` likewise has one body, ``_split``: one SVD of ``A`` and the rank
 cutoff, for both :class:`gmfrac.support.ConstraintPair` and
-:func:`kernel_basis`.
+:func:`kernel_basis`.  The gauge's rank of ``Y`` is ``_svd_kept``, a reduced
+SVD and the same cutoff; these two are the package's only ``svd``, and no
+other module calls ``_kept``.
 
 Symmetry is established once and never re-checked on the hot path.  The
 public cone tests symmetrize a raw matrix once, at entry; the points of
@@ -151,13 +157,14 @@ def _factors(m):
 
 
 def _above(h, t, reject, rel=0.0):
-    # A three-way Cholesky certificate on lambda_min of a symmetric k-by-k h,
-    # k >= 1, against the threshold T = t + rel * ||h||_F and the reject
-    # threshold R = reject <= T: True when cholesky(h - (T + d) I) succeeds,
-    # which proves eigvalsh(h)[0] > T; False when a diagonal entry of h is
-    # below R - d or cholesky(h - (R - d) I) fails, either of which proves
+    # A three-way Cholesky certificate on lambda_min of a symmetric k-by-k h
+    # against the threshold T = t + rel * ||h||_F and the reject threshold
+    # R = reject <= T: True when cholesky(h - (T + d) I) succeeds, which
+    # proves eigvalsh(h)[0] > T; False when a diagonal entry of h is below
+    # R - d or cholesky(h - (R - d) I) fails, either of which proves
     # eigvalsh(h)[0] < R; None otherwise, in the band where only eigvalsh
     # can decide.  An accept costs one factorization, a reject at most two.
+    # k = 0 is True with none: an empty spectrum lies above every threshold.
     # The half-width is d = 4 k (k+1) eps (||h||_F + |T| + tiny), for the
     # larger of |T| and |R| and the smallest normal number tiny.
     # With u = eps/2 and M = fl(h - s I), whose diagonal is at most
@@ -179,6 +186,8 @@ def _above(h, t, reject, rel=0.0):
     # scaled by an exact power of two, with thresholds beyond every
     # eigenvalue clamped first; the zero matrix has the exact spectrum 0.
     k = h.shape[0]
+    if k == 0:
+        return True
     tiny = _TINY
     # vdot, unlike norm and dot, raises no overflow warning
     sq = float(np.vdot(h, h))
@@ -216,8 +225,6 @@ def _psd(h, tol, strict=False):
     # > psd_tol when strict, as read from eigvalsh(h); vacuously true when
     # k = 0.  _above decides it by Cholesky outside its rounding band, and
     # eigvalsh decides inside it
-    if h.shape[0] == 0:
-        return True
     t = tol.psd_tol if strict else -tol.psd_tol
     ok = _above(h, t, t)
     if ok is None:
@@ -227,11 +234,12 @@ def _psd(h, tol, strict=False):
 
 
 def _psd_nonsingular(h, tol):
-    # (psd, nonsingular) for a symmetric k-by-k h, k >= 1: the sign test
+    # (psd, nonsingular) for a symmetric k-by-k h: the sign test
     # lambda_min(h) >= -psd_tol and "_kept keeps every eigenvalue", both as
-    # read from eigvalsh(h); nonsingular matters only when psd.  A Cholesky
-    # at rank_tol * ||h||_F, which is at least rank_tol * lambda_max,
-    # certifies both, and one at -psd_tol rejects; eigvalsh decides the rest
+    # read from eigvalsh(h) and both vacuously true when k = 0; nonsingular
+    # matters only when psd.  A Cholesky at rank_tol * ||h||_F, which is at
+    # least rank_tol * lambda_max, certifies both, and one at -psd_tol
+    # rejects; eigvalsh decides the rest
     ok = _above(h, 0.0, -tol.psd_tol, rel=tol.rank_tol)
     if ok is not None:
         return ok, ok
@@ -246,8 +254,6 @@ def _psd_certified(h, tol):
     # eigenvalue.  That one certificate decides both outside its rounding
     # band; inside it _psd decides the sign and nonsingular is False, with
     # no eigvalsh, so the caller takes _eig_kept
-    if h.shape[0] == 0:
-        return True, True
     ok = _above(h, 0.0, -tol.psd_tol, rel=tol.rank_tol)
     if ok is not None:
         return ok, ok
@@ -262,6 +268,15 @@ def _eig_kept(h, tol):
     w, u = np.linalg.eigh(h)
     keep = _kept(np.maximum(w, 0.0), tol)
     return w[keep], u[:, keep]
+
+
+def _svd_kept(a, tol):
+    # the factors (U_r, s_r, V_r) of the reduced SVD a = U S V^T that _kept
+    # keeps, s_r descending: the rank of the gauge's Y.  With _split's SVD of
+    # A, the package's only svd
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    r = np.count_nonzero(_kept(s, tol))
+    return u[:, :r], s[:r], vt[:r].T
 
 
 def symmetrize(S):
@@ -285,7 +300,7 @@ def frobenius_inner(A, B):
     return float(np.vdot(A, B))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """An orthonormal basis of a subspace of R^n, and of its complement.
 
@@ -373,3 +388,17 @@ def _outside(C, subspace):
         return u.T @ C
     q = subspace.basis
     return C - q @ (q.T @ C)
+
+
+def _off_subspace(W, c, subspace):
+    # the polar test's support residual of a symmetric W whose compression is
+    # c = sym(Q^T W Q), the part of W not of the form Q C Q^T: where the
+    # complement U is stored, hypot(||U^T W||_F, ||U^T W Q||_F), which forms
+    # no n-by-n matrix, and the n-by-n W - Q c Q^T otherwise; the two have one
+    # norm, since Q Q^T + U U^T = I, and _small reads either
+    u = subspace.complement
+    q = subspace.basis
+    if u is not None:
+        out = u.T @ W
+        return math.hypot(_norm(out), _norm(out @ q))
+    return W - q @ c @ q.T

@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import _norm, _small, frobenius_inner
 from .cones import _in_cone
-from .support import PreconditionError, eval_support, in_domain
+from .support import PreconditionError, _check_point, eval_support, in_domain
 from .hull import PrimalPoint, _gap, _in_hull, graph_point
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class SubgradientResult:
     """A constructed subgradient with its certificate.
 
@@ -56,6 +56,7 @@ def in_normal_cone(dual, base, pair):
     PreconditionError
         If ``base`` is not in the hull.
     """
+    _check_point(dual, pair)
     gap = _gap(base)
     if not _in_hull(base, gap, pair):
         raise PreconditionError("normal cone is only defined at hull points")

@@ -179,14 +179,16 @@ def _freeze_point(point):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualPoint:
     """A point ``(X, V)`` where the support function is evaluated.
 
     The point is frozen: ``V`` is symmetrized once, on entry, and ``X`` and
     ``V`` are stored as read-only copies that cannot be rebound, so a later
     change to the caller's arrays cannot change the point and every test may
-    read ``V`` as symmetric without symmetrizing it again.
+    read ``V`` as symmetric without symmetrizing it again.  Every operation
+    that takes the point with a :class:`ConstraintPair` first checks that
+    ``X`` is n-by-m for it, and raises ``ValueError`` if not.
     """
 
     X: np.ndarray
@@ -196,7 +198,7 @@ class DualPoint:
         _freeze_point(self)
 
 
-@dataclass
+@dataclass(eq=False)
 class SupportResult:
     """Value and certificates of one support-function evaluation.
 
@@ -217,10 +219,14 @@ class SupportResult:
 
 
 def _check_point(point, pair):
-    if point.X.shape != (pair.n, pair.m):
-        raise ValueError(
-            f"X must be {pair.n}x{pair.m} for this pair, got {point.X.shape}"
-        )
+    # a dual or primal point against its pair: the first field, X or Y, must
+    # be n-by-m, and the square one is then n-by-n, as _freeze_point matched
+    # their rows.  The field is named from the class's field dict, which,
+    # unlike dataclasses.fields, builds no tuple on this hot path
+    name = next(iter(point.__dataclass_fields__))
+    shape = getattr(point, name).shape
+    if shape != (pair.n, pair.m):
+        raise ValueError(f"{name} must be {pair.n}x{pair.m} for this pair, got {shape}")
 
 
 def _reduced_solve(point, pair, solve=True):
@@ -235,8 +241,6 @@ def _reduced_solve(point, pair, solve=True):
     _check_point(point, pair)
     tol = pair.tol
     kernel = pair.kernel
-    if kernel.dim == 0:
-        return np.zeros((0, pair.m))
     h = _compress(point.V, kernel)
     psd, nonsingular = _psd_nonsingular(h, tol)
     if not psd:

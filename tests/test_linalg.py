@@ -428,17 +428,22 @@ def test_sign_factorizations_are_called_only_in_linalg():
     assert callers == {"linalg.py"}
 
 
-def test_svd_is_called_only_in_linalg_and_gauges():
-    # ker A has one SVD path, shared by ConstraintPair and kernel_basis; the
-    # gauge takes the SVD of Y
-    callers = {
+def _callers(name):
+    # the package files that call a function or method of this name
+    return {
         path.name
         for path in _package_files()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "svd"
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
     }
-    assert callers == {"linalg.py", "gauges.py"}
+
+
+def test_svd_and_kept_are_called_only_in_linalg():
+    # ker A has one SVD path, shared by ConstraintPair and kernel_basis, and
+    # the gauge's rank of Y is linalg._svd_kept; every rank cutoff is _kept
+    assert _callers("svd") == {"linalg.py"}
+    assert _callers("_kept") == {"linalg.py"}
 
 
 def test_cli_reads_no_tolerance_and_imports_no_oracle():
@@ -507,10 +512,9 @@ def _is_reconstruction(node):
 
 def test_compression_and_reconstruction_have_one_home():
     # _compress is called only by the modules that own the subspace tests,
-    # and the n-by-n support residual W - Q C Q^T is formed only in the one
-    # cones helper that orders the polar test; the complement basis U is
-    # read only by the two residuals outside the subspace, _outside and
-    # that helper's support residual
+    # and the n-by-n support residual W - Q C Q^T is formed only in
+    # linalg._off_subspace; the complement basis U is read only by the two
+    # residuals outside the subspace, _outside and _off_subspace
     compressing, reconstructing, complementing = set(), set(), set()
     for path in _package_files():
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -527,5 +531,5 @@ def test_compression_and_reconstruction_have_one_home():
                 if isinstance(node, ast.Attribute) and node.attr == "complement":
                     complementing.add((path.name, func.name))
     assert compressing == {"cones.py", "support.py"}
-    assert reconstructing == {("cones.py", "_polar_form")}
-    assert complementing == {("linalg.py", "_outside"), ("cones.py", "_polar_form")}
+    assert reconstructing == {("linalg.py", "_off_subspace")}
+    assert complementing == {("linalg.py", "_outside"), ("linalg.py", "_off_subspace")}
