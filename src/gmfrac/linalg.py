@@ -35,11 +35,14 @@ eigenpairs that ``_kept`` keeps, with the negative eigenvalues the sign
 test counted as zero set to zero first; the support value on a singular
 Hessian, the gauge's pseudoinverse of a singular ``-Q^T W Q`` and the hull
 witness read that one spectrum, and it is the package's only ``eigh``.
-``ker A`` likewise has one body, ``_split``: one SVD of ``A`` and the rank
-cutoff, for both :class:`gmfrac.support.ConstraintPair` and
-:func:`kernel_basis`.  The gauge's rank of ``Y`` is ``_svd_kept``, a reduced
-SVD and the same cutoff; these two are the package's only ``svd``, and no
-other module calls ``_kept``.
+``ker A`` likewise has one body, ``_split``, for both
+:class:`gmfrac.support.ConstraintPair` and :func:`kernel_basis`.  Where one
+Cholesky factorization of ``A A^T`` certifies that the rank cutoff keeps
+every singular value of ``A`` (``_full_row_rank``, an accept of ``_above``),
+``ker A`` is the trailing block of one Householder QR of ``A^T``; everywhere
+else one SVD of ``A`` and the rank cutoff decide it.  The gauge's rank of
+``Y`` is ``_svd_kept``, a reduced SVD and the same cutoff.  No other module
+calls ``svd``, ``qr``, ``inv`` or ``_kept``.
 
 Symmetry is established once and never re-checked on the hot path.  The
 public cone tests symmetrize a raw matrix once, at entry; the points of
@@ -139,8 +142,9 @@ def _small(resid, ref, tol):
     return _norm(resid) <= tol.range_tol * max(1.0, _norm(ref))
 
 
+_EPS = np.finfo(float).eps
 # c * eps in the half-width of _above's band, with c = 4
-_BAND = 4.0 * np.finfo(float).eps
+_BAND = 4.0 * _EPS
 # the smallest normal number; eps times it is the spacing of subnormals
 _TINY = np.finfo(float).tiny
 # the range of ||h||_F^2 in which _above needs no rescaling
@@ -156,7 +160,7 @@ def _factors(m):
     return True
 
 
-def _above(h, t, reject, rel=0.0):
+def _above(h, t, reject=None, rel=0.0):
     # A three-way Cholesky certificate on lambda_min of a symmetric k-by-k h
     # against the threshold T = t + rel * ||h||_F and the reject threshold
     # R = reject <= T: True when cholesky(h - (T + d) I) succeeds, which
@@ -164,6 +168,8 @@ def _above(h, t, reject, rel=0.0):
     # R - d or cholesky(h - (R - d) I) fails, either of which proves
     # eigvalsh(h)[0] < R; None otherwise, in the band where only eigvalsh
     # can decide.  An accept costs one factorization, a reject at most two.
+    # With no reject threshold only the accept is tried: True, or a falsy
+    # value after at most that one factorization.
     # k = 0 is True with none: an empty spectrum lies above every threshold.
     # The half-width is d = 4 k (k+1) eps (||h||_F + |T| + tiny), for the
     # larger of |T| and |R| and the smallest normal number tiny.
@@ -188,6 +194,9 @@ def _above(h, t, reject, rel=0.0):
     k = h.shape[0]
     if k == 0:
         return True
+    accept_only = reject is None
+    if accept_only:
+        reject = t
     tiny = _TINY
     # vdot, unlike norm and dot, raises no overflow warning
     sq = float(np.vdot(h, h))
@@ -210,6 +219,8 @@ def _above(h, t, reject, rel=0.0):
     np.subtract(h.diagonal(), t + d, out=diag)
     if _factors(m):
         return True
+    if accept_only:
+        return None
     # lambda_min(h) <= min h_ii, so a diagonal entry below R - d proves the
     # reject with no second factorization: it makes a pivot of the shifted
     # matrix negative, and that Cholesky would fail
@@ -341,33 +352,60 @@ def kernel_basis(A, tol=DEFAULT_TOL):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-D constraint matrix, got shape {A.shape}")
-    return _split(A, tol)[0]
+    return _split(A, tol, range_factor=False)[0]
 
 
-def _split(A, tol):
-    # ker A and the range factors of a p-by-n float A, from its one SVD
-    # A = U S V^T: the kernel basis (the rows of V^T past the rank r that
-    # _kept decides), U_r, the r kept singular values and the rows V_r^T.
-    # The kernel basis carries V_r, the basis of rge A^T, as its complement
-    # when r < k = n - r, so that a residual outside ker A costs n^2 r, not
-    # 2 n^2 k.  p = 0 takes no SVD and has r = 0; a non-finite A raises
-    # ValueError
+def _full_row_rank(A, tol):
+    # whether one Cholesky certifies that _kept keeps every singular value of
+    # a p-by-n A with 1 <= p <= n.  A is first scaled by an exact power of two
+    # to max |a_ij| in [1/2, 1), so that h = A A^T neither over- nor
+    # underflows.  The computed h is off the exact one by at most
+    # gamma_n ||A||_F^2, about (n eps / 2) tr(h), in norm (Higham, Accuracy
+    # and Stability, 3.5), half the absolute term t = n eps tr(h); so
+    # _above's accept at t and rel = rank_tol proves sigma_min^2 >
+    # rank_tol ||A A^T||_F >= rank_tol sigma_max^2: every singular value
+    # exceeds rank_tol^(1/2) sigma_max, a factor rank_tol^(-1/2) above _kept's
+    # cutoff, far outside the rounding of any SVD, so no rank decision moves
+    a = np.ldexp(A, -math.frexp(float(np.abs(A).max()))[1])
+    h = a @ a.T
+    return _above(h, A.shape[1] * _EPS * float(np.trace(h)), rel=tol.rank_tol) is True
+
+
+def _split(A, tol, range_factor=True):
+    # ker A and the range factors of a p-by-n float A of rank r, as
+    # (kernel, V_r, G, U_r): the kernel basis, which carries V_r, the basis
+    # of rge A^T, as its complement when r < k = n - r, so that a residual
+    # outside ker A costs n^2 r, not 2 n^2 k; V_r; the p-by-r range factor G
+    # with A^+ = V_r G^T and (A^T)^+ = G G^T A; and U_r, the basis of rge A
+    # that the feasibility of A Y = B is tested against, or None where every
+    # B is feasible.  p = 0 takes no factorization and has r = 0.  Where
+    # _full_row_rank certifies r = p, ker A is the trailing n - p columns of
+    # one complete Householder QR A^T = Q R (Golub & Van Loan, Matrix
+    # Computations, 5.2), V_r its leading p, and G = R_p^-1, with
+    # G G^T = (A A^T)^-1; with range_factor off G is None and no inverse is
+    # formed.  Everywhere else (a zero row, rank deficiency, p > n, a cutoff
+    # in doubt) one full SVD A = U S V^T and _kept's cutoff decide r: the
+    # kernel basis is the rows of V^T past r and G = U_r S_r^-1.  A non-finite
+    # A raises ValueError
     if not np.isfinite(A).all():
         raise ValueError("A must have finite entries")
     p, n = A.shape
     if p == 0:
-        return (
-            SubspaceBasis(np.eye(n), np.zeros((n, 0)) if n else None),
-            np.zeros((0, 0)),
-            np.zeros(0),
-            np.zeros((0, n)),
-        )
+        kernel = SubspaceBasis(np.eye(n), np.zeros((n, 0)) if n else None)
+        return kernel, np.zeros((n, 0)), np.zeros((0, 0)), None
+    if p <= n and _full_row_rank(A, tol):
+        q, rf = np.linalg.qr(A.T, mode="complete")
+        vr = q[:, :p]
+        kernel = SubspaceBasis(q[:, p:].copy(), vr.copy() if p < n - p else None)
+        return kernel, vr, np.linalg.inv(rf[:p]) if range_factor else None, None
     u, s, vh = np.linalg.svd(A)
     r = np.count_nonzero(_kept(s, tol))
     # copies of what is kept, so that the full p-by-p and n-by-n factors are
-    # freed once the caller has used V_r^T
-    complement = vh[:r].T.copy() if r < n - r else None
-    return SubspaceBasis(vh[r:].T.copy(), complement), u[:, :r].copy(), s[:r].copy(), vh[:r]
+    # freed once the caller has used V_r
+    vr = vh[:r].T
+    ur = u[:, :r]
+    kernel = SubspaceBasis(vh[r:].T.copy(), vr.copy() if r < n - r else None)
+    return kernel, vr, ur / s[:r], ur
 
 
 def _compress(V, subspace):

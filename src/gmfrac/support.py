@@ -28,9 +28,10 @@ eigendecomposed, for the range test and the minimum-norm ``H^+ R``, and
 then its kept spectrum is the one ``linalg._eig_kept`` gives every caller:
 a negative eigenvalue that passed the sign test counts as zero.  The
 multiplier ``Z*`` is the minimum-norm solution of ``A^T Z = X - V Y*``.
-Both pieces of ``A`` this needs, ``Q`` and ``Y0``, come from the single SVD
-taken when the :class:`ConstraintPair` is built; ``M(V)`` itself is never
-formed.
+Both pieces of ``A`` this needs, ``Q`` and ``Y0``, come from the one
+factorization of ``A`` taken when the :class:`ConstraintPair` is built: a QR
+of ``A^T`` where ``A`` is certified to have full row rank, an SVD elsewhere;
+``M(V)`` itself is never formed.
 """
 
 from dataclasses import dataclass, fields
@@ -86,15 +87,18 @@ class ConstraintPair:
     Notes
     -----
     ``A`` and ``B`` are stored as read-only copies, so a later change to the
-    caller's arrays cannot leave the cached factorization stale.  One SVD of
-    ``A`` (none when ``p = 0``), taken by the same body as
-    :func:`gmfrac.linalg.kernel_basis`, gives its rank, the feasibility
-    test, the orthonormal kernel basis and the minimum-norm solution of
-    ``A Y = B``; these are computed once and cached, and all downstream
-    operations read them from here.  A non-finite ``A`` or ``B`` raises
-    ``ValueError``.  Of the range side of the SVD only ``U_r`` (p-by-r) and the
-    nonzero singular values are kept, enough for the minimum-norm solution
-    of ``A^T Z = C``, and ``V_r``, the basis of ``rge A^T``, is kept as the
+    caller's arrays cannot leave the cached factorization stale.  One
+    factorization of ``A`` (none when ``p = 0``), taken by the same body as
+    :func:`gmfrac.linalg.kernel_basis`, gives its rank, the orthonormal
+    kernel basis and the minimum-norm solution of ``A Y = B``: where one
+    Cholesky factorization of ``A A^T`` certifies full row rank, a QR of
+    ``A^T``, and every ``B`` is feasible; elsewhere an SVD of ``A``, whose
+    ``U_r`` decides the feasibility test.  These are computed once and
+    cached, and all downstream operations read them from here.  A
+    non-finite ``A`` or ``B`` raises ``ValueError``.  Of the range side only
+    the p-by-r range factor ``G`` is kept (``R^-1`` of the QR, ``U_r S_r^-1``
+    of the SVD), enough for the minimum-norm solution ``G G^T A C`` of
+    ``A^T Z = C``, and ``V_r``, the basis of ``rge A^T``, is kept as the
     kernel basis's complement when ``r < k``.  ``b_norm`` is ``||B||_F``,
     taken once here for every feasibility test that reads it.
     """
@@ -115,16 +119,15 @@ class ConstraintPair:
         self.A = A
         self.B = B
         self.tol = tol
-        self.kernel, ur, sr, vr = _split(A, tol)
+        self.kernel, vr, g, ur = _split(A, tol)
         self.b_norm = _norm(B)
-        if np.any(B):
+        if ur is not None and np.any(B):
             if not _small(B - ur @ (ur.T @ B), self.b_norm, tol):
                 raise InfeasiblePairError(
                     "rge B is not contained in rge A: the manifold {A Y = B} is empty"
                 )
-        self._min_norm = vr.T @ ((ur.T @ B) / sr[:, None])
-        self._range_basis = ur
-        self._range_sv = sr
+        self._min_norm = vr @ (g.T @ B)
+        self._range_factor = g
 
     @property
     def p(self):
@@ -145,9 +148,9 @@ class ConstraintPair:
 
     def _transpose_solve(self, C):
         # minimum-norm Z with A^T Z = C (least squares for C outside rge A^T):
-        # with A = U_r S_r V_r^T it is U_r S_r^-2 U_r^T A C
-        ur = self._range_basis
-        return ur @ ((ur.T @ (self.A @ C)) / (self._range_sv ** 2)[:, None])
+        # (A^T)^+ C = G G^T A C for the range factor G of linalg._split
+        g = self._range_factor
+        return g @ (g.T @ (self.A @ C))
 
     @property
     def homogeneous(self):

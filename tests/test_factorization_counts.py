@@ -2,7 +2,8 @@
 
 Every factorizing entry point of ``numpy.linalg`` is counted, linear solves
 included.  Each matrix object is factorized once: a ``ConstraintPair`` by
-one SVD of ``A``, a sign test away from its threshold by one Cholesky of a
+one QR of ``A^T`` where one Cholesky of ``A A^T`` certifies full row rank,
+else by one SVD of ``A``, a sign test away from its threshold by one Cholesky of a
 shifted k-by-k compression (two when it rejects, one where a diagonal entry
 already lies below the reject threshold).  ``eigvalsh`` decides only inside
 the Cholesky rounding band, as where the reduced Hessian ``H = Q^T V Q`` is
@@ -57,19 +58,35 @@ from test_null_space import singular_hessian_point
 
 
 @pytest.mark.parametrize("n, m, p", [(4, 3, 2), (50, 5, 20)])
-def test_pair_is_one_svd(counts, n, m, p):
+def test_pair_is_one_qr_where_certified_else_one_svd(counts, n, m, p):
     rng = np.random.default_rng(0)
     a = rng.standard_normal((p, n))
+    # full row rank, certified by one Cholesky of A A^T: one QR of A^T and
+    # the inverse of its triangular factor, with or without a right-hand side
+    certified = {"cholesky": 1, "qr": 1, "inv": 1}
     ConstraintPair(a, a @ rng.standard_normal((n, m)))
-    assert taken(counts) == {"svd": 1}
+    assert taken(counts) == certified
     ConstraintPair(a, np.zeros((p, m)))
-    assert taken(counts) == {"svd": 1}
+    assert taken(counts) == certified
+    # the certificate declines after its one Cholesky, and one SVD decides
+    declined = {"cholesky": 1, "svd": 1}
     low_rank = a[:1].repeat(p, axis=0)
     ConstraintPair(low_rank, low_rank @ rng.standard_normal((n, m)))
-    assert taken(counts) == {"svd": 1}
+    assert taken(counts) == declined
     with pytest.raises(InfeasiblePairError):
         ConstraintPair(low_rank, rng.standard_normal((p, m)))
+    assert taken(counts) == declined
+    zero_row = np.vstack([a[1:], np.zeros((1, n))])
+    ConstraintPair(zero_row, zero_row @ rng.standard_normal((n, m)))
+    assert taken(counts) == declined
+    # p > n and A = 0 take no certificate
+    tall = rng.standard_normal((n + 1, n))
+    ConstraintPair(tall, tall @ rng.standard_normal((n, m)))
     assert taken(counts) == {"svd": 1}
+    ConstraintPair(np.zeros((p, n)), np.zeros((p, m)))
+    assert taken(counts) == {"svd": 1}
+    ConstraintPair(np.zeros((0, n)), np.zeros((0, m)))
+    assert taken(counts) == {}
 
 
 def test_unconstrained_pair_needs_no_factorization(counts):

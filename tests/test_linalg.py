@@ -66,6 +66,28 @@ def test_symmetrize_does_not_overflow_on_finite_input():
         assert symmetrize(s).tobytes() == (0.5 * (s + s.T)).tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 3, 8, 200])
+def test_symmetrize_is_the_sum_of_the_rounded_halves(n):
+    # entry by entry 0.5 s_ij + 0.5 s_ji in IEEE double, bit for bit, and
+    # exactly symmetric: at the scale 1e300, where s_ij + s_ji may overflow,
+    # and on subnormal entries, whose halves round
+    rng = np.random.default_rng(31)
+    tiny = np.finfo(float).tiny
+    big = np.ldexp(rng.uniform(-1.0, 1.0, (n, n)), rng.integers(990, 1025, (n, n)))
+    sub = tiny * rng.uniform(-1.0, 1.0, (n, n))
+    sub[rng.random((n, n)) < 0.3] = 5e-324
+    for s in (big, sub, np.where(rng.random((n, n)) < 0.5, big, sub)):
+        h = symmetrize(s)
+        assert np.isfinite(h).all()
+        assert h.tobytes() == h.T.tobytes()
+        if n <= 8:
+            ref = [[0.5 * float(s[i, j]) + 0.5 * float(s[j, i]) for j in range(n)] for i in range(n)]
+        else:
+            ref = np.multiply(s.T, 0.5) + np.multiply(s, 0.5)
+        assert h.tobytes() == np.array(ref, dtype=float).tobytes()
+
+
 # sym_eig, sym_pinv and range_inclusion are the references of tests/helpers.py
 # that the saddle matrix closed form is computed with (test_null_space.py)
 
@@ -190,25 +212,26 @@ def test_kernel_basis_rejects_non_finite(bad):
         kernel_basis(np.array([[bad, 0.0, 0.0]]))
 
 
-def test_kernel_basis_is_the_pair_kernel(counts):
-    # one SVD path for ker A: the same bits as the pair's kernel, from one
-    # SVD (none when p = 0)
+def test_kernel_basis_is_the_pair_kernel_with_no_inverse(counts):
+    # one body for ker A: the same bits as the pair's kernel, from one QR
+    # where one Cholesky certifies full row rank and one SVD elsewhere (none
+    # when p = 0); kernel_basis forms no inverse of the QR's triangular factor
     rng = np.random.default_rng(30)
     a = rng.standard_normal((3, 6))
+    declined = {"cholesky": 1, "svd": 1}
     cases = [
-        np.zeros((0, 5)),
-        np.zeros((2, 4)),
-        np.vstack([a[:2], np.zeros((1, 6)), a[2:]]),
-        a[:1].repeat(3, axis=0),
-        a,
+        (np.zeros((0, 5)), {}, {}),
+        (np.zeros((2, 4)), {"svd": 1}, {"svd": 1}),
+        (np.vstack([a[:2], np.zeros((1, 6)), a[2:]]), declined, declined),
+        (a[:1].repeat(3, axis=0), declined, declined),
+        (a, {"cholesky": 1, "qr": 1}, {"cholesky": 1, "qr": 1, "inv": 1}),
     ]
-    for A in cases:
+    for A, alone, paired in cases:
         B = A @ rng.standard_normal((A.shape[1], 2))
-        one = {"svd": 1} if A.shape[0] else {}
         basis = kernel_basis(A).basis
-        assert taken(counts) == one
+        assert taken(counts) == alone
         pair_basis = ConstraintPair(A, B).kernel.basis
-        assert taken(counts) == one
+        assert taken(counts) == paired
         assert basis.shape == pair_basis.shape
         assert basis.tobytes() == pair_basis.tobytes()
 
@@ -440,10 +463,11 @@ def _callers(name):
 
 
 def test_svd_and_kept_are_called_only_in_linalg():
-    # ker A has one SVD path, shared by ConstraintPair and kernel_basis, and
-    # the gauge's rank of Y is linalg._svd_kept; every rank cutoff is _kept
-    assert _callers("svd") == {"linalg.py"}
-    assert _callers("_kept") == {"linalg.py"}
+    # ker A has one body, shared by ConstraintPair and kernel_basis, that
+    # takes its QR or its SVD and inverts the QR's triangular factor, and the
+    # gauge's rank of Y is linalg._svd_kept; every rank cutoff is _kept
+    for name in ("svd", "qr", "inv", "_kept"):
+        assert _callers(name) == {"linalg.py"}, name
 
 
 def test_cli_reads_no_tolerance_and_imports_no_oracle():
