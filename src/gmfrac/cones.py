@@ -14,8 +14,8 @@ affine hull and ``linalg._off_subspace`` for the polar cone, choose in
 of the complement where the :class:`gmfrac.linalg.SubspaceBasis` stores
 it, which it does when ``r < k``, and ``Q`` otherwise.  Each cone test is
 one sign test ``_psd`` of :mod:`gmfrac.linalg` on a k-by-k compression: a
-Cholesky factorization decides it outside a rounding band, and
-``eigvalsh`` inside; on the zero subspace the empty spectrum passes it.
+Cholesky factorization decides it outside a rounding band, and ``eigh``
+inside; on the zero subspace the empty spectrum passes it.
 
 A polar test is the AND of a sign test and a support test, and
 ``_polar_form`` takes them in order of cost, for every caller: the polar
@@ -29,10 +29,12 @@ n-by-n matrix, and from the n-by-n ``W - Q C Q^T`` otherwise, both by
 ``linalg._off_subspace``.  Both tests are pure predicates, so the order
 changes no answer.  With ``U`` stored the support residual is at least the
 aff residual ``||U^T W||_F``, read from the same product, so polar
-membership implies aff membership.  The hull witness and the gauge read
-the kept eigenpairs of the ``-C`` that passed from ``linalg._eig_kept``;
-the gauge takes its sign test from the rank certificate of ``-C``, whose
-one Cholesky decides both.  The thresholds are applied by the rules of
+membership implies aff membership.  The hull witness reads the kept
+eigenpairs of the ``-C`` that passed from ``linalg._eig_kept``; the gauge
+takes its sign test, its rank and its kept eigenpairs of ``-C`` from one
+call, ``linalg._psd_kept``, whose one Cholesky decides the first two
+outside its rounding band and whose one ``eigh`` decides all three inside
+it.  The thresholds are applied by the rules of
 :mod:`gmfrac.linalg`, and ``_polar_form`` keeps only the order of the
 tests.
 
@@ -53,7 +55,7 @@ from .linalg import (
     _off_subspace,
     _outside,
     _psd,
-    _psd_certified,
+    _psd_kept,
     _small,
     symmetrize,
 )
@@ -80,8 +82,8 @@ def _entry(M):
 def in_cone(V, subspace, tol=DEFAULT_TOL):
     """True iff ``u^T V u >= 0`` for all ``u`` in the subspace.
 
-    Tested as ``lambda_min(Q^T V Q) >= -psd_tol``, as read from ``eigvalsh``
-    and decided by a Cholesky factorization away from the threshold;
+    Tested as ``lambda_min(Q^T V Q) >= -psd_tol``, as read from ``eigh`` and
+    decided by a Cholesky factorization away from the threshold;
     vacuously true on the zero subspace.  Raises ``ValueError`` on a
     non-finite ``V``.
     """
@@ -106,12 +108,12 @@ def _in_cone(V, subspace, tol, strict=False):
 def _polar_form(W, subspace, tol, strict=False, rank=False):
     # -C for C = sym(Q^T W Q) if the symmetric W lies in the polar cone (in
     # its relative interior when strict), and None if it does not; with
-    # rank, the pair (-C, nonsingular) in place of -C, where nonsingular is
-    # linalg._psd_certified's rank certificate on -C, whose one Cholesky
-    # also decides the sign test.  The tests run in order of cost: an
-    # exactly zero W has C = 0 and needs no product; otherwise the k-by-k
-    # sign test of -C runs first, and the support residual only once it has
-    # passed.  That residual, of norm ||W - Q C Q^T||_F, is
+    # rank, the pair (-C, kept) in place of -C, where kept is
+    # linalg._psd_kept's: None where its one Cholesky certifies -C
+    # nonsingular, else the kept eigenpairs of the eigh that took the sign
+    # test.  The tests run in order of cost: an exactly zero W has C = 0 and
+    # needs no product; otherwise the k-by-k sign test of -C runs first, and
+    # the support residual only once it has passed.  That residual, of norm ||W - Q C Q^T||_F, is
     # linalg._off_subspace's, which chooses the basis it is read from.  Only
     # the k-by-k C is symmetrized, by _compress.
     zero = not W.any()
@@ -120,12 +122,12 @@ def _polar_form(W, subspace, tol, strict=False, rank=False):
     else:
         c = _compress(W, subspace)
         neg = -c
-    psd, nonsingular = _psd_certified(neg, tol) if rank else (_psd(neg, tol, strict), None)
+    psd, kept = _psd_kept(neg, tol) if rank else (_psd(neg, tol, strict), None)
     if not psd:
         return None
     if not zero and not _small(_off_subspace(W, c, subspace), W, tol):
         return None
-    return (neg, nonsingular) if rank else neg
+    return (neg, kept) if rank else neg
 
 
 def in_polar_cone(W, subspace, tol=DEFAULT_TOL):

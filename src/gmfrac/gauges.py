@@ -23,18 +23,19 @@ The domain test is the polar-cone test on ``W``, the sign test of ``-C =
 -Q^T W Q`` that :func:`gmfrac.cones.in_polar_cone` takes.  On the polar
 cone ``W = Q C Q^T``, so ``(-W)^+ = Q (-C)^+ Q^T``, and ``rge Y`` inside
 ``Q rge C`` is ``rge Y subset ker A intersect rge W``.  The gauge reads
-``(-C)^+`` the way the reduced support solve reads ``H^+``: where one
-Cholesky factorization certifies that the rank cutoff keeps every
-eigenvalue of ``-C`` (``linalg._psd_certified``, whose certificate also
-decides the sign test, so the polar test hands it back), ``Q rge C`` is
-``ker A``, the range test is the residual of ``Y`` outside ``ker A``
-(``linalg._outside``), and ``(-C)^+ = (-C)^-1`` is one LU solve, with no
-eigensolve.  Only a singular ``-C``, or one inside that certificate's
-rounding band, takes its kept eigenpairs from ``linalg._eig_kept``; an
-eigenvalue that is negative, which the sign test counted as zero, is never
-kept, so the gauge is finite only where :func:`gmfrac.hull.in_hull` can
-accept the point.  ``W`` is never factorized as an n-by-n matrix, and this
-module applies no rank or sign rule of its own.
+``(-C)^+`` the way the reduced support solve reads ``H^+``, from one call,
+``linalg._psd_kept``, that also takes the sign test, so the polar test hands
+its answer back: where one Cholesky factorization certifies that the rank
+cutoff keeps every eigenvalue of ``-C``, ``Q rge C`` is ``ker A``, the
+range test is the residual of ``Y`` outside ``ker A`` (``linalg._outside``),
+and ``(-C)^+ = (-C)^-1`` is one LU solve, with no eigensolve.  Inside that
+certificate's rounding band the one ``eigh`` that took the sign test gives
+the kept eigenpairs of ``-C``; an eigenvalue that is negative, which the
+sign test counted as zero, is never kept, so the gauge is finite only where
+:func:`gmfrac.hull.in_hull` can accept the point.  ``W`` is never
+factorized as an n-by-n matrix, and this module applies no rank or sign
+rule of its own.  :func:`in_scaled_hull` tests ``A Y = 0`` by the hull's
+own feasibility test, ``gmfrac.hull._feasible``.
 """
 
 import math
@@ -46,7 +47,7 @@ import numpy as np
 from .linalg import _eig_kept, _outside, _small, _svd_kept, symmetrize
 from .cones import _in_polar, _polar_form
 from .support import PreconditionError, _check_point, eval_support
-from .hull import _gap
+from .hull import _feasible, _gap
 
 __all__ = [
     "GaugeResult",
@@ -88,7 +89,9 @@ def in_scaled_hull(point, t, pair):
     The scaled set is ``{(Y, W) : A Y = 0 and 1/2 Y Y^T + t W in polar}``;
     the same formula is applied at ``t = 0``.  Membership is upward closed
     in ``t`` on ``(0, inf)`` because the hull is convex and contains the
-    origin.
+    origin.  The constraint is tested by the feasibility test of
+    :func:`gmfrac.hull.in_hull`, against the pair's ``B``, so at ``t = 1``
+    the two tests agree on every pair that passes the ``B = 0`` check.
 
     Raises
     ------
@@ -101,10 +104,7 @@ def in_scaled_hull(point, t, pair):
     _require_homogeneous(pair)
     if not 0.0 <= t < math.inf:
         raise ValueError(f"scale t must be finite and nonnegative, got {t!r}")
-    _check_point(point, pair)
-    if not _small(pair.A @ point.Y, 0.0, pair.tol):
-        return False
-    return _in_polar(_gap(point, t), pair.kernel, pair.tol)
+    return _feasible(point, pair) and _in_polar(_gap(point, t), pair.kernel, pair.tol)
 
 
 def eval_gauge(point, pair):
@@ -117,8 +117,8 @@ def eval_gauge(point, pair):
     numerically zero ``Y`` gives gauge 0.  A ``-C`` certified nonsingular
     by the one Cholesky factorization that passes its sign test takes one
     LU solve and no eigensolve of ``-C``: then ``Q rge C = ker A`` and
-    ``(-W)^+ = Q (-C)^-1 Q^T``.  Only a singular ``-C`` is eigendecomposed,
-    for its kept eigenpairs.
+    ``(-W)^+ = Q (-C)^-1 Q^T``.  Any other ``-C`` takes its kept eigenpairs
+    from the one ``eigh`` that decided its sign test.
 
     Raises
     ------
@@ -136,11 +136,11 @@ def eval_gauge(point, pair):
     # a certified nonsingular -C keeps every eigenvalue: Q rge C = ker A and
     # (-W)^+ = Q (-C)^-1 Q^T, with no eigensolve.  Otherwise the kept
     # eigenpairs of -C give Q rge C and (-W)^+ = Q (-C)^+ Q^T
-    neg, nonsingular = polar
-    if nonsingular:
+    neg, kept = polar
+    if kept is None:
         outside = _outside(Y, kernel)
     else:
-        lam_k, v = _eig_kept(neg, tol)
+        lam_k, v = kept
         vk = kernel.basis @ v
         outside = Y - vk @ (vk.T @ Y)
     if not _small(outside, Y, tol):
@@ -150,7 +150,7 @@ def eval_gauge(point, pair):
     ur, sr, vr = _svd_kept(Y, tol)
     # compressed form of Y^T (-W)^+ Y, PSD by construction; its top
     # eigenvalue decides the gauge
-    if nonsingular:
+    if kept is None:
         t = kernel.basis.T @ ur
         inner = t.T @ np.linalg.solve(neg, t)
     else:

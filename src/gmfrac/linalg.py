@@ -20,21 +20,24 @@ rule sets no floating-point error state on its common path and raises no
 warning under any.
 
 A sign test compares the smallest eigenvalue of a k-by-k compression with a
-threshold, and its answer is the one ``eigvalsh`` gives.  It is decided by
-a Cholesky factorization of the shifted matrix wherever Cholesky's rounding
-error provably cannot change that answer (``_above``), and by ``eigvalsh``
-only inside that band, so no module calls ``eigvalsh`` or ``cholesky`` but
-this one.  On the zero subspace (k = 0) the empty spectrum lies above every
+threshold, and its answer is the one ``eigh`` gives.  It is decided by a
+Cholesky factorization of the shifted matrix wherever Cholesky's rounding
+error provably cannot change that answer (``_above``), and by ``eigh`` only
+inside that band, so no module calls ``eigh`` or ``cholesky`` but this one.
+On the zero subspace (k = 0) the empty spectrum lies above every
 threshold, so ``_above`` accepts with no factorization, and no sign test or
-solve branches on k = 0.  The reduced support solve reads its sign test and
-its rank cutoff from one such certificate (``_psd_nonsingular``), and the
-gauge reads its sign test and the same rank certificate from one Cholesky
-(``_psd_certified``); where it holds, a pseudoinverse is an inverse, one LU
-solve.  Once a matrix has passed its sign test, ``_eig_kept`` gives the
-eigenpairs that ``_kept`` keeps, with the negative eigenvalues the sign
-test counted as zero set to zero first; the support value on a singular
-Hessian, the gauge's pseudoinverse of a singular ``-Q^T W Q`` and the hull
-witness read that one spectrum, and it is the package's only ``eigh``.
+solve branches on k = 0.  The reduced Hessian of the support solve and the
+gauge's ``-Q^T W Q`` take their sign test, their rank and their kept
+eigenpairs from one call, ``_psd_kept``: outside its rounding band one
+Cholesky certificate, shifted by the rank threshold, decides the sign and
+proves that the rank cutoff keeps every eigenvalue, so a pseudoinverse is
+an inverse, one LU solve; inside it one ``eigh`` decides all three.  The
+kept eigenpairs are those that ``_kept`` keeps once the negative
+eigenvalues, which the sign test counted as zero, are set to zero, and the
+hull witness and the gauge's reduced matrix read them from ``_eig_kept``
+by the same rule.  Every decision inside a band reads the one routine, so
+a cone test and the domain or gauge test of the same matrix never take a
+coin toss apart.
 ``ker A`` likewise has one body, ``_split``, for both
 :class:`gmfrac.support.ConstraintPair` and :func:`kernel_basis`.  Where one
 Cholesky factorization of ``A A^T`` certifies that the rank cutoff keeps
@@ -49,7 +52,8 @@ public cone tests symmetrize a raw matrix once, at entry; the points of
 :mod:`gmfrac.support` and :mod:`gmfrac.hull` are frozen and symmetrized once
 when built; the hull's gap matrix is symmetric by construction and never
 symmetrized; and the private kernels (``_compress``, ``_psd``,
-``_eig_kept``) take operands that are symmetric by construction.
+``_psd_kept``, ``_eig_kept``) take operands that are symmetric by
+construction.
 """
 
 import math
@@ -77,9 +81,9 @@ class ToleranceConfig:
     rank_tol : float
         Cutoff, relative to the largest magnitude, below which a value
         counts as zero; applied by ``_kept``.  It reads the singular values
-        of ``A`` and, through ``_eig_kept``, the eigenvalues of a k-by-k
-        compression that has passed its sign test, with its negative
-        eigenvalues counted as zero.
+        of ``A`` and, through ``_psd_kept`` and ``_eig_kept``, the
+        eigenvalues of a k-by-k compression that has passed its sign test,
+        with its negative eigenvalues counted as zero.
     psd_tol : float
         Absolute eigenvalue slack for semidefinite and strict-definite
         decisions; applied by ``_psd``.
@@ -164,10 +168,10 @@ def _above(h, t, reject=None, rel=0.0):
     # A three-way Cholesky certificate on lambda_min of a symmetric k-by-k h
     # against the threshold T = t + rel * ||h||_F and the reject threshold
     # R = reject <= T: True when cholesky(h - (T + d) I) succeeds, which
-    # proves eigvalsh(h)[0] > T; False when a diagonal entry of h is below
+    # proves eigh(h)[0][0] > T; False when a diagonal entry of h is below
     # R - d or cholesky(h - (R - d) I) fails, either of which proves
-    # eigvalsh(h)[0] < R; None otherwise, in the band where only eigvalsh
-    # can decide.  An accept costs one factorization, a reject at most two.
+    # eigh(h)[0][0] < R; None otherwise, in the band where only eigh can
+    # decide.  An accept costs one factorization, a reject at most two.
     # With no reject threshold only the accept is tried: True, or a falsy
     # value after at most that one factorization.
     # k = 0 is True with none: an empty spectrum lies above every threshold.
@@ -183,12 +187,13 @@ def _above(h, t, reject=None, rel=0.0):
     #   runs to completion once lambda_min(M) exceeds k gamma_{k+1} /
     #   (1 - k gamma_{k+1}) times M's largest diagonal entry, so a failure
     #   means lambda_min(M) <= k (k+1) u (||h||_F + |s|) (1 + O(k u));
-    # - eigvalsh is backward stable: each computed eigenvalue lies within
-    #   O(k) u ||h||_2 of the exact one (Weyl), and within the spacing
-    #   eps * tiny of subnormals, to which it rounds.
+    # - eigh is backward stable, with or without its eigenvectors: each
+    #   computed eigenvalue lies within O(k) u ||h||_2 of the exact one
+    #   (Weyl), and within the spacing eps * tiny of subnormals, to which
+    #   it rounds.
     # d is eight times either of the first two bounds, which leaves about
     # 7 k (k+1) u (||h||_F + tiny) for the third; a larger c costs only more
-    # eigvalsh calls.  An h whose ||h||_F^2 would overflow or underflow is
+    # eigh calls.  An h whose ||h||_F^2 would overflow or underflow is
     # scaled by an exact power of two, with thresholds beyond every
     # eigenvalue clamped first; the zero matrix has the exact spectrum 0.
     k = h.shape[0]
@@ -233,52 +238,45 @@ def _above(h, t, reject=None, rel=0.0):
 
 def _psd(h, tol, strict=False):
     # the sign test on a symmetric k-by-k h: lambda_min(h) >= -psd_tol, or
-    # > psd_tol when strict, as read from eigvalsh(h); vacuously true when
+    # > psd_tol when strict, as read from eigh(h); vacuously true when
     # k = 0.  _above decides it by Cholesky outside its rounding band, and
-    # eigvalsh decides inside it
+    # eigh decides inside it, the routine every other in-band decision reads
     t = tol.psd_tol if strict else -tol.psd_tol
     ok = _above(h, t, t)
     if ok is None:
-        w = np.linalg.eigvalsh(h)[0]
+        w = np.linalg.eigh(h)[0][0]
         ok = bool(w > t if strict else w >= t)
     return ok
 
 
-def _psd_nonsingular(h, tol):
-    # (psd, nonsingular) for a symmetric k-by-k h: the sign test
-    # lambda_min(h) >= -psd_tol and "_kept keeps every eigenvalue", both as
-    # read from eigvalsh(h) and both vacuously true when k = 0; nonsingular
-    # matters only when psd.  A Cholesky at rank_tol * ||h||_F, which is at
-    # least rank_tol * lambda_max, certifies both, and one at -psd_tol
-    # rejects; eigvalsh decides the rest
+def _psd_kept(h, tol):
+    # (psd, kept) for a symmetric k-by-k h: the sign test of _psd and the
+    # eigenpairs of h that _kept keeps, both vacuously decided when k = 0;
+    # kept matters only when psd.  A Cholesky at rank_tol * ||h||_F, which
+    # is at least rank_tol * lambda_max, certifies both psd and that _kept
+    # keeps every eigenvalue, and then kept is None: h^+ = h^-1, one LU
+    # solve.  One at -psd_tol rejects.  Inside that certificate's rounding
+    # band one eigh decides the sign and gives the kept eigenpairs, as
+    # _eig_kept does, with the negative eigenvalues counted as zero
     ok = _above(h, 0.0, -tol.psd_tol, rel=tol.rank_tol)
     if ok is not None:
-        return ok, ok
-    w = np.linalg.eigvalsh(h)
-    return bool(w[0] >= -tol.psd_tol), bool(_kept(w, tol).all())
+        return ok, None
+    w, u = np.linalg.eigh(h)
+    return bool(w[0] >= -tol.psd_tol), _pairs_kept(w, u, tol)
 
 
-def _psd_certified(h, tol):
-    # (psd, nonsingular) for a symmetric k-by-k h, both vacuously true when
-    # k = 0: the sign test of _psd, and whether _psd_nonsingular's Cholesky
-    # certificate, at rank_tol * ||h||_F, proves that _kept keeps every
-    # eigenvalue.  That one certificate decides both outside its rounding
-    # band; inside it _psd decides the sign and nonsingular is False, with
-    # no eigvalsh, so the caller takes _eig_kept
-    ok = _above(h, 0.0, -tol.psd_tol, rel=tol.rank_tol)
-    if ok is not None:
-        return ok, ok
-    return _psd(h, tol), False
+def _pairs_kept(w, u, tol):
+    # the eigenpairs (w, u) of eigh, ascending, that _kept keeps once the
+    # negative eigenvalues, which the sign test counted as zero, are set to
+    # zero; so each kept w > 0
+    keep = _kept(np.maximum(w, 0.0), tol)
+    return w[keep], u[:, keep]
 
 
 def _eig_kept(h, tol):
-    # the eigenpairs (w, u) of a symmetric k-by-k h that has passed its sign
-    # test, ascending, that _kept keeps once the negative eigenvalues, which
-    # that test counted as zero, are set to zero; so each kept w > 0.  The
-    # package's only eigh
-    w, u = np.linalg.eigh(h)
-    keep = _kept(np.maximum(w, 0.0), tol)
-    return w[keep], u[:, keep]
+    # the kept eigenpairs of a symmetric k-by-k h that has passed its sign
+    # test, for a caller that needs them whatever that test's certificate
+    return _pairs_kept(*np.linalg.eigh(h), tol)
 
 
 def _svd_kept(a, tol):

@@ -18,15 +18,16 @@ minimum-norm solution of ``A Y = B`` and ``Q`` an orthonormal basis of
 ``<R, G> - 1/2 <H, G G^T>`` with the k-by-k reduced Hessian ``H = Q^T V Q``
 and ``R = Q^T (X - V Y0)``.  The domain is ``H >= 0`` and ``rge R`` inside
 ``rge H``; the maximizer is ``Y* = Y0 + Q H^+ R``.  The sign test and the
-rank cutoff on ``H`` are those of :func:`gmfrac.cones.in_cone`: one Cholesky
-factorization of ``H`` shifted by the rank threshold certifies both away
-from their thresholds, and ``eigvalsh`` decides only inside Cholesky's
-rounding band.  The pseudoinverse matters only where ``H`` is singular: when
-the rank cutoff keeps every eigenvalue, ``R`` is in range and
-``H^+ R = H^-1 R`` is one LU solve.  Only a singular ``H`` is
-eigendecomposed, for the range test and the minimum-norm ``H^+ R``, and
-then its kept spectrum is the one ``linalg._eig_kept`` gives every caller:
-a negative eigenvalue that passed the sign test counts as zero.  The
+rank cutoff on ``H`` come from one call, ``linalg._psd_kept``, whose sign
+test is that of :func:`gmfrac.cones.in_cone`: one Cholesky factorization of
+``H`` shifted by the rank threshold certifies both away from their
+thresholds, and there ``R`` is in range and ``H^+ R = H^-1 R`` is one LU
+solve.  Inside Cholesky's rounding band one ``eigh`` of ``H`` decides the
+sign and gives the kept eigenpairs, for the range test and the
+minimum-norm ``H^+ R``: a negative eigenvalue that passed the sign test
+counts as zero, so a direction of ``H`` within ``psd_tol`` below zero
+makes the value ``+inf`` unless ``R``'s part along it passes the residual
+test.  The
 multiplier ``Z*`` is the minimum-norm solution of ``A^T Z = X - V Y*``.
 Both pieces of ``A`` this needs, ``Q`` and ``Y0``, come from the one
 factorization of ``A`` taken when the :class:`ConstraintPair` is built: a QR
@@ -42,9 +43,8 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     _compress,
-    _eig_kept,
     _norm,
-    _psd_nonsingular,
+    _psd_kept,
     _small,
     _split,
     frobenius_inner,
@@ -235,25 +235,26 @@ def _check_point(point, pair):
 def _reduced_solve(point, pair, solve=True):
     # G* = H^+ R for H = sym(Q^T V Q) and R = Q^T (X - V Y0), or None when
     # (X, V) is outside the domain.  The sign test and the rank cutoff are
-    # in_cone's decisions on the same H, from one Cholesky outside the
-    # rounding band and eigvalsh inside it.  When the rank cutoff keeps
-    # every eigenvalue, H is nonsingular, R lies in its range and
-    # G* = H^-1 R is one LU solve; with solve off that case returns True, as
-    # the domain test needs no G.  Only a singular H takes _eig_kept, for
-    # the range test and the minimum-norm H^+ R.
+    # in_cone's decisions on the same H, both from _psd_kept: one Cholesky
+    # outside the rounding band, one eigh inside it.  Where the Cholesky
+    # certifies that the rank cutoff keeps every eigenvalue, H is
+    # nonsingular, R lies in its range and G* = H^-1 R is one LU solve; with
+    # solve off that case returns True, as the domain test needs no G.
+    # Inside the band the kept eigenpairs give the range test and the
+    # minimum-norm H^+ R.
     _check_point(point, pair)
     tol = pair.tol
     kernel = pair.kernel
     h = _compress(point.V, kernel)
-    psd, nonsingular = _psd_nonsingular(h, tol)
+    psd, kept = _psd_kept(h, tol)
     if not psd:
         return None
-    if nonsingular and not solve:
+    if kept is None and not solve:
         return True
     r = kernel.basis.T @ (point.X - point.V @ pair.min_norm_solution)
-    if nonsingular:
+    if kept is None:
         return np.linalg.solve(h, r)
-    w, u = _eig_kept(h, tol)
+    w, u = kept
     coef = u.T @ r
     if not _small(r - u @ coef, r, tol):
         return None
@@ -267,17 +268,17 @@ def in_domain(point, pair):
     ``rge (X; B) subset rge M(V)``.  With ``H = Q^T V Q`` and
     ``R = Q^T (X - V Y0)`` this is tested as ``lambda_min(H) >= -psd_tol``,
     by the same sign test as :func:`gmfrac.cones.in_cone` (a Cholesky
-    factorization of ``H``, and ``eigvalsh`` within its rounding band), so
-    that sign test and ``in_cone`` agree on every ``V``.  When the rank
-    cutoff keeps every eigenvalue, which one Cholesky certifies for all but
-    nearly singular ``H``, ``H`` is nonsingular and that test decides;
-    otherwise one eigendecomposition of ``H`` tests that the residual of
-    ``R`` outside the eigenspace of ``H``'s kept eigenvalues is at most
-    ``range_tol * max(1, ||R||_F)``.  An eigenvalue is kept when it exceeds
-    ``rank_tol`` times the largest; a negative one that passed the sign
-    test is never kept.  This set is not closed: with
-    ``A = B = 0`` and ``X != 0``, every ``V = eta I`` with ``eta > 0`` is in
-    the domain but the limit ``V = 0`` is not.
+    factorization of ``H``, and ``eigh`` within its rounding band), so
+    that sign test and ``in_cone`` agree on every ``V``.  Where one
+    Cholesky certifies that the rank cutoff keeps every eigenvalue, as it
+    does for all but nearly singular ``H``, ``H`` is nonsingular and that
+    test decides; otherwise the same ``eigh`` of ``H`` that took the sign
+    test tests that the residual of ``R`` outside the eigenspace of ``H``'s
+    kept eigenvalues is at most ``range_tol * max(1, ||R||_F)``.  An
+    eigenvalue is kept when it exceeds ``rank_tol`` times the largest; a
+    negative one that passed the sign test is never kept.  This set is not
+    closed: with ``A = B = 0`` and ``X != 0``, every ``V = eta I`` with
+    ``eta > 0`` is in the domain but the limit ``V = 0`` is not.
     """
     return _reduced_solve(point, pair, solve=False) is not None
 
@@ -297,10 +298,10 @@ def eval_support(point, pair):
     domain is decided as in :func:`in_domain`.  When ``H`` is nonsingular,
     ``H^+ R = H^-1 R`` is one LU solve and ``(Y*, Z*)`` are the blocks of
     ``M(V)^+ (X; B)``.  A clearly nonsingular ``H`` costs one Cholesky
-    factorization and that solve.  Only a singular ``H`` inside the domain
-    takes the pseudoinverse, from its kept eigenpairs (see
-    :func:`in_domain`); there the maximizers form the
-    set ``Y* + Q ker H`` and ``Y*`` is the one of minimum norm.
+    factorization and that solve.  Any other ``H`` inside the domain takes
+    the pseudoinverse from the kept eigenpairs of its one ``eigh`` (see
+    :func:`in_domain`); where ``H`` is singular the maximizers form the set
+    ``Y* + Q ker H`` and ``Y*`` is the one of minimum norm.
     """
     g = _reduced_solve(point, pair)
     if g is None:

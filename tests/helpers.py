@@ -14,7 +14,7 @@ from gmfrac import (
     sample_polar,
     symmetrize,
 )
-from gmfrac.linalg import _compress, _kept, _norm, _psd, _psd_certified, _small
+from gmfrac.linalg import _compress, _kept, _norm, _psd, _psd_kept, _small
 
 
 def projector(subspace):
@@ -135,9 +135,9 @@ def residual_first_polar_form(W, subspace, tol, strict=False, rank=False):
     The n-by-n support residual ``W - Q C Q^T`` is formed for every ``W``,
     the zero matrix included, and the sign test of ``-C`` runs only once the
     residual has passed.  Returns ``-C`` or ``None`` as ``_polar_form``
-    does, and ``(-C, nonsingular)`` with ``rank``, the sign test then read
-    from the rank certificate; the equivalence tests swap it in as the
-    reference.
+    does, and ``(-C, kept)`` with ``rank``, the sign test then read from
+    ``linalg._psd_kept`` with the kept eigenpairs; the equivalence tests swap
+    it in as the reference.
     """
     q = subspace.basis
     c = _compress(W, subspace)
@@ -145,8 +145,8 @@ def residual_first_polar_form(W, subspace, tol, strict=False, rank=False):
         return None
     neg = -c
     if rank:
-        psd, nonsingular = _psd_certified(neg, tol)
-        return (neg, nonsingular) if psd else None
+        psd, kept = _psd_kept(neg, tol)
+        return (neg, kept) if psd else None
     return neg if _psd(neg, tol, strict) else None
 
 

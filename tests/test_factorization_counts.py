@@ -5,20 +5,23 @@ included.  Each matrix object is factorized once: a ``ConstraintPair`` by
 one QR of ``A^T`` where one Cholesky of ``A A^T`` certifies full row rank,
 else by one SVD of ``A``, a sign test away from its threshold by one Cholesky of a
 shifted k-by-k compression (two when it rejects, one where a diagonal entry
-already lies below the reject threshold).  ``eigvalsh`` decides only inside
+already lies below the reject threshold).  ``eigh`` decides only inside
 the Cholesky rounding band, as where the reduced Hessian ``H = Q^T V Q`` is
-singular.  A support solve adds one LU ``solve`` with ``H`` where ``H`` is
-nonsingular, and one ``eigh`` of ``H`` only where it is singular.  The
-gauge does the same with ``-C = -Q^T W Q``: the one Cholesky that passes
-its sign test certifies it nonsingular and ``(-W)^+`` is one LU ``solve``;
-only a singular ``-C`` is eigendecomposed, and the reduced matrix takes one
-``eigh`` on either path.
-The witness adds one ``eigh`` after its sign test has
-passed.  The names of the tests that say ``eigvalsh`` predate the
-Cholesky sign test; each pin below is the count.  Subspace tests read the
-kernel basis ``Q`` and never factorize the n-by-n projector onto ``ker A``.
-In the same way each n-by-n matrix is symmetrized at most once: a point
-when it is built; a gap matrix is symmetric by construction and never is.
+singular, and there the same ``eigh`` gives the kept eigenpairs.  A support
+solve adds one LU ``solve`` with ``H`` where the Cholesky certifies ``H``
+nonsingular, and nothing where ``H`` is singular: the one ``eigh`` of
+``H`` decides its sign and rank and gives ``H^+``.  The gauge does the same
+with ``-C = -Q^T W Q``: the one Cholesky that passes its sign test
+certifies it nonsingular and ``(-W)^+`` is one LU ``solve``; a singular
+``-C`` takes its sign, rank and kept eigenpairs from one ``eigh``, and the
+reduced matrix takes one ``eigh`` on either path.
+The witness adds one ``eigh`` after its sign test has passed.  The names
+of the tests that say ``eigvalsh`` predate the Cholesky sign test and the
+move of every in-band decision to ``eigh``; each pin below is the count.
+Subspace tests read the kernel basis ``Q`` and never factorize the n-by-n
+projector onto ``ker A``.  In the same way each n-by-n matrix is
+symmetrized at most once: a point when it is built; a gap matrix is
+symmetric by construction and never is.
 """
 
 import sys
@@ -129,11 +132,12 @@ def test_singular_hessian_adds_one_eigh(counts, n, p):
     pair = ConstraintPair(a, a @ rng.standard_normal((n, 2)))
     point = singular_hessian_point(rng, pair, False)
     taken(counts)
-    # neither Cholesky certificate decides a singular H
+    # neither Cholesky certificate decides a singular H, and one eigh of H
+    # decides its sign and rank and gives H^+
     assert eval_support(point, pair).finite
-    assert taken(counts) == {"cholesky": 2, "eigvalsh": 1, "eigh": 1}
+    assert taken(counts) == {"cholesky": 2, "eigh": 1}
     assert in_domain(point, pair)
-    assert taken(counts) == {"cholesky": 2, "eigvalsh": 1, "eigh": 1}
+    assert taken(counts) == {"cholesky": 2, "eigh": 1}
 
 
 @pytest.mark.parametrize("n, m, p", [(4, 3, 2), (50, 5, 20), (6, 2, 0)])
@@ -186,9 +190,9 @@ def test_singular_gauge_keeps_the_eigh(counts, eigh_shapes, n, m, p):
     point = PrimalPoint(y, -(g @ g.T))
     taken(counts)
     # the certificate's accept and reject Cholesky both run, leaving the band:
-    # the kept eigenpairs of -C give (-W)^+
+    # one eigh of -C decides its sign and gives the kept eigenpairs of (-W)^+
     assert eval_gauge(point, pair).finite
-    assert taken(counts) == {"cholesky": 3, "svd": 1, "eigh": 2}
+    assert taken(counts) == {"cholesky": 2, "svd": 1, "eigh": 2}
     assert eigh_shapes[0] == (k, k)
 
 

@@ -21,7 +21,7 @@ from gmfrac import (
     sample_polar,
     symmetrize,
 )
-from gmfrac.linalg import _psd_certified
+from gmfrac.linalg import _eig_kept, _psd_kept
 from helpers import gauge_instance, rand_zero_pair, scaled_point
 
 EPS = np.finfo(float).eps
@@ -67,6 +67,28 @@ def test_scaled_membership_monotone_in_t():
         t0 = rng.uniform(0.1, 5.0)
         if in_scaled_hull(pt, t0, pair):
             assert in_scaled_hull(pt, 2 * t0, pair)
+
+
+def test_unit_scaled_hull_is_the_hull():
+    # in_scaled_hull tests A Y = B by the hull's own feasibility test, so at
+    # t = 1 it answers as in_hull: on B = 0 pairs, with points off ker A, off
+    # the polar cone and on both, and on a pair with 0 < ||B||_F <= range_tol,
+    # where A Y = B and A Y = 0 part at Y = (c, 1) for c between 1e-9 and
+    # 1.5e-9 or between -1e-9 and -5e-10
+    rng = np.random.default_rng(31)
+    cases = list(_gauge_cases(rng))
+    tiny = ConstraintPair([[1.0, 0.0]], [[5e-10]])
+    assert tiny.homogeneous
+    for c in (1.2e-9, -8e-10, 5e-10, 0.0, 3e-9):
+        y = np.array([[c], [1.0]])
+        # the gap 1/2 Y Y^T + W = -e2 e2^T lies in the polar cone of ker A
+        cases.append((tiny, PrimalPoint(y, -0.5 * (y @ y.T) - np.diag([0.0, 1.0]))))
+    seen = set()
+    for pair, pt in cases:
+        member = in_hull(pt, pair)
+        assert in_scaled_hull(pt, 1.0, pair) == member
+        seen.add(member)
+    assert seen == {True, False}
 
 
 def test_gauge_zero_point(pair_f1):
@@ -243,18 +265,20 @@ def test_gauge_solve_and_eigen_paths_agree(monkeypatch):
     rng = np.random.default_rng(17)
     cases = list(_gauge_cases(rng))
     certified = []
-    original = gmfrac.cones._psd_certified
+    original = gmfrac.cones._psd_kept
 
     def recorded(h, tol):
         certified.append(original(h, tol))
         return certified[-1]
 
-    monkeypatch.setattr(gmfrac.cones, "_psd_certified", recorded)
+    monkeypatch.setattr(gmfrac.cones, "_psd_kept", recorded)
     by_solve = [eval_gauge(pt, pair) for pair, pt in cases]
-    monkeypatch.setattr(gmfrac.cones, "_psd_certified", lambda h, tol: (original(h, tol)[0], False))
+    monkeypatch.setattr(
+        gmfrac.cones, "_psd_kept", lambda h, tol: (original(h, tol)[0], _eig_kept(h, tol))
+    )
     by_eigen = [eval_gauge(pt, pair) for pair, pt in cases]
-    # every W here that passes the sign test has a nonsingular -C
-    passed = [nonsingular for psd, nonsingular in certified if psd]
+    # every W here that passes the sign test has a -C certified nonsingular
+    passed = [kept is None for psd, kept in certified if psd]
     assert passed and all(passed)
     assert sum(res.finite for res in by_solve) >= len(cases) // 3
     for fast, ref in zip(by_solve, by_eigen):
@@ -283,7 +307,7 @@ def test_gauge_on_ill_conditioned_w_matches_mpmath():
         lam = np.logspace(-8, 0, n)
         y = u[:, :3] @ rng.standard_normal((3, m)) + 1e-3 * rng.standard_normal((n, m))
         point = PrimalPoint(y, -(u * lam) @ u.T)
-        assert _psd_certified(-point.W, pair.tol) == (True, True)
+        assert _psd_kept(-point.W, pair.tol) == (True, None)
         res = eval_gauge(point, pair)
         assert res.finite
         with mpmath.workdps(60):

@@ -439,16 +439,11 @@ def test_tolerance_config_has_one_field_per_rule():
 
 def test_sign_factorizations_are_called_only_in_linalg():
     # every sign decision is one predicate of linalg, and every kept spectrum
-    # is _eig_kept's: no other module calls eigvalsh, cholesky or eigh
-    callers = {
-        path.name
-        for path in _package_files()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", getattr(node.func, "id", None))
-        in ("eigvalsh", "cholesky", "eigh")
-    }
-    assert callers == {"linalg.py"}
+    # is _psd_kept's or _eig_kept's: no other module calls cholesky or eigh,
+    # and no module calls eigvalsh, so every decision inside a band reads eigh
+    for name in ("cholesky", "eigh"):
+        assert _callers(name) == {"linalg.py"}, name
+    assert _callers("eigvalsh") == set()
 
 
 def _callers(name):

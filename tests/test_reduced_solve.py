@@ -2,9 +2,11 @@
 
 ``eval_support`` and ``in_domain`` take the sign test and the rank cutoff
 of the reduced Hessian ``H = Q^T V Q`` from the rule ``in_cone`` uses: a
-Cholesky certificate away from the thresholds, and ``eigvalsh`` inside its
-rounding band.  They solve ``H G = R`` by one LU factorization when the
-rank cutoff keeps every eigenvalue.  Only a singular ``H`` takes ``eigh``.
+Cholesky certificate away from the thresholds, and ``eigh`` inside its
+rounding band.  They solve ``H G = R`` by one LU factorization where the
+certificate proves that the rank cutoff keeps every eigenvalue; inside the
+band the kept eigenpairs of that one ``eigh`` give ``H^+ R``, with a
+negative eigenvalue that passed the sign test counted as zero.
 These tests place ``H``'s smallest eigenvalue at the two thresholds that
 choose the branch, ``-psd_tol`` and ``rank_tol * max|lambda|``, and check
 the LU branch on ill-conditioned ``H`` against a 50-digit solve of the KKT
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from gmfrac import DEFAULT_TOL, ConstraintPair, DualPoint, eval_support, in_cone, in_domain
+from gmfrac.linalg import _compress, _kept, _small
 from helpers import taken
 
 EPS = np.finfo(float).eps
@@ -30,10 +33,26 @@ def pair_and_hessian(rng, n, m, p, lam):
     return pair, u, q @ ((u * lam) @ u.T) @ q.T
 
 
+def predicted_domain(point, pair):
+    """The documented domain rule, read from ``eigh(H)``: ``lambda_min(H) >=
+    -psd_tol``, and ``R`` inside the span of the eigenvectors whose
+    eigenvalues, the negative ones counted as zero, pass the rank cutoff."""
+    tol = pair.tol
+    q = pair.kernel.basis
+    w, u = np.linalg.eigh(_compress(point.V, pair.kernel))
+    if w[0] < -tol.psd_tol:
+        return False
+    uk = u[:, _kept(np.maximum(w, 0.0), tol)]
+    r = q.T @ (point.X - point.V @ pair.min_norm_solution)
+    return _small(r - uk @ (uk.T @ r), r, tol)
+
+
 def test_domain_sign_decision_is_in_cone():
-    # lambda_min(H) within a few ulps of -psd_tol, and X in range: eigh and
-    # eigvalsh round such a spectrum to either side of the threshold, so a
-    # sign test read from eigh disagrees with in_cone on some draws
+    # lambda_min(H) within a few ulps of -psd_tol, and X in range: eigh
+    # rounds such a spectrum to either side of the threshold, and the sign
+    # test of the domain must take each toss as in_cone does.  A negative
+    # lambda_min that passes counts as zero, so R's part along its
+    # eigenvector, about psd_tol times the draw, decides the range test
     rng = np.random.default_rng(41)
     seen = set()
     for _ in range(400):
@@ -56,9 +75,7 @@ def test_domain_sign_decision_is_in_cone():
         domain = in_domain(point, pair)
         assert eval_support(point, pair).finite == domain
         assert cone or not domain
-        if not singular:
-            # every |lambda| is at least psd_tol > rank_tol * max|lambda|
-            assert domain == cone
+        assert domain == predicted_domain(point, pair)
         seen.add(cone)
     assert seen == {True, False}
 
@@ -114,11 +131,12 @@ def test_ill_conditioned_hessian_matches_50_digits(counts):
 @pytest.mark.parametrize("n, m, p", [(4, 2, 0), (6, 2, 2), (9, 3, 4)])
 def test_rank_cutoff_chooses_the_branch(counts, n, m, p):
     # R along the eigenvector of an eigenvalue just above and just below
-    # rank_tol * max|lambda|: kept, H is nonsingular and G = H^-1 R is
-    # finite; cut, R lies outside the kept eigenspace and the value is +inf
+    # rank_tol * max|lambda|: kept, R lies in the kept eigenspace and
+    # G = H^+ R is finite; cut, R lies outside it and the value is +inf.
+    # Neither Cholesky certificate decides, and one eigh decides both
     rng = np.random.default_rng(43)
     k = n - p
-    for factor, finite, branch in ((1.001, True, "solve"), (0.999, False, "eigh")):
+    for factor, finite in ((1.001, True), (0.999, False)):
         lam = rng.uniform(1.0, 2.0, k)
         lam[0] = 2.0
         lam[-1] = factor * DEFAULT_TOL.rank_tol * lam.max()
@@ -130,24 +148,31 @@ def test_rank_cutoff_chooses_the_branch(counts, n, m, p):
         taken(counts)
         res = eval_support(point, pair)
         assert res.finite == finite
-        assert taken(counts) == {"cholesky": 2, "eigvalsh": 1, branch: 1}
+        assert taken(counts) == {"cholesky": 2, "eigh": 1}
         assert in_domain(point, pair) == finite
         if finite:
             g = q.T @ (res.maximizer - pair.min_norm_solution)
             assert np.linalg.norm(g) == pytest.approx(np.linalg.norm(s) / lam[-1], rel=1e-4)
 
 
-@pytest.mark.parametrize("column", [1, 2])
-def test_singular_branch_counts_a_passed_negative_eigenvalue_as_zero(column):
-    # p = 0 and V = diag(1, 0, -5e-10): the sign test passes within psd_tol
-    # and counts the third eigenvalue as zero, like the second, so X = e2
-    # and X = e3 both lie outside the kept range and the value is +inf at
-    # each.  A rank cutoff on |eigenvalue| kept -5e-10 and answered -1e9 at
-    # X = e3, below the value 0 of the feasible Y = 0
-    pair = ConstraintPair(np.zeros((0, 3)), np.zeros((0, 1)))
-    x = np.zeros((3, 1))
-    x[column] = 1.0
-    point = DualPoint(x, np.diag([1.0, 0.0, -5e-10]))
+@pytest.mark.parametrize(
+    "diagonal, x",
+    [
+        pytest.param([1.0, 0.0, -5e-10], [0.0, 1.0, 0.0], id="1"),
+        pytest.param([1.0, 0.0, -5e-10], [0.0, 0.0, 1.0], id="2"),
+        pytest.param([1.0, -5e-10], [1.0, 1.0], id="nonsingular"),
+    ],
+)
+def test_singular_branch_counts_a_passed_negative_eigenvalue_as_zero(diagonal, x):
+    # p = 0 and V = diag(1, 0, -5e-10), X = e2 or e3, or V = diag(1, -5e-10)
+    # and X = (1, 1): the sign test passes within psd_tol and counts -5e-10
+    # as zero, like the 0, so X lies outside the kept range and the value is
+    # +inf.  A rank cutoff on |eigenvalue| kept -5e-10: at X = e3 it answered
+    # -1e9, and on the 2-by-2 V, which it called nonsingular, -999999999.5,
+    # both below the value 0 of the feasible Y = 0
+    n = len(diagonal)
+    pair = ConstraintPair(np.zeros((0, n)), np.zeros((0, 1)))
+    point = DualPoint(np.array(x).reshape(n, 1), np.diag(diagonal))
     assert in_cone(point.V, pair.kernel)
-    assert not eval_support(point, pair).finite
-    assert not in_domain(point, pair)
+    assert eval_support(point, pair).finite is False
+    assert in_domain(point, pair) is False

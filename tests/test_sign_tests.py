@@ -1,15 +1,19 @@
-"""Cholesky-first sign tests decide exactly as the ``eigvalsh`` rules they replace.
+"""Cholesky-first sign tests decide exactly as the ``eigh`` rules they replace.
 
 Every sign test of :mod:`gmfrac.linalg` (``_psd``, strict and not, and the
-reduced solve's ``_psd_nonsingular``) is decided by a Cholesky
-certificate outside a rounding band around its threshold and by
-``eigvalsh`` inside it.  These tests plant the smallest eigenvalue at each
-threshold, a few ulps to either side, at scales from 2^-60 to 2^60 and near
-the ends of the floating-point range, and compare every answer with the
-rule read from ``eigvalsh`` of the same matrix.  They also pin the
+sign and rank of ``_psd_kept``, which the reduced solve and the gauge read)
+is decided by a Cholesky certificate outside a rounding band around its
+threshold and by ``eigh`` inside it.  These tests plant the smallest
+eigenvalue at each threshold, a few ulps to either side, at scales from
+2^-60 to 2^60 and near the ends of the floating-point range, and compare
+every answer with the rule read from ``eigh`` of the same matrix: the sign
+from its smallest eigenvalue, and the rank from the rank cutoff on its
+eigenvalues with the negative ones counted as zero.  They also pin the
 witness and the gauge to the hull's own polar test on exactly singular
-boundary points, where ``eigh`` and ``eigvalsh`` round a zero eigenvalue
-to opposite sides of ``psd_tol``.
+boundary points, where a zero eigenvalue rounds to either side of
+``psd_tol``.  The names that say ``eigvalsh`` predate the move of every
+in-band decision to ``eigh``; the rule each test compares with is the
+``eigh`` rule.
 """
 
 import numpy as np
@@ -28,23 +32,26 @@ from gmfrac import (
     in_polar_cone,
     in_rint_polar,
 )
-from gmfrac.linalg import _compress, _kept, _psd, _psd_nonsingular
+from gmfrac.linalg import _compress, _kept, _psd, _psd_kept
 from helpers import taken
 
 EPS = np.finfo(float).eps
 TOL = DEFAULT_TOL
 
 
-def eigvalsh_rules(h):
-    """The sign tests as read from ``eigvalsh(h)``: non-strict, strict, and
-    (psd, psd and nonsingular) of the reduced solve."""
-    w = np.linalg.eigvalsh(h)
+def eigh_rules(h):
+    """The sign tests as read from ``eigh(h)``: non-strict, strict, and
+    (psd, psd and nonsingular) of ``_psd_kept``, where the rank cutoff
+    counts a negative eigenvalue as zero."""
+    w = np.linalg.eigh(h)[0]
     psd = bool(w[0] >= -TOL.psd_tol)
-    return psd, bool(w[0] > TOL.psd_tol), (psd, psd and bool(_kept(w, TOL).all()))
+    nonsingular = bool(_kept(np.maximum(w, 0.0), TOL).all())
+    return psd, bool(w[0] > TOL.psd_tol), (psd, psd and nonsingular)
 
 
 def cholesky_rules(h):
-    psd, nonsingular = _psd_nonsingular(h, TOL)
+    psd, kept = _psd_kept(h, TOL)
+    nonsingular = kept is None or kept[0].size == h.shape[0]
     return _psd(h, TOL), _psd(h, TOL, strict=True), (psd, psd and nonsingular)
 
 
@@ -75,12 +82,12 @@ def test_cholesky_rules_decide_as_eigvalsh(exponent):
         k = int(rng.integers(1, 41))
         for low, rank in plantings(rng):
             h = planted(rng, k, scale, low, rank)
-            assert cholesky_rules(h) == eigvalsh_rules(h)
+            assert cholesky_rules(h) == eigh_rules(h)
 
 
 def test_public_predicates_decide_as_eigvalsh():
     # in_cone, in_int_cone and the polar tests, on compressions to a kernel
-    # of a random A, against the eigvalsh rule on the same compression
+    # of a random A, against the eigh rule on the same compression
     rng = np.random.default_rng(67)
     seen = set()
     for _ in range(120):
@@ -94,10 +101,10 @@ def test_public_predicates_decide_as_eigvalsh():
         h = planted(rng, k, scale, low, rank)
         v = kernel.basis @ h @ kernel.basis.T
         v = 0.5 * (v + v.T)
-        psd, strict, _ = eigvalsh_rules(_compress(v, kernel))
+        psd, strict, _ = eigh_rules(_compress(v, kernel))
         assert in_cone(v, kernel) == psd
         assert in_int_cone(v, kernel) == strict
-        neg, neg_strict, _ = eigvalsh_rules(-_compress(-v, kernel))
+        neg, neg_strict, _ = eigh_rules(-_compress(-v, kernel))
         assert in_polar_cone(-v, kernel) == neg
         assert in_rint_polar(-v, kernel) == neg_strict
         seen.add((psd, strict))
@@ -118,14 +125,14 @@ def test_clear_cases_take_no_eigvalsh(counts, exponent):
         outside = planted(rng, k, scale, -0.05 * scale)
         taken(counts)
         assert _psd(inside, TOL)
-        assert _psd_nonsingular(inside, TOL) == (True, True)
+        assert _psd_kept(inside, TOL) == (True, None)
         assert taken(counts) == {"cholesky": 2}
         assert _psd(inside, TOL, strict=True) == (exponent >= 0)
         assert not _psd(outside, TOL, strict=True)
         assert taken(counts) == {"cholesky": 2 if k == 1 or exponent < 0 else 3}
         if exponent >= 0:
             assert not _psd(outside, TOL)
-            assert _psd_nonsingular(outside, TOL) == (False, False)
+            assert _psd_kept(outside, TOL) == (False, None)
             assert taken(counts) == {"cholesky": 2 if k == 1 else 4}
 
 
@@ -134,7 +141,7 @@ def test_clear_cases_take_no_eigvalsh(counts, exponent):
 def test_extreme_scales_decide_as_eigvalsh(counts, exponent):
     # ||h||_F^2 underflows or overflows here, so the certificate rescales h
     # by a power of two; a spectrum far from every threshold still takes no
-    # eigvalsh (at 2^-1000 and below every eigenvalue is inside +-psd_tol)
+    # eigh (at 2^-1000 and below every eigenvalue is inside +-psd_tol)
     rng = np.random.default_rng(73)
     scale = 2.0 ** exponent
     for _ in range(20):
@@ -146,17 +153,17 @@ def test_extreme_scales_decide_as_eigvalsh(counts, exponent):
             taken(counts)
             got = cholesky_rules(h)
             if low == scale or low == -scale and exponent > 0:
-                assert "eigvalsh" not in taken(counts)
-            assert got == eigvalsh_rules(h)
+                assert "eigh" not in taken(counts)
+            assert got == eigh_rules(h)
 
 
 @pytest.mark.filterwarnings("error")
 def test_zero_matrix_decides_as_eigvalsh(counts):
     for k in (1, 3, 12):
         zero = np.zeros((k, k))
-        assert cholesky_rules(zero) == eigvalsh_rules(zero) == (True, False, (True, False))
+        assert cholesky_rules(zero) == eigh_rules(zero) == (True, False, (True, False))
         taken(counts)
-        # the zero spectrum is exact: only the rank cutoff needs eigvalsh
+        # the zero spectrum is exact: only the rank cutoff needs eigh
         assert _psd(zero, TOL) and not _psd(zero, TOL, strict=True)
         assert taken(counts) == {}
 
