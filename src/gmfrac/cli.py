@@ -13,9 +13,9 @@ its report, and both the parser and the dispatch read that table.
 ``witness`` and ``verify`` take flags of their own; ``witness`` has its own
 body, and ``verify`` is one call of :func:`gmfrac.verify.verify_pair`, the
 library's oracle suite, and the one subcommand that takes ``--seed``.  The
-tolerance flags are read from the fields of :class:`ToleranceConfig`, and
-the point flags from the fields of :class:`DualPoint` and
-:class:`PrimalPoint`.
+point flags are read from the fields of :class:`DualPoint` and
+:class:`PrimalPoint`.  The thresholds of every decision are fixed in
+:mod:`gmfrac.linalg`, and no flag sets them.
 """
 
 import argparse
@@ -25,11 +25,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
-from .linalg import ToleranceConfig
 from .support import (
     ConstraintPair,
     DualPoint,
@@ -149,18 +148,14 @@ def _emit(report):
     print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
 
 
-def _tolerances(args):
-    return ToleranceConfig(**{f.name: getattr(args, f.name) for f in fields(ToleranceConfig)})
-
-
 def _read(args, name, inputs):
     M = read_matrix(getattr(args, name))
     inputs[name] = {"rows": M.shape[0], "cols": M.shape[1], "sha256": _digest(M)}
     return M
 
 
-def _load_pair(args, tol, inputs):
-    return ConstraintPair(_read(args, "A", inputs), _read(args, "B", inputs), tol=tol)
+def _load_pair(args, inputs):
+    return ConstraintPair(_read(args, "A", inputs), _read(args, "B", inputs))
 
 
 # The points a subcommand can read; each field of the class is one file flag.
@@ -283,8 +278,6 @@ def build_parser():
 
     def add(name, help_, points, run):
         p = sub.add_parser(name, help=help_)
-        for f in fields(ToleranceConfig):
-            p.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
         p.add_argument("--A", required=True, help="constraint matrix file (p x n)")
         p.add_argument("--B", required=True, help="right-hand side file (p x m)")
         for kind in points:
@@ -319,7 +312,7 @@ def main(argv=None):
     started = time.perf_counter()
     inputs = {}
     try:
-        pair = _load_pair(args, _tolerances(args), inputs)
+        pair = _load_pair(args, inputs)
         outputs = args.run(args, pair, inputs)
     except (InfeasiblePairError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -331,7 +324,6 @@ def main(argv=None):
     report = {
         "command": list(argv),
         "inputs": inputs,
-        "tolerances": asdict(pair.tol),
         "outputs": outputs,
         "wall_time_s": time.perf_counter() - started,
     }

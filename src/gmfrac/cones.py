@@ -39,7 +39,8 @@ it.  The thresholds are applied by the rules of
 tests.
 
 The public tests take a raw matrix through one entry, ``_entry``, which
-rejects a non-finite matrix with ``ValueError`` and symmetrizes it once.
+rejects with ``ValueError`` a matrix that is not n-by-n for the subspace
+or not finite, and symmetrizes it once.
 The private predicates ``_in_cone``, ``_in_polar``, ``_in_aff_polar`` and
 ``_polar_form`` take a matrix that is symmetric by construction (a point's
 ``V`` or ``W``, or a gap matrix, built symmetric bit for bit); the
@@ -50,7 +51,6 @@ so no matrix is symmetrized twice.
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
     _compress,
     _off_subspace,
     _outside,
@@ -70,42 +70,48 @@ __all__ = [
 ]
 
 
-def _entry(M):
-    # the raw matrix of a public test, rejected unless finite (a NaN would
-    # pass a Cholesky certificate) and symmetrized once
+def _entry(M, subspace):
+    # the raw matrix of a public test, rejected unless n-by-n for the
+    # subspace (the zero-W shortcut takes no product that would catch it)
+    # and finite (a NaN would pass a Cholesky certificate), and symmetrized
+    # once
     M = np.asarray(M, dtype=float)
+    n = subspace.dim_ambient
+    if M.shape != (n, n):
+        raise ValueError(f"matrix must be {n}x{n} for this subspace, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix must have finite entries")
     return symmetrize(M)
 
 
-def in_cone(V, subspace, tol=DEFAULT_TOL):
+def in_cone(V, subspace):
     """True iff ``u^T V u >= 0`` for all ``u`` in the subspace.
 
-    Tested as ``lambda_min(Q^T V Q) >= -psd_tol``, as read from ``eigh`` and
+    Tested as ``lambda_min(Q^T V Q) >= -1e-9``, as read from ``eigh`` and
     decided by a Cholesky factorization away from the threshold;
     vacuously true on the zero subspace.  Raises ``ValueError`` on a
-    non-finite ``V``.
+    non-finite ``V`` or one that is not n-by-n for the subspace.
     """
-    return _in_cone(_entry(V), subspace, tol)
+    return _in_cone(_entry(V, subspace), subspace)
 
 
-def in_int_cone(V, subspace, tol=DEFAULT_TOL):
+def in_int_cone(V, subspace):
     """True iff ``u^T V u > 0`` for all nonzero ``u`` in the subspace.
 
-    Tested as ``lambda_min(Q^T V Q) > psd_tol`` (stability under
+    Tested as ``lambda_min(Q^T V Q) > 1e-9`` (stability under
     perturbation of that size); vacuously true on the zero subspace.
-    Raises ``ValueError`` on a non-finite ``V``.
+    Raises ``ValueError`` on a non-finite ``V`` or one that is not n-by-n
+    for the subspace.
     """
-    return _in_cone(_entry(V), subspace, tol, strict=True)
+    return _in_cone(_entry(V, subspace), subspace, strict=True)
 
 
-def _in_cone(V, subspace, tol, strict=False):
+def _in_cone(V, subspace, strict=False):
     # cone membership of a symmetric V, of its interior when strict
-    return _psd(_compress(V, subspace), tol, strict)
+    return _psd(_compress(V, subspace), strict)
 
 
-def _polar_form(W, subspace, tol, strict=False, rank=False):
+def _polar_form(W, subspace, strict=False, rank=False):
     # -C for C = sym(Q^T W Q) if the symmetric W lies in the polar cone (in
     # its relative interior when strict), and None if it does not; with
     # rank, the pair (-C, kept) in place of -C, where kept is
@@ -122,63 +128,64 @@ def _polar_form(W, subspace, tol, strict=False, rank=False):
     else:
         c = _compress(W, subspace)
         neg = -c
-    psd, kept = _psd_kept(neg, tol) if rank else (_psd(neg, tol, strict), None)
+    psd, kept = _psd_kept(neg) if rank else (_psd(neg, strict), None)
     if not psd:
         return None
-    if not zero and not _small(_off_subspace(W, c, subspace), W, tol):
+    if not zero and not _small(_off_subspace(W, c, subspace), W):
         return None
     return (neg, kept) if rank else neg
 
 
-def in_polar_cone(W, subspace, tol=DEFAULT_TOL):
+def in_polar_cone(W, subspace):
     """Polar-cone membership: ``W = Q C Q^T`` and ``C <= 0`` for ``C = Q^T W Q``.
 
     The sign condition on the subspace must satisfy
-    ``lambda_max(C) <= psd_tol``; the support condition is tested as a
-    relative residual, ``||W - Q C Q^T||_F <= range_tol * max(1, ||W||_F)``,
+    ``lambda_max(C) <= 1e-9``; the support condition is tested as a
+    relative residual, ``||W - Q C Q^T||_F <= 1e-9 * max(1, ||W||_F)``,
     and only once the sign condition holds.  It is the condition
     ``rge W subset S`` of :func:`in_aff_polar` at the same threshold, on a
     residual at least as large, so every member lies in the affine hull.
     The zero matrix is a member and takes no product.  For the zero
     subspace the polar is ``{0}``.  Raises ``ValueError`` on a non-finite
-    ``W``.
+    ``W`` or one that is not n-by-n for the subspace.
     """
-    return _in_polar(_entry(W), subspace, tol)
+    return _in_polar(_entry(W, subspace), subspace)
 
 
-def _in_polar(W, subspace, tol, strict=False):
+def _in_polar(W, subspace, strict=False):
     # polar-cone membership of a symmetric W, of its relative interior when
     # strict
-    return _polar_form(W, subspace, tol, strict) is not None
+    return _polar_form(W, subspace, strict) is not None
 
 
-def in_aff_polar(W, subspace, tol=DEFAULT_TOL):
+def in_aff_polar(W, subspace):
     """Affine hull of the polar cone: ``rge W subset S`` (sign-free).
 
-    Tested as ``||W - Q Q^T W||_F <= range_tol * max(1, ||W||_F)``.  Raises
-    ``ValueError`` on a non-finite ``W``.
+    Tested as ``||W - Q Q^T W||_F <= 1e-9 * max(1, ||W||_F)``.  Raises
+    ``ValueError`` on a non-finite ``W`` or one that is not n-by-n for the
+    subspace.
     """
-    return _in_aff_polar(_entry(W), subspace, tol)
+    return _in_aff_polar(_entry(W, subspace), subspace)
 
 
-def _in_aff_polar(W, subspace, tol):
+def _in_aff_polar(W, subspace):
     # the test of in_aff_polar on a symmetric W
-    return _small(_outside(W, subspace), W, tol)
+    return _small(_outside(W, subspace), W)
 
 
-def in_rint_polar(W, subspace, tol=DEFAULT_TOL):
+def in_rint_polar(W, subspace):
     """Relative interior of the polar cone.
 
     For a nonzero subspace this means polar membership plus a strictly
-    negative form on the subspace (``lambda_max(Q^T W Q) < -psd_tol``), the
+    negative form on the subspace (``lambda_max(Q^T W Q) < -1e-9``), the
     sign test taken first and the support test only once it has passed; the
     zero matrix is not a member.  For the zero subspace the polar is ``{0}``
     and its relative interior is ``{0}`` as well: ``Q^T W Q`` is empty, so
     its spectrum passes the sign test vacuously and only the support test on
     ``W`` remains, and the zero matrix is a member.  Raises ``ValueError`` on
-    a non-finite ``W``.
+    a non-finite ``W`` or one that is not n-by-n for the subspace.
     """
-    return _in_polar(_entry(W), subspace, tol, strict=True)
+    return _in_polar(_entry(W, subspace), subspace, strict=True)
 
 
 def sample_polar(subspace, generators, rng, count=1):

@@ -16,8 +16,8 @@ intersect rge W``, ``W`` in the polar cone.  Equivalently the value is
 block: compressing ``W`` itself to ``rge Y`` would drop the coupling
 between ``rge Y`` and the rest of the kernel and can understate the gauge.
 The reduced SVD of ``Y`` and its rank cut are ``linalg._svd_kept``'s, and a
-missing nonzero singular value (``rank_tol`` decides "nonzero") means gauge
-zero, e.g. ``Y = 0`` with ``W`` in the polar cone.
+missing nonzero singular value (one above ``1e-10`` times the largest)
+means gauge zero, e.g. ``Y = 0`` with ``W`` in the polar cone.
 
 The domain test is the polar-cone test on ``W``, the sign test of ``-C =
 -Q^T W Q`` that :func:`gmfrac.cones.in_polar_cone` takes.  On the polar
@@ -34,8 +34,8 @@ the kept eigenpairs of ``-C``; an eigenvalue that is negative, which the
 sign test counted as zero, is never kept, so the gauge is finite only where
 :func:`gmfrac.hull.in_hull` can accept the point.  ``W`` is never
 factorized as an n-by-n matrix, and this module applies no rank or sign
-rule of its own.  :func:`in_scaled_hull` tests ``A Y = 0`` by the hull's
-own feasibility test, ``gmfrac.hull._feasible``.
+rule of its own.  :func:`in_scaled_hull` is the hull's own test,
+``gmfrac.hull._in_hull``, on the scaled gap ``1/2 Y Y^T + t W``.
 """
 
 import math
@@ -45,9 +45,9 @@ from typing import Optional
 import numpy as np
 
 from .linalg import _eig_kept, _outside, _small, _svd_kept, symmetrize
-from .cones import _in_polar, _polar_form
+from .cones import _polar_form
 from .support import PreconditionError, _check_point, eval_support
-from .hull import _feasible, _gap
+from .hull import _gap, _in_hull
 
 __all__ = [
     "GaugeResult",
@@ -89,9 +89,10 @@ def in_scaled_hull(point, t, pair):
     The scaled set is ``{(Y, W) : A Y = 0 and 1/2 Y Y^T + t W in polar}``;
     the same formula is applied at ``t = 0``.  Membership is upward closed
     in ``t`` on ``(0, inf)`` because the hull is convex and contains the
-    origin.  The constraint is tested by the feasibility test of
-    :func:`gmfrac.hull.in_hull`, against the pair's ``B``, so at ``t = 1``
-    the two tests agree on every pair that passes the ``B = 0`` check.
+    origin.  It is the test of :func:`gmfrac.hull.in_hull` with the gap
+    ``1/2 Y Y^T + t W`` in place of ``1/2 Y Y^T + W``, the constraint
+    tested against the pair's ``B``, so at ``t = 1`` the two tests agree on
+    every pair that passes the ``B = 0`` check.
 
     Raises
     ------
@@ -104,7 +105,7 @@ def in_scaled_hull(point, t, pair):
     _require_homogeneous(pair)
     if not 0.0 <= t < math.inf:
         raise ValueError(f"scale t must be finite and nonnegative, got {t!r}")
-    return _feasible(point, pair) and _in_polar(_gap(point, t), pair.kernel, pair.tol)
+    return _in_hull(point, _gap(point, t), pair)
 
 
 def eval_gauge(point, pair):
@@ -127,10 +128,9 @@ def eval_gauge(point, pair):
     """
     _require_homogeneous(pair)
     _check_point(point, pair)
-    tol = pair.tol
     Y = point.Y
     kernel = pair.kernel
-    polar = _polar_form(point.W, kernel, tol, rank=True)
+    polar = _polar_form(point.W, kernel, rank=True)
     if polar is None:
         return GaugeResult.infinite()
     # a certified nonsingular -C keeps every eigenvalue: Q rge C = ker A and
@@ -143,11 +143,11 @@ def eval_gauge(point, pair):
         lam_k, v = kept
         vk = kernel.basis @ v
         outside = Y - vk @ (vk.T @ Y)
-    if not _small(outside, Y, tol):
+    if not _small(outside, Y):
         return GaugeResult.infinite()
-    if _small(Y, 0.0, tol):
+    if _small(Y, 0.0):
         return GaugeResult(finite=True, value=0.0)
-    ur, sr, vr = _svd_kept(Y, tol)
+    ur, sr, vr = _svd_kept(Y)
     # compressed form of Y^T (-W)^+ Y, PSD by construction; its top
     # eigenvalue decides the gauge
     if kept is None:
@@ -157,7 +157,7 @@ def eval_gauge(point, pair):
         t = vk.T @ ur
         inner = (t.T / lam_k) @ t
     reduced = symmetrize(inner * np.outer(sr, sr))
-    lam, q = _eig_kept(reduced, tol)
+    lam, q = _eig_kept(reduced)
     if lam.size == 0:
         return GaugeResult(finite=True, value=0.0)
     top = float(lam[-1])

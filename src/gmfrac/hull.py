@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _eig_kept, _norm, _small, frobenius_inner
+from .linalg import _eig_kept, _norm, _small, frobenius_inner
 from .cones import _in_aff_polar, _in_polar, _polar_form
 from .support import ConstraintPair, PreconditionError, _check_point, _freeze_point, eval_support
 
@@ -82,7 +82,13 @@ def pairing(dual, primal):
 
 
 def distance(a, b):
-    """Distance ``sqrt(||Ya - Yb||_F^2 + ||Wa - Wb||_F^2)`` between points."""
+    """Distance ``sqrt(||Ya - Yb||_F^2 + ||Wa - Wb||_F^2)`` between points.
+
+    Raises ``ValueError`` unless the two ``Y`` have one shape, and so the two
+    ``W``, whose rows each point matched to its ``Y``'s.
+    """
+    if a.Y.shape != b.Y.shape:
+        raise ValueError(f"points of shapes {a.Y.shape} and {b.Y.shape} differ")
     return math.hypot(_norm(a.Y - b.Y), _norm(a.W - b.W))
 
 
@@ -101,12 +107,12 @@ def _feasible(point, pair):
     # test is where the hull, witness, normal-cone and subdifferential tests
     # check their primal point
     _check_point(point, pair)
-    return _small(pair.A @ point.Y - pair.B, pair.b_norm, pair.tol)
+    return _small(pair.A @ point.Y - pair.B, pair.b_norm)
 
 
 def _in_hull(point, gap, pair):
     # the test of in_hull, given the point's gap matrix
-    return _feasible(point, pair) and _in_polar(gap, pair.kernel, pair.tol)
+    return _feasible(point, pair) and _in_polar(gap, pair.kernel)
 
 
 def in_hull(point, pair):
@@ -116,15 +122,15 @@ def in_hull(point, pair):
 
 def in_hull_rint(point, pair):
     """Relative-interior membership: the gap matrix lies in rint of the polar."""
-    return _feasible(point, pair) and _in_polar(_gap(point), pair.kernel, pair.tol, strict=True)
+    return _feasible(point, pair) and _in_polar(_gap(point), pair.kernel, strict=True)
 
 
 def in_hull_aff(point, pair):
     """Affine-hull membership: ``A Y = B`` and ``rge(1/2 Y Y^T + W) subset ker A``."""
-    return _feasible(point, pair) and _in_aff_polar(_gap(point), pair.kernel, pair.tol)
+    return _feasible(point, pair) and _in_aff_polar(_gap(point), pair.kernel)
 
 
-def in_free_hull(point, strict=False, tol=DEFAULT_TOL):
+def in_free_hull(point, strict=False):
     """Membership for the unconstrained special case ``A = B = 0``.
 
     The hull of ``{(Y, -1/2 Y Y^T) : Y arbitrary}`` is
@@ -134,26 +140,26 @@ def in_free_hull(point, strict=False, tol=DEFAULT_TOL):
     the identity, so the compression of the gap matrix is the gap itself.
     """
     n, m = point.Y.shape
-    pair = ConstraintPair(np.zeros((0, n)), np.zeros((0, m)), tol=tol)
+    pair = ConstraintPair(np.zeros((0, n)), np.zeros((0, m)))
     return (in_hull_rint if strict else in_hull)(point, pair)
 
 
 def in_hull_polar(dual, pair):
     """Polar-set membership: support value at ``(X, V)`` finite and ``<= 1``."""
     res = eval_support(dual, pair)
-    return res.finite and _small(max(res.value - 1.0, 0.0), 0.0, pair.tol)
+    return res.finite and _small(max(res.value - 1.0, 0.0), 0.0)
 
 
 def in_hull_horizon(point, pair):
     """Horizon (recession) cone membership: ``Y = 0`` and ``W`` in the polar cone."""
     _check_point(point, pair)
-    return _small(point.Y, 0.0, pair.tol) and _in_polar(point.W, pair.kernel, pair.tol)
+    return _small(point.Y, 0.0) and _in_polar(point.W, pair.kernel)
 
 
 def in_hull_polar_horizon(dual, pair):
     """Horizon cone of the polar set: support value finite and ``<= 0``."""
     res = eval_support(dual, pair)
-    return res.finite and _small(max(res.value, 0.0), 0.0, pair.tol)
+    return res.finite and _small(max(res.value, 0.0), 0.0)
 
 
 def _runs(components):
@@ -216,7 +222,7 @@ def caratheodory_witness(point, pair, epsilon):
     in ``ker A``, from the eigendecomposition of the k-by-k matrix
     ``Q^T (-(1/2 Y Y^T + W)) Q``, taken once the sign test of that matrix,
     which decides hull membership, has passed (negative eigenvalues and
-    those at most ``rank_tol`` times the largest count as zero, and zero
+    those at most ``1e-10`` times the largest count as zero, and zero
     terms pad the list up to N), then forms components
 
         Y_1     = Z0 + (Y - Z0) / sqrt(1 - eps),
@@ -249,13 +255,13 @@ def caratheodory_witness(point, pair, epsilon):
     if pair.m == 0:
         raise ValueError("witness construction needs at least one column (m >= 1)")
     # the test of in_hull, then the kept eigenpairs of the matrix it passed
-    neg = _polar_form(_gap(point), pair.kernel, pair.tol) if _feasible(point, pair) else None
+    neg = _polar_form(_gap(point), pair.kernel) if _feasible(point, pair) else None
     if neg is None:
         raise PreconditionError("point is not in the hull; no witness exists")
 
     n, m = pair.n, pair.m
     count = n * (n + 1) // 2 + 1
-    w, u = _eig_kept(neg, pair.tol)
+    w, u = _eig_kept(neg)
     # the terms in descending order of mu
     mu = w[::-1]
     rank = mu.size

@@ -1,4 +1,4 @@
-"""Tolerance-governed dense symmetric linear algebra kernel.
+"""Threshold-governed dense symmetric linear algebra kernel.
 
 Every higher-level test in this package (cone membership, support-function
 domains, hull geometry, gauges) reduces to a k-by-k compression of a
@@ -9,12 +9,13 @@ support residual ``W - Q C Q^T``), and a few rules applied to them.  A
 where it is the narrower basis, and the part outside the subspace is read
 from whichever basis has fewer columns; only this module reads that
 complement or chooses between the bases.  All rank and membership decisions
-are governed by a single :class:`ToleranceConfig` and applied only here, by
-three private rules that every other module calls: ``_kept`` (the rank
-cutoff, at ``rank_tol``), ``_small`` (the residual test, at ``range_tol``)
-and ``_psd`` (the eigenvalue sign test, at ``psd_tol``).  No other module
-reads a tolerance field, so "zero", "inside", and "equal" mean the same
-thing in every module.  ``_small`` reads each norm from one dot product
+are governed by three fixed thresholds and applied only here, by three
+private rules that every other module calls: ``_kept`` (the rank cutoff,
+at ``_RANK_TOL = 1e-10`` relative to the largest magnitude), ``_small``
+(the residual test, at ``_RANGE_TOL = 1e-9`` relative) and ``_psd`` (the
+eigenvalue sign test, at ``_PSD_TOL = 1e-9`` absolute).  No other module
+reads a threshold, so "zero", "inside", and "equal" mean the same thing in
+every module.  ``_small`` reads each norm from one dot product
 (``_norm``), and only a sum that under- or overflows is rescaled, so the
 rule sets no floating-point error state on its common path and raises no
 warning under any.
@@ -57,14 +58,12 @@ construction.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOL",
     "SubspaceBasis",
     "symmetrize",
     "frobenius_inner",
@@ -72,51 +71,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical thresholds shared by all operations.
-
-    Attributes
-    ----------
-    rank_tol : float
-        Cutoff, relative to the largest magnitude, below which a value
-        counts as zero; applied by ``_kept``.  It reads the singular values
-        of ``A`` and, through ``_psd_kept`` and ``_eig_kept``, the
-        eigenvalues of a k-by-k compression that has passed its sign test,
-        with its negative eigenvalues counted as zero.
-    psd_tol : float
-        Absolute eigenvalue slack for semidefinite and strict-definite
-        decisions; applied by ``_psd``.
-    range_tol : float
-        Relative bound for every residual test, applied by ``_small``:
-        range inclusions, matrix equalities, the constraint residual
-        ``A Y - B``, complementarity, and the scalar tests on a norm or a
-        value.  One threshold, so that a condition stated twice, such as
-        ``W = Q C Q^T`` and ``rge W subset S`` for a symmetric ``W``, is
-        decided alike by every test that reads it.
-    """
-
-    rank_tol: float = 1e-10
-    psd_tol: float = 1e-9
-    range_tol: float = 1e-9
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(
-                    f"tolerance {f.name} must lie strictly in (0, 1), got {v!r}"
-                )
+# The thresholds of every decision in the package.  _RANK_TOL is _kept's
+# rank cutoff, relative to the largest magnitude (the singular values of A
+# and of Y, and the eigenvalues of a compression that has passed its sign
+# test, its negative ones counted as zero); _psd_kept and _full_row_rank
+# read it to certify that the cutoff keeps every value.  _PSD_TOL is the
+# absolute eigenvalue slack of the sign tests, _psd and _psd_kept.
+# _RANGE_TOL is _small's relative bound for every residual test, one
+# threshold so that a condition stated twice, such as W = Q C Q^T and
+# rge W subset S for a symmetric W, is decided alike by every test that
+# reads it.
+_RANK_TOL = 1e-10
+_PSD_TOL = 1e-9
+_RANGE_TOL = 1e-9
 
 
-DEFAULT_TOL = ToleranceConfig()
-
-
-def _kept(w, tol):
+def _kept(w):
     # the rank cutoff: which of the values w count as nonzero, those above
-    # rank_tol times the largest magnitude (none of an all-zero or empty w)
+    # _RANK_TOL times the largest magnitude (none of an all-zero or empty w)
     a = np.abs(w)
-    return a > tol.rank_tol * a.max(initial=0.0)
+    return a > _RANK_TOL * a.max(initial=0.0)
 
 
 def _norm(x):
@@ -139,11 +113,11 @@ def _norm(x):
     return r
 
 
-def _small(resid, ref, tol):
-    # the residual test ||resid|| <= range_tol * max(1, ||ref||), both norms
+def _small(resid, ref):
+    # the residual test ||resid|| <= _RANGE_TOL * max(1, ||ref||), both norms
     # by _norm; resid and ref may be arrays or scalars, and a scalar ref of 0
     # makes the test absolute
-    return _norm(resid) <= tol.range_tol * max(1.0, _norm(ref))
+    return _norm(resid) <= _RANGE_TOL * max(1.0, _norm(ref))
 
 
 _EPS = np.finfo(float).eps
@@ -236,12 +210,12 @@ def _above(h, t, reject=None, rel=0.0):
     return None if _factors(m) else False
 
 
-def _psd(h, tol, strict=False):
-    # the sign test on a symmetric k-by-k h: lambda_min(h) >= -psd_tol, or
-    # > psd_tol when strict, as read from eigh(h); vacuously true when
+def _psd(h, strict=False):
+    # the sign test on a symmetric k-by-k h: lambda_min(h) >= -_PSD_TOL, or
+    # > _PSD_TOL when strict, as read from eigh(h); vacuously true when
     # k = 0.  _above decides it by Cholesky outside its rounding band, and
     # eigh decides inside it, the routine every other in-band decision reads
-    t = tol.psd_tol if strict else -tol.psd_tol
+    t = _PSD_TOL if strict else -_PSD_TOL
     ok = _above(h, t, t)
     if ok is None:
         w = np.linalg.eigh(h)[0][0]
@@ -249,42 +223,42 @@ def _psd(h, tol, strict=False):
     return ok
 
 
-def _psd_kept(h, tol):
+def _psd_kept(h):
     # (psd, kept) for a symmetric k-by-k h: the sign test of _psd and the
     # eigenpairs of h that _kept keeps, both vacuously decided when k = 0;
-    # kept matters only when psd.  A Cholesky at rank_tol * ||h||_F, which
-    # is at least rank_tol * lambda_max, certifies both psd and that _kept
+    # kept matters only when psd.  A Cholesky at _RANK_TOL * ||h||_F, which
+    # is at least _RANK_TOL * lambda_max, certifies both psd and that _kept
     # keeps every eigenvalue, and then kept is None: h^+ = h^-1, one LU
-    # solve.  One at -psd_tol rejects.  Inside that certificate's rounding
+    # solve.  One at -_PSD_TOL rejects.  Inside that certificate's rounding
     # band one eigh decides the sign and gives the kept eigenpairs, as
     # _eig_kept does, with the negative eigenvalues counted as zero
-    ok = _above(h, 0.0, -tol.psd_tol, rel=tol.rank_tol)
+    ok = _above(h, 0.0, -_PSD_TOL, rel=_RANK_TOL)
     if ok is not None:
         return ok, None
     w, u = np.linalg.eigh(h)
-    return bool(w[0] >= -tol.psd_tol), _pairs_kept(w, u, tol)
+    return bool(w[0] >= -_PSD_TOL), _pairs_kept(w, u)
 
 
-def _pairs_kept(w, u, tol):
+def _pairs_kept(w, u):
     # the eigenpairs (w, u) of eigh, ascending, that _kept keeps once the
     # negative eigenvalues, which the sign test counted as zero, are set to
     # zero; so each kept w > 0
-    keep = _kept(np.maximum(w, 0.0), tol)
+    keep = _kept(np.maximum(w, 0.0))
     return w[keep], u[:, keep]
 
 
-def _eig_kept(h, tol):
+def _eig_kept(h):
     # the kept eigenpairs of a symmetric k-by-k h that has passed its sign
     # test, for a caller that needs them whatever that test's certificate
-    return _pairs_kept(*np.linalg.eigh(h), tol)
+    return _pairs_kept(*np.linalg.eigh(h))
 
 
-def _svd_kept(a, tol):
+def _svd_kept(a):
     # the factors (U_r, s_r, V_r) of the reduced SVD a = U S V^T that _kept
     # keeps, s_r descending: the rank of the gauge's Y.  With _split's SVD of
     # A, the package's only svd
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    r = np.count_nonzero(_kept(s, tol))
+    r = np.count_nonzero(_kept(s))
     return u[:, :r], s[:r], vt[:r].T
 
 
@@ -338,38 +312,38 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
 
-def kernel_basis(A, tol=DEFAULT_TOL):
+def kernel_basis(A):
     """Orthonormal basis of ``ker A = {u : A u = 0}``.
 
     ``A`` may have zero rows (no constraints), in which case the kernel is
-    all of R^n and the basis is the identity.  The rank of ``A`` is decided
-    by the relative singular-value cutoff ``rank_tol``.  This is the basis
+    all of R^n and the basis is the identity.  The rank of ``A`` counts the
+    singular values above ``1e-10`` times the largest.  This is the basis
     :class:`gmfrac.support.ConstraintPair` stores.  Raises ``ValueError`` on
     a non-finite ``A``.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-D constraint matrix, got shape {A.shape}")
-    return _split(A, tol, range_factor=False)[0]
+    return _split(A, range_factor=False)[0]
 
 
-def _full_row_rank(A, tol):
+def _full_row_rank(A):
     # whether one Cholesky certifies that _kept keeps every singular value of
     # a p-by-n A with 1 <= p <= n.  A is first scaled by an exact power of two
     # to max |a_ij| in [1/2, 1), so that h = A A^T neither over- nor
     # underflows.  The computed h is off the exact one by at most
     # gamma_n ||A||_F^2, about (n eps / 2) tr(h), in norm (Higham, Accuracy
     # and Stability, 3.5), half the absolute term t = n eps tr(h); so
-    # _above's accept at t and rel = rank_tol proves sigma_min^2 >
-    # rank_tol ||A A^T||_F >= rank_tol sigma_max^2: every singular value
-    # exceeds rank_tol^(1/2) sigma_max, a factor rank_tol^(-1/2) above _kept's
+    # _above's accept at t and rel = _RANK_TOL proves sigma_min^2 >
+    # _RANK_TOL ||A A^T||_F >= _RANK_TOL sigma_max^2: every singular value
+    # exceeds _RANK_TOL^(1/2) sigma_max, a factor _RANK_TOL^(-1/2) above _kept's
     # cutoff, far outside the rounding of any SVD, so no rank decision moves
     a = np.ldexp(A, -math.frexp(float(np.abs(A).max()))[1])
     h = a @ a.T
-    return _above(h, A.shape[1] * _EPS * float(np.trace(h)), rel=tol.rank_tol) is True
+    return _above(h, A.shape[1] * _EPS * float(np.trace(h)), rel=_RANK_TOL) is True
 
 
-def _split(A, tol, range_factor=True):
+def _split(A, range_factor=True):
     # ker A and the range factors of a p-by-n float A of rank r, as
     # (kernel, V_r, G, U_r): the kernel basis, which carries V_r, the basis
     # of rge A^T, as its complement when r < k = n - r, so that a residual
@@ -391,13 +365,13 @@ def _split(A, tol, range_factor=True):
     if p == 0:
         kernel = SubspaceBasis(np.eye(n), np.zeros((n, 0)) if n else None)
         return kernel, np.zeros((n, 0)), np.zeros((0, 0)), None
-    if p <= n and _full_row_rank(A, tol):
+    if p <= n and _full_row_rank(A):
         q, rf = np.linalg.qr(A.T, mode="complete")
         vr = q[:, :p]
         kernel = SubspaceBasis(q[:, p:].copy(), vr.copy() if p < n - p else None)
         return kernel, vr, np.linalg.inv(rf[:p]) if range_factor else None, None
     u, s, vh = np.linalg.svd(A)
-    r = np.count_nonzero(_kept(s, tol))
+    r = np.count_nonzero(_kept(s))
     # copies of what is kept, so that the full p-by-p and n-by-n factors are
     # freed once the caller has used V_r
     vr = vh[:r].T

@@ -46,8 +46,8 @@ def in_normal_cone(dual, base, pair):
 
     Checks the three conditions: ``V`` in the cone over ``ker A``,
     complementarity ``<V, 1/2 Y Y^T + W> = 0`` within
-    ``range_tol * max(1, ||V|| ||1/2 Y Y^T + W||)``, and
-    ``||Q^T (X - V Y)||_F <= range_tol * max(1, ||X - V Y||_F)`` (existence of
+    ``1e-9 * max(1, ||V|| ||1/2 Y Y^T + W||)``, and
+    ``||Q^T (X - V Y)||_F <= 1e-9 * max(1, ||X - V Y||_F)`` (existence of
     a multiplier ``Z`` with ``X - V Y = A^T Z``, since ``rge A^T`` is the
     orthogonal complement of ``ker A``).
 
@@ -60,7 +60,7 @@ def in_normal_cone(dual, base, pair):
     gap = _gap(base)
     if not _in_hull(base, gap, pair):
         raise PreconditionError("normal cone is only defined at hull points")
-    if not _in_cone(dual.V, pair.kernel, pair.tol):
+    if not _in_cone(dual.V, pair.kernel):
         return False
     return _normal_conditions(dual, base, gap, pair)
 
@@ -71,10 +71,10 @@ def _normal_conditions(dual, base, gap, pair):
     # cone test on V are known; ||Q^T R||_F = ||Q Q^T R||_F since Q has
     # orthonormal columns
     V = dual.V
-    if not _small(frobenius_inner(V, gap), _norm(V) * _norm(gap), pair.tol):
+    if not _small(frobenius_inner(V, gap), _norm(V) * _norm(gap)):
         return False
     resid = dual.X - V @ base.Y
-    return _small(pair.kernel.basis.T @ resid, resid, pair.tol)
+    return _small(pair.kernel.basis.T @ resid, resid)
 
 
 def canonical_subgradient(dual, pair):

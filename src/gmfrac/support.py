@@ -25,7 +25,7 @@ thresholds, and there ``R`` is in range and ``H^+ R = H^-1 R`` is one LU
 solve.  Inside Cholesky's rounding band one ``eigh`` of ``H`` decides the
 sign and gives the kept eigenpairs, for the range test and the
 minimum-norm ``H^+ R``: a negative eigenvalue that passed the sign test
-counts as zero, so a direction of ``H`` within ``psd_tol`` below zero
+counts as zero, so a direction of ``H`` within ``1e-9`` below zero
 makes the value ``+inf`` unless ``R``'s part along it passes the residual
 test.  The
 multiplier ``Z*`` is the minimum-norm solution of ``A^T Z = X - V Y*``.
@@ -41,7 +41,6 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
     _compress,
     _norm,
     _psd_kept,
@@ -80,9 +79,8 @@ class ConstraintPair:
         matrix with ``p >= 1`` is accepted and treated equivalently.
     B : array_like, shape (p, m)
         Right-hand side.  Must satisfy ``rge B subset rge A`` (checked at
-        construction within ``range_tol``), which is exactly feasibility of
-        the manifold.
-    tol : ToleranceConfig
+        construction by the residual test, relative bound ``1e-9``), which is
+        exactly feasibility of the manifold.
 
     Notes
     -----
@@ -103,7 +101,7 @@ class ConstraintPair:
     taken once here for every feasibility test that reads it.
     """
 
-    def __init__(self, A, B, tol=DEFAULT_TOL):
+    def __init__(self, A, B):
         A = np.array(A, dtype=float)
         B = np.array(B, dtype=float)
         if A.ndim != 2 or B.ndim != 2:
@@ -118,11 +116,10 @@ class ConstraintPair:
         B.setflags(write=False)
         self.A = A
         self.B = B
-        self.tol = tol
-        self.kernel, vr, g, ur = _split(A, tol)
+        self.kernel, vr, g, ur = _split(A)
         self.b_norm = _norm(B)
         if ur is not None and np.any(B):
-            if not _small(B - ur @ (ur.T @ B), self.b_norm, tol):
+            if not _small(B - ur @ (ur.T @ B), self.b_norm):
                 raise InfeasiblePairError(
                     "rge B is not contained in rge A: the manifold {A Y = B} is empty"
                 )
@@ -154,8 +151,8 @@ class ConstraintPair:
 
     @property
     def homogeneous(self):
-        """True iff ``||B||_F <= range_tol`` (gauge calculus applies)."""
-        return _small(self.b_norm, 0.0, self.tol)
+        """True iff ``||B||_F <= 1e-9`` (gauge calculus applies)."""
+        return _small(self.b_norm, 0.0)
 
     def __repr__(self):
         return f"ConstraintPair(p={self.p}, n={self.n}, m={self.m})"
@@ -243,10 +240,9 @@ def _reduced_solve(point, pair, solve=True):
     # Inside the band the kept eigenpairs give the range test and the
     # minimum-norm H^+ R.
     _check_point(point, pair)
-    tol = pair.tol
     kernel = pair.kernel
     h = _compress(point.V, kernel)
-    psd, kept = _psd_kept(h, tol)
+    psd, kept = _psd_kept(h)
     if not psd:
         return None
     if kept is None and not solve:
@@ -256,7 +252,7 @@ def _reduced_solve(point, pair, solve=True):
         return np.linalg.solve(h, r)
     w, u = kept
     coef = u.T @ r
-    if not _small(r - u @ coef, r, tol):
+    if not _small(r - u @ coef, r):
         return None
     return u @ (coef / w[:, None])
 
@@ -266,7 +262,7 @@ def in_domain(point, pair):
 
     True iff ``V`` lies in the cone of matrices PSD on ``ker A`` and
     ``rge (X; B) subset rge M(V)``.  With ``H = Q^T V Q`` and
-    ``R = Q^T (X - V Y0)`` this is tested as ``lambda_min(H) >= -psd_tol``,
+    ``R = Q^T (X - V Y0)`` this is tested as ``lambda_min(H) >= -1e-9``,
     by the same sign test as :func:`gmfrac.cones.in_cone` (a Cholesky
     factorization of ``H``, and ``eigh`` within its rounding band), so
     that sign test and ``in_cone`` agree on every ``V``.  Where one
@@ -274,8 +270,8 @@ def in_domain(point, pair):
     does for all but nearly singular ``H``, ``H`` is nonsingular and that
     test decides; otherwise the same ``eigh`` of ``H`` that took the sign
     test tests that the residual of ``R`` outside the eigenspace of ``H``'s
-    kept eigenvalues is at most ``range_tol * max(1, ||R||_F)``.  An
-    eigenvalue is kept when it exceeds ``rank_tol`` times the largest; a
+    kept eigenvalues is at most ``1e-9 * max(1, ||R||_F)``.  An
+    eigenvalue is kept when it exceeds ``1e-10`` times the largest; a
     negative one that passed the sign test is never kept.  This set is not
     closed: with ``A = B = 0`` and ``X != 0``, every ``V = eta I`` with
     ``eta > 0`` is in the domain but the limit ``V = 0`` is not.

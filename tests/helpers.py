@@ -6,7 +6,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from gmfrac import (
-    DEFAULT_TOL,
     ConstraintPair,
     DualPoint,
     PrimalPoint,
@@ -58,13 +57,11 @@ def rand_sym(rng, n, scale=1.0):
     return 0.5 * (g + g.T)
 
 
-def rand_pair(rng, n, m, p, tol=None):
+def rand_pair(rng, n, m, p):
     """A feasible random pair: B is constructed inside rge A."""
     a = rng.standard_normal((p, n)) if p else np.zeros((0, n))
     b = a @ rng.standard_normal((n, m)) if p else np.zeros((0, m))
-    if tol is None:
-        return ConstraintPair(a, b)
-    return ConstraintPair(a, b, tol=tol)
+    return ConstraintPair(a, b)
 
 
 def rand_zero_pair(rng, n, m, p):
@@ -129,7 +126,7 @@ def rint_member(rng, pair, margin=0.5):
     return PrimalPoint(y, -0.5 * (y @ y.T) - 0.5 * (neg + neg.T))
 
 
-def residual_first_polar_form(W, subspace, tol, strict=False, rank=False):
+def residual_first_polar_form(W, subspace, strict=False, rank=False):
     """``cones._polar_form`` with its two tests in the earlier order.
 
     The n-by-n support residual ``W - Q C Q^T`` is formed for every ``W``,
@@ -141,13 +138,13 @@ def residual_first_polar_form(W, subspace, tol, strict=False, rank=False):
     """
     q = subspace.basis
     c = _compress(W, subspace)
-    if not _small(W - q @ c @ q.T, W, tol):
+    if not _small(W - q @ c @ q.T, W):
         return None
     neg = -c
     if rank:
-        psd, kept = _psd_kept(neg, tol)
+        psd, kept = _psd_kept(neg)
         return (neg, kept) if psd else None
-    return neg if _psd(neg, tol, strict) else None
+    return neg if _psd(neg, strict) else None
 
 
 @dataclass(frozen=True)
@@ -167,10 +164,10 @@ def sym_eig(S):
     return SpectralData(eigenvalues=w[::-1].copy(), eigenvectors=q[:, ::-1].copy())
 
 
-def sym_pinv(M, tol=DEFAULT_TOL):
+def sym_pinv(M):
     """Moore-Penrose pseudoinverse of a symmetric matrix.
 
-    Eigenvalues with ``|lambda| <= rank_tol * max|lambda|`` are treated as
+    Eigenvalues with ``|lambda| <= 1e-10 * max|lambda|`` are treated as
     zero; the remaining spectrum is inverted.  The reference for the saddle
     matrix closed form ``M(V)^+``.
     """
@@ -178,14 +175,14 @@ def sym_pinv(M, tol=DEFAULT_TOL):
     w, q = sd.eigenvalues, sd.eigenvectors
     if w.size == 0:
         return np.zeros_like(np.asarray(M, float))
-    inv = np.divide(1.0, w, out=np.zeros_like(w), where=_kept(w, tol))
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=_kept(w))
     return symmetrize((q * inv) @ q.T)
 
 
-def range_inclusion(C, M, tol=DEFAULT_TOL):
+def range_inclusion(C, M):
     """Test ``rge C  subset  rge M`` for symmetric ``M``.
 
-    True iff ``||M M^+ C - C||_F <= range_tol * max(1, ||C||_F)``, where
+    True iff ``||M M^+ C - C||_F <= 1e-9 * max(1, ||C||_F)``, where
     ``M M^+`` is realized as the orthogonal projector onto the nonzero
     eigenspace of ``M``.  The reference for the saddle matrix domain test.
     """
@@ -198,8 +195,8 @@ def range_inclusion(C, M, tol=DEFAULT_TOL):
         raise ValueError(
             f"incompatible shapes: C has {C.shape[0]} rows, M is {q.shape[0]}x{q.shape[0]}"
         )
-    qk = q[:, _kept(w, tol)]
-    return _small(qk @ (qk.T @ C) - C, C, tol)
+    qk = q[:, _kept(w)]
+    return _small(qk @ (qk.T @ C) - C, C)
 
 
 def taken(tally):

@@ -2,7 +2,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from gmfrac import (
     DualPoint,
     PreconditionError,
     PrimalPoint,
-    ToleranceConfig,
     canonical_subgradient,
     caratheodory_witness,
     eval_gauge,
@@ -103,8 +102,8 @@ def test_support_f1(capsys, tmp_path, f1_files):
     assert rep["outputs"]["value"] == pytest.approx(0.5)
     assert rep["outputs"]["maximizer"] == [[0.0], [1.0]]
     assert set(rep["inputs"]) == {"A", "B", "X", "V"}
-    assert rep["tolerances"] == {"rank_tol": 1e-10, "psd_tol": 1e-9, "range_tol": 1e-9}
-    assert "seed" not in rep
+    # no tolerance is echoed, as none can be set, and no seed
+    assert set(rep) == {"command", "inputs", "outputs", "wall_time_s"}
 
 
 def test_support_infinite_serializes_inf(capsys, tmp_path):
@@ -527,31 +526,13 @@ def test_plain_subcommand_takes_exactly_the_files_its_call_reads(capsys, tmp_pat
     for i in range(1, len(full), 2):
         assert main(full[:i] + full[i + 2:]) == 2
         assert "required" in capsys.readouterr().err
-    # nor a seed, which only verify takes, nor a removed tolerance flag
+    # nor a seed, which only verify takes, nor a removed tolerance flag:
+    # every threshold is fixed
     extras = [f"--{name}" for name in sorted(set("XVYW") - set(flags))]
-    for flag in extras + ["--seed", "--eq-tol", "--feas-tol"]:
+    removed = ["--eq-tol", "--feas-tol", "--rank-tol", "--psd-tol", "--range-tol"]
+    for flag in extras + ["--seed"] + removed:
         assert main(full + [flag, path]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-
-def test_tolerance_flags_are_the_tolerance_config_fields(capsys, tmp_path, f1_files):
-    expected = {"--" + f.name.replace("_", "-"): f.default for f in fields(ToleranceConfig)}
-    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
-    assert len(subparsers.choices) == 15
-    for sub in subparsers.choices.values():
-        flags = {opt: a.default for a in sub._actions for opt in a.option_strings
-                 if opt.endswith("-tol")}
-        assert flags == expected
-    # each flag sets its own field
-    values = {f.name: 1e-4 * (i + 1) for i, f in enumerate(fields(ToleranceConfig))}
-    argv = ["domain", "--A", f1_files["A"], "--B", f1_files["B"],
-            "--X", mat_file(tmp_path, "X.txt", [[0.0], [1.0]]),
-            "--V", mat_file(tmp_path, "V.txt", np.eye(2))]
-    for name, value in values.items():
-        argv += ["--" + name.replace("_", "-"), repr(value)]
-    code, rep = run(capsys, argv)
-    assert code == 0
-    assert rep["tolerances"] == values
 
 
 def test_only_verify_takes_and_echoes_a_seed(capsys, f1_files):
@@ -561,7 +542,7 @@ def test_only_verify_takes_and_echoes_a_seed(capsys, f1_files):
     assert takers == {"verify"}
     plain = [opt for a in subparsers.choices["support"]._actions
              for opt in a.option_strings if opt not in ("-h", "--help", "--A", "--B", "--X", "--V")]
-    assert plain == ["--rank-tol", "--psd-tol", "--range-tol"]
+    assert plain == []
     argv = ["verify", "--A", f1_files["A"], "--B", f1_files["B"], "--trials", "5"]
     _, rep = run(capsys, argv + ["--seed", "7"])
     assert rep["seed"] == 7

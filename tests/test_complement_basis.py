@@ -58,7 +58,7 @@ def make_pair(rng, kind, n, m, homogeneous):
 
 def q_form(pair):
     """The same pair with the complement dropped, so every test reads ``Q``."""
-    twin = ConstraintPair(pair.A, pair.B, tol=pair.tol)
+    twin = ConstraintPair(pair.A, pair.B)
     twin.kernel = SubspaceBasis(pair.kernel.basis)
     return twin
 
@@ -107,7 +107,7 @@ def draws(count, seed):
         pair = make_pair(rng, kind, n, m, homogeneous=i % 2 == 0)
         k = pair.kernel.dim
         s = 2.0 ** int(rng.integers(-30, 31))
-        # off-kernel noise log-uniform across range_tol = 1e-9
+        # off-kernel noise log-uniform across _RANGE_TOL = 1e-9
         delta = 10.0 ** rng.uniform(-12.0, -7.0)
         W = off_kernel(rng, s * sample_polar(pair.kernel, int(rng.integers(1, k + 2)), rng)[0],
                        pair.kernel, delta)
@@ -186,8 +186,8 @@ def test_polar_support_residual_forms_no_n_by_n_matrix(monkeypatch):
     signed = []
     sign_test = gmfrac.cones._psd
 
-    def then_measure(h, tol, strict=False):
-        ok = sign_test(h, tol, strict)
+    def then_measure(h, strict=False):
+        ok = sign_test(h, strict)
         signed.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
         return ok
@@ -195,7 +195,7 @@ def test_polar_support_residual_forms_no_n_by_n_matrix(monkeypatch):
     monkeypatch.setattr(gmfrac.cones, "_psd", then_measure)
     tracemalloc.start()
     try:
-        assert _in_polar(gap, pair.kernel, pair.tol)
+        assert _in_polar(gap, pair.kernel)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

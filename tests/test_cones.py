@@ -195,3 +195,12 @@ def test_public_tests_reject_non_finite(test, bad):
         m[0, 2] = bad
         with pytest.raises(ValueError):
             test(m, subspace)
+
+
+@pytest.mark.parametrize("matrix", [np.zeros((2, 2)), -np.eye(2)], ids=["zero", "nonzero"])
+@pytest.mark.parametrize("test", [in_cone, in_int_cone, in_polar_cone, in_aff_polar, in_rint_polar])
+def test_public_tests_reject_a_matrix_of_the_wrong_size(test, matrix):
+    # a 2x2 matrix against a subspace of R^3: the zero matrix takes the
+    # polar tests' shortcut, which forms no product that would reject it
+    with pytest.raises(ValueError, match="3x3"):
+        test(matrix, kernel_basis([[1.0, 0.0, 0.0]]))

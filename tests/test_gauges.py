@@ -72,7 +72,7 @@ def test_scaled_membership_monotone_in_t():
 def test_unit_scaled_hull_is_the_hull():
     # in_scaled_hull tests A Y = B by the hull's own feasibility test, so at
     # t = 1 it answers as in_hull: on B = 0 pairs, with points off ker A, off
-    # the polar cone and on both, and on a pair with 0 < ||B||_F <= range_tol,
+    # the polar cone and on both, and on a pair with 0 < ||B||_F <= _RANGE_TOL,
     # where A Y = B and A Y = 0 part at Y = (c, 1) for c between 1e-9 and
     # 1.5e-9 or between -1e-9 and -5e-10
     rng = np.random.default_rng(31)
@@ -204,7 +204,7 @@ def test_gauge_zero_iff_polar_membership():
 
 
 # With p = 0 and Y = e2, -W has the eigenvalue -w22 along e2.  At
-# w22 = 5e-10 it passes the sign test within psd_tol and counts as zero, as
+# w22 = 5e-10 it passes the sign test within _PSD_TOL and counts as zero, as
 # at w22 = 0: rge Y is outside rge W, and the gauge is +inf at both.  A rank
 # cutoff on |eigenvalue| kept it and answered a finite 0.0.
 @pytest.mark.parametrize("w22", [0.0, 5e-10])
@@ -267,14 +267,14 @@ def test_gauge_solve_and_eigen_paths_agree(monkeypatch):
     certified = []
     original = gmfrac.cones._psd_kept
 
-    def recorded(h, tol):
-        certified.append(original(h, tol))
+    def recorded(h):
+        certified.append(original(h))
         return certified[-1]
 
     monkeypatch.setattr(gmfrac.cones, "_psd_kept", recorded)
     by_solve = [eval_gauge(pt, pair) for pair, pt in cases]
     monkeypatch.setattr(
-        gmfrac.cones, "_psd_kept", lambda h, tol: (original(h, tol)[0], _eig_kept(h, tol))
+        gmfrac.cones, "_psd_kept", lambda h: (original(h)[0], _eig_kept(h))
     )
     by_eigen = [eval_gauge(pt, pair) for pair, pt in cases]
     # every W here that passes the sign test has a -C certified nonsingular
@@ -307,7 +307,7 @@ def test_gauge_on_ill_conditioned_w_matches_mpmath():
         lam = np.logspace(-8, 0, n)
         y = u[:, :3] @ rng.standard_normal((3, m)) + 1e-3 * rng.standard_normal((n, m))
         point = PrimalPoint(y, -(u * lam) @ u.T)
-        assert _psd_kept(-point.W, pair.tol) == (True, None)
+        assert _psd_kept(-point.W) == (True, None)
         res = eval_gauge(point, pair)
         assert res.finite
         with mpmath.workdps(60):

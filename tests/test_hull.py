@@ -296,6 +296,23 @@ def test_distance_metric():
     assert distance(a, b) == pytest.approx(np.sqrt(2.0))
 
 
+def test_distance_rejects_points_of_different_shapes():
+    # numpy would broadcast the differences: a 3x1 Y against a 3x2 one, or
+    # a 3-row point against a 1x1 one, would read a finite distance
+    ones = PrimalPoint(np.ones((3, 1)), np.zeros((3, 3)))
+    wide = PrimalPoint(np.zeros((3, 2)), np.zeros((3, 3)))
+    scalar = PrimalPoint(np.zeros((1, 1)), np.zeros((1, 1)))
+    for a, b in ((ones, wide), (ones, scalar)):
+        for first, second in ((a, b), (b, a)):
+            with pytest.raises(ValueError):
+                distance(first, second)
+    # a witness of an m = 1 point, measured against a 3x2 point
+    pair = ConstraintPair(np.zeros((0, 3)), np.zeros((0, 1)))
+    wit = caratheodory_witness(graph_point(np.ones((3, 1))), pair, 1e-2)
+    with pytest.raises(ValueError):
+        wit.distance_to(wide)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_primal_point_rejects_non_finite(bad):
     y = np.ones((2, 1))

@@ -1,6 +1,5 @@
 import ast
 import math
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +10,6 @@ from gmfrac import (
     ConstraintPair,
     DualPoint,
     PrimalPoint,
-    ToleranceConfig,
     eval_support,
     frobenius_inner,
     in_cone,
@@ -22,7 +20,7 @@ from gmfrac import (
     kernel_basis,
     symmetrize,
 )
-from gmfrac.linalg import _norm, _small
+from gmfrac.linalg import _RANGE_TOL, _norm, _small
 from helpers import (
     point_norm,
     projector,
@@ -35,14 +33,6 @@ from helpers import (
 )
 
 EPS = np.finfo(float).eps
-
-
-def test_tolerances_validated():
-    ToleranceConfig(rank_tol=1e-12)
-    with pytest.raises(ValueError):
-        ToleranceConfig(psd_tol=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(range_tol=-1e-9)
 
 
 def test_symmetrize_rejects_nonsquare():
@@ -155,7 +145,7 @@ def test_pinv_penrose_identities():
 
 
 def test_pinv_rank_cutoff():
-    # eigenvalue at 1e-14 of the largest is below rank_tol = 1e-10 and must vanish
+    # eigenvalue at 1e-14 of the largest is below _RANK_TOL = 1e-10 and must vanish
     m = np.diag([1.0, 1e-14])
     assert np.allclose(sym_pinv(m), np.diag([1.0, 0.0]))
 
@@ -383,15 +373,14 @@ def test_residual_rule_matches_the_rescaled_norm_with_errors_raised():
         "float": 1e300,
         "numpy float": np.float64(-1e-300),
     }
-    tol = gmfrac.DEFAULT_TOL
     with np.errstate(all="raise"):
         for name, x in ops.items():
             want = _rescaled_norm(x)
             assert _norm(x) == pytest.approx(want, rel=8 * np.size(x) * EPS, abs=0.0), name
         for resid in ops.values():
             for ref in list(ops.values()) + [0.0]:
-                want = _rescaled_norm(resid) <= tol.range_tol * max(1.0, _rescaled_norm(ref))
-                assert _small(resid, ref, tol) == want
+                want = _rescaled_norm(resid) <= _RANGE_TOL * max(1.0, _rescaled_norm(ref))
+                assert _small(resid, ref) == want
         assert np.geterr()["over"] == np.geterr()["under"] == "raise"
 
 
@@ -417,24 +406,50 @@ def _package_files():
     return sorted(Path(gmfrac.__file__).parent.glob("*.py"))
 
 
+_THRESHOLDS = ("_RANK_TOL", "_PSD_TOL", "_RANGE_TOL")
+
+
+def _threshold_reads(tree):
+    # the threshold constants the tree reads, by name, attribute or import
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.alias):
+            reads.add(node.name)
+    return reads.intersection(_THRESHOLDS)
+
+
 def test_tolerance_fields_are_read_only_in_linalg():
-    # every threshold is applied by a rule of linalg; the names come from the
-    # dataclass, so a field added later is covered too
-    names = {f.name for f in fields(ToleranceConfig)}
+    # every threshold is a constant of linalg, applied by its rules: no other
+    # module reads or imports one
     readers = {
         path.name
         for path in _package_files()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute)
-        and node.attr in names
-        and isinstance(node.ctx, ast.Load)
+        if _threshold_reads(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert readers == {"linalg.py"}
 
 
 def test_tolerance_config_has_one_field_per_rule():
-    # rank_tol for _kept, psd_tol for _psd, range_tol for _small
-    assert tuple(f.name for f in fields(ToleranceConfig)) == ("rank_tol", "psd_tol", "range_tol")
+    # the three fixed thresholds, each read by its own rules only: _RANK_TOL
+    # by _kept and by the two Cholesky certificates that _kept keeps every
+    # value, _PSD_TOL by the sign tests and _RANGE_TOL by _small
+    linalg = gmfrac.linalg
+    assert (linalg._RANK_TOL, linalg._PSD_TOL, linalg._RANGE_TOL) == (1e-10, 1e-9, 1e-9)
+    tree = ast.parse(Path(linalg.__file__).read_text(encoding="utf-8"))
+    readers = {
+        node.name: _threshold_reads(node) for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    assert {name: reads for name, reads in readers.items() if reads} == {
+        "_kept": {"_RANK_TOL"},
+        "_small": {"_RANGE_TOL"},
+        "_psd": {"_PSD_TOL"},
+        "_psd_kept": {"_RANK_TOL", "_PSD_TOL"},
+        "_full_row_rank": {"_RANK_TOL"},
+    }
 
 
 def test_sign_factorizations_are_called_only_in_linalg():
@@ -468,12 +483,11 @@ def test_svd_and_kept_are_called_only_in_linalg():
 def test_cli_reads_no_tolerance_and_imports_no_oracle():
     # the oracle suite lives in gmfrac.verify, so the CLI compares nothing
     # with a threshold itself
-    tolerances = {f.name for f in fields(ToleranceConfig)}
     (path,) = [p for p in _package_files() if p.name == "cli.py"]
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Attribute):
-            assert node.attr not in tolerances, node.attr
-        elif isinstance(node, ast.ImportFrom):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _threshold_reads(tree) == set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
             assert (node.module or "").rpartition(".")[2] != "bruteforce"
         elif isinstance(node, ast.Import):
             assert not any(alias.name.endswith("bruteforce") for alias in node.names)

@@ -3,7 +3,7 @@
 For a symmetric ``W`` the polar cone's support condition ``W = Q C Q^T``
 and the affine hull's ``rge W subset ker A`` are one condition, and the
 support residual ``||W - Q C Q^T||_F`` is at least the range residual
-``||W - Q Q^T W||_F``.  Both are tested by ``_small`` at ``range_tol``, so a
+``||W - Q Q^T W||_F``.  Both are tested by ``_small`` at ``_RANGE_TOL``, so a
 member of a set passes the test of every set that contains it.  The draws
 here are members moved off ``ker A`` by ``delta ||W||_F``, with ``delta``
 log-uniform across the residual threshold.
@@ -32,7 +32,7 @@ KINDS = ("general", "zero-rows", "rank-deficient")
 def test_pinned_off_kernel_example():
     # A = [0 0 1], ker A = span(e1, e2); W = -diag(1, 1, 0) moved off ker A by
     # w13 = w31 = 3e-9: range residual 3e-9 and support residual 4.2e-9, both
-    # above range_tol * ||W||_F = 1.4e-9, so W is in no set of the chain;
+    # above _RANGE_TOL * ||W||_F = 1.4e-9, so W is in no set of the chain;
     # with a single threshold no smaller set can accept it
     pair = ConstraintPair([[0.0, 0.0, 1.0]], [[0.0]])
     w = -np.diag([1.0, 1.0, 0.0])
@@ -113,7 +113,7 @@ def test_nesting_under_off_kernel_perturbation():
 
 
 def test_off_kernel_draws_cross_the_threshold():
-    # the delta range puts each set test on both sides of range_tol
+    # the delta range puts each set test on both sides of _RANGE_TOL
     rng = np.random.default_rng(5)
     pair = make_pair(rng, "general", 5, 2)
     k = pair.kernel.dim

@@ -17,6 +17,7 @@ from gmfrac import (
     in_cone,
     in_domain,
 )
+from gmfrac.linalg import _RANK_TOL
 from helpers import (
     interior_dual,
     projector,
@@ -31,15 +32,15 @@ from helpers import (
 def closed_form(point, pair):
     """Value, Y and Z from the pseudoinverse of the saddle matrix."""
     rhs = np.vstack([point.X, pair.B])
-    sol = sym_pinv(saddle_matrix(point.V, pair), tol=pair.tol) @ rhs
+    sol = sym_pinv(saddle_matrix(point.V, pair)) @ rhs
     return 0.5 * float(np.tensordot(rhs, sol, 2)), sol[: pair.n], sol[pair.n :]
 
 
 def closed_form_domain(point, pair):
     """The domain test stated on the saddle matrix."""
     rhs = np.vstack([point.X, pair.B])
-    return in_cone(point.V, pair.kernel, tol=pair.tol) and range_inclusion(
-        rhs, saddle_matrix(point.V, pair), tol=pair.tol
+    return in_cone(point.V, pair.kernel) and range_inclusion(
+        rhs, saddle_matrix(point.V, pair)
     )
 
 
@@ -132,7 +133,7 @@ def singular_hessian_point(rng, pair, coupled):
         x = x + pair.A.T @ rng.standard_normal((pair.p, pair.m))
     point = DualPoint(x, v)
     lam = np.abs(np.linalg.eigvalsh(q.T @ point.V @ q))
-    assert np.sum(lam > pair.tol.rank_tol * lam.max()) == 1 < k
+    assert np.sum(lam > _RANK_TOL * lam.max()) == 1 < k
     return point
 
 

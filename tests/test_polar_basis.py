@@ -10,8 +10,8 @@ same tests with the n-by-n projector ``P = Q Q^T``: the support residual
 import numpy as np
 import pytest
 
-from gmfrac import DEFAULT_TOL, in_aff_polar, in_polar_cone, in_rint_polar, kernel_basis
-from gmfrac.linalg import _compress, _outside
+from gmfrac import in_aff_polar, in_polar_cone, in_rint_polar, kernel_basis
+from gmfrac.linalg import _PSD_TOL, _RANGE_TOL, _compress, _outside
 from helpers import projector, rand_sym
 
 
@@ -19,16 +19,16 @@ def norm(M):
     return float(np.linalg.norm(M))
 
 
-def reference(W, subspace, tol=DEFAULT_TOL):
+def reference(W, subspace):
     """(polar, aff, rint) decisions computed from ``P`` alone."""
     P = projector(subspace)
     scale = max(1.0, norm(W))
-    supported = norm(W - P @ W @ P) <= tol.range_tol * scale
-    aff = norm(W - P @ W) <= tol.range_tol * scale
+    supported = norm(W - P @ W @ P) <= _RANGE_TOL * scale
+    aff = norm(W - P @ W) <= _RANGE_TOL * scale
     w, u = np.linalg.eigh(P)
     qp = u[:, w > 0.5]
     top = float(np.linalg.eigvalsh(qp.T @ W @ qp)[-1]) if qp.shape[1] else -np.inf
-    return supported and top <= tol.psd_tol, aff, supported and top < -tol.psd_tol
+    return supported and top <= _PSD_TOL, aff, supported and top < -_PSD_TOL
 
 
 def subspaces(rng):

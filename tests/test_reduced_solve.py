@@ -8,7 +8,7 @@ certificate proves that the rank cutoff keeps every eigenvalue; inside the
 band the kept eigenpairs of that one ``eigh`` give ``H^+ R``, with a
 negative eigenvalue that passed the sign test counted as zero.
 These tests place ``H``'s smallest eigenvalue at the two thresholds that
-choose the branch, ``-psd_tol`` and ``rank_tol * max|lambda|``, and check
+choose the branch, ``-_PSD_TOL`` and ``_RANK_TOL * max|lambda|``, and check
 the LU branch on ill-conditioned ``H`` against a 50-digit solve of the KKT
 system.
 """
@@ -17,8 +17,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from gmfrac import DEFAULT_TOL, ConstraintPair, DualPoint, eval_support, in_cone, in_domain
-from gmfrac.linalg import _compress, _kept, _small
+from gmfrac import ConstraintPair, DualPoint, eval_support, in_cone, in_domain
+from gmfrac.linalg import _PSD_TOL, _RANK_TOL, _compress, _kept, _small
 from helpers import taken
 
 EPS = np.finfo(float).eps
@@ -35,24 +35,23 @@ def pair_and_hessian(rng, n, m, p, lam):
 
 def predicted_domain(point, pair):
     """The documented domain rule, read from ``eigh(H)``: ``lambda_min(H) >=
-    -psd_tol``, and ``R`` inside the span of the eigenvectors whose
+    -_PSD_TOL``, and ``R`` inside the span of the eigenvectors whose
     eigenvalues, the negative ones counted as zero, pass the rank cutoff."""
-    tol = pair.tol
     q = pair.kernel.basis
     w, u = np.linalg.eigh(_compress(point.V, pair.kernel))
-    if w[0] < -tol.psd_tol:
+    if w[0] < -_PSD_TOL:
         return False
-    uk = u[:, _kept(np.maximum(w, 0.0), tol)]
+    uk = u[:, _kept(np.maximum(w, 0.0))]
     r = q.T @ (point.X - point.V @ pair.min_norm_solution)
-    return _small(r - uk @ (uk.T @ r), r, tol)
+    return _small(r - uk @ (uk.T @ r), r)
 
 
 def test_domain_sign_decision_is_in_cone():
-    # lambda_min(H) within a few ulps of -psd_tol, and X in range: eigh
+    # lambda_min(H) within a few ulps of -_PSD_TOL, and X in range: eigh
     # rounds such a spectrum to either side of the threshold, and the sign
     # test of the domain must take each toss as in_cone does.  A negative
     # lambda_min that passes counts as zero, so R's part along its
-    # eigenvector, about psd_tol times the draw, decides the range test
+    # eigenvector, about _PSD_TOL times the draw, decides the range test
     rng = np.random.default_rng(41)
     seen = set()
     for _ in range(400):
@@ -61,7 +60,7 @@ def test_domain_sign_decision_is_in_cone():
         p = int(rng.integers(0, n - 1))
         k = n - p
         lam = rng.uniform(0.1, 1.0, k)
-        lam[0] = -DEFAULT_TOL.psd_tol + int(rng.integers(-4, 5)) * EPS
+        lam[0] = -_PSD_TOL + int(rng.integers(-4, 5)) * EPS
         singular = k > 1 and rng.integers(0, 3) == 0
         if singular:
             lam[1] = 0.0
@@ -71,7 +70,7 @@ def test_domain_sign_decision_is_in_cone():
         if p:
             x = x + pair.A.T @ rng.standard_normal((p, m))
         point = DualPoint(x, v)
-        cone = in_cone(point.V, pair.kernel, tol=pair.tol)
+        cone = in_cone(point.V, pair.kernel)
         domain = in_domain(point, pair)
         assert eval_support(point, pair).finite == domain
         assert cone or not domain
@@ -131,7 +130,7 @@ def test_ill_conditioned_hessian_matches_50_digits(counts):
 @pytest.mark.parametrize("n, m, p", [(4, 2, 0), (6, 2, 2), (9, 3, 4)])
 def test_rank_cutoff_chooses_the_branch(counts, n, m, p):
     # R along the eigenvector of an eigenvalue just above and just below
-    # rank_tol * max|lambda|: kept, R lies in the kept eigenspace and
+    # _RANK_TOL * max|lambda|: kept, R lies in the kept eigenspace and
     # G = H^+ R is finite; cut, R lies outside it and the value is +inf.
     # Neither Cholesky certificate decides, and one eigh decides both
     rng = np.random.default_rng(43)
@@ -139,7 +138,7 @@ def test_rank_cutoff_chooses_the_branch(counts, n, m, p):
     for factor, finite in ((1.001, True), (0.999, False)):
         lam = rng.uniform(1.0, 2.0, k)
         lam[0] = 2.0
-        lam[-1] = factor * DEFAULT_TOL.rank_tol * lam.max()
+        lam[-1] = factor * _RANK_TOL * lam.max()
         pair, u, v = pair_and_hessian(rng, n, m, p, lam)
         q = pair.kernel.basis
         s = rng.standard_normal(m)
@@ -165,7 +164,7 @@ def test_rank_cutoff_chooses_the_branch(counts, n, m, p):
 )
 def test_singular_branch_counts_a_passed_negative_eigenvalue_as_zero(diagonal, x):
     # p = 0 and V = diag(1, 0, -5e-10), X = e2 or e3, or V = diag(1, -5e-10)
-    # and X = (1, 1): the sign test passes within psd_tol and counts -5e-10
+    # and X = (1, 1): the sign test passes within _PSD_TOL and counts -5e-10
     # as zero, like the 0, so X lies outside the kept range and the value is
     # +inf.  A rank cutoff on |eigenvalue| kept -5e-10: at X = e3 it answered
     # -1e9, and on the 2-by-2 V, which it called nonsingular, -999999999.5,

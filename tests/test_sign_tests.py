@@ -11,7 +11,7 @@ from its smallest eigenvalue, and the rank from the rank cutoff on its
 eigenvalues with the negative ones counted as zero.  They also pin the
 witness and the gauge to the hull's own polar test on exactly singular
 boundary points, where a zero eigenvalue rounds to either side of
-``psd_tol``.  The names that say ``eigvalsh`` predate the move of every
+``_PSD_TOL``.  The names that say ``eigvalsh`` predate the move of every
 in-band decision to ``eigh``; the rule each test compares with is the
 ``eigh`` rule.
 """
@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from gmfrac import (
-    DEFAULT_TOL,
     ConstraintPair,
     PreconditionError,
     PrimalPoint,
@@ -32,11 +31,10 @@ from gmfrac import (
     in_polar_cone,
     in_rint_polar,
 )
-from gmfrac.linalg import _compress, _kept, _psd, _psd_kept
+from gmfrac.linalg import _PSD_TOL, _RANK_TOL, _compress, _kept, _psd, _psd_kept
 from helpers import taken
 
 EPS = np.finfo(float).eps
-TOL = DEFAULT_TOL
 
 
 def eigh_rules(h):
@@ -44,33 +42,33 @@ def eigh_rules(h):
     (psd, psd and nonsingular) of ``_psd_kept``, where the rank cutoff
     counts a negative eigenvalue as zero."""
     w = np.linalg.eigh(h)[0]
-    psd = bool(w[0] >= -TOL.psd_tol)
-    nonsingular = bool(_kept(np.maximum(w, 0.0), TOL).all())
-    return psd, bool(w[0] > TOL.psd_tol), (psd, psd and nonsingular)
+    psd = bool(w[0] >= -_PSD_TOL)
+    nonsingular = bool(_kept(np.maximum(w, 0.0)).all())
+    return psd, bool(w[0] > _PSD_TOL), (psd, psd and nonsingular)
 
 
 def cholesky_rules(h):
-    psd, kept = _psd_kept(h, TOL)
+    psd, kept = _psd_kept(h)
     nonsingular = kept is None or kept[0].size == h.shape[0]
-    return _psd(h, TOL), _psd(h, TOL, strict=True), (psd, psd and nonsingular)
+    return _psd(h), _psd(h, strict=True), (psd, psd and nonsingular)
 
 
 def planted(rng, k, scale, low=0.0, rank=None):
     """``U diag(lam) U^T`` with ``lam`` in ``scale * [0.1, 1]`` except
-    ``lam[0]``: ``low``, or ``rank * rank_tol * max(lam)`` when ``rank`` is set."""
+    ``lam[0]``: ``low``, or ``rank * _RANK_TOL * max(lam)`` when ``rank`` is set."""
     u, _ = np.linalg.qr(rng.standard_normal((k, k)))
     lam = scale * rng.uniform(0.1, 1.0, k)
-    lam[0] = low if rank is None else rank * TOL.rank_tol * lam.max()
+    lam[0] = low if rank is None else rank * _RANK_TOL * lam.max()
     h = (u * lam) @ u.T
     return 0.5 * (h + h.T)
 
 
 def plantings(rng):
     """``(low, rank)`` at every threshold the sign tests compare with: a few
-    ulps to either side of -psd_tol and +psd_tol, at 0, and just above and
+    ulps to either side of -_PSD_TOL and +_PSD_TOL, at 0, and just above and
     below the rank cutoff."""
     j = int(rng.integers(-4, 5)) * EPS
-    lows = (-TOL.psd_tol + j, TOL.psd_tol + j, -TOL.psd_tol, TOL.psd_tol, 0.0)
+    lows = (-_PSD_TOL + j, _PSD_TOL + j, -_PSD_TOL, _PSD_TOL, 0.0)
     return [(low, None) for low in lows] + [(0.0, 1.0 - 1e-3), (0.0, 1.0 + 1e-3)]
 
 
@@ -115,8 +113,8 @@ def test_public_predicates_decide_as_eigvalsh():
 def test_clear_cases_take_no_eigvalsh(counts, exponent):
     # one Cholesky accepts; a reject takes two, or one where a diagonal entry
     # already lies below the reject threshold: at k = 1, where the diagonal
-    # is the spectrum, and at 2^-60 against +psd_tol.  There the whole
-    # spectrum lies far inside (-psd_tol, psd_tol), so nothing is outside
+    # is the spectrum, and at 2^-60 against +_PSD_TOL.  There the whole
+    # spectrum lies far inside (-_PSD_TOL, _PSD_TOL), so nothing is outside
     # the non-strict tests and nothing inside the strict one
     rng = np.random.default_rng(71)
     scale = 2.0 ** exponent
@@ -124,15 +122,15 @@ def test_clear_cases_take_no_eigvalsh(counts, exponent):
         inside = planted(rng, k, scale, 0.05 * scale)
         outside = planted(rng, k, scale, -0.05 * scale)
         taken(counts)
-        assert _psd(inside, TOL)
-        assert _psd_kept(inside, TOL) == (True, None)
+        assert _psd(inside)
+        assert _psd_kept(inside) == (True, None)
         assert taken(counts) == {"cholesky": 2}
-        assert _psd(inside, TOL, strict=True) == (exponent >= 0)
-        assert not _psd(outside, TOL, strict=True)
+        assert _psd(inside, strict=True) == (exponent >= 0)
+        assert not _psd(outside, strict=True)
         assert taken(counts) == {"cholesky": 2 if k == 1 or exponent < 0 else 3}
         if exponent >= 0:
-            assert not _psd(outside, TOL)
-            assert _psd_kept(outside, TOL) == (False, None)
+            assert not _psd(outside)
+            assert _psd_kept(outside) == (False, None)
             assert taken(counts) == {"cholesky": 2 if k == 1 else 4}
 
 
@@ -141,7 +139,7 @@ def test_clear_cases_take_no_eigvalsh(counts, exponent):
 def test_extreme_scales_decide_as_eigvalsh(counts, exponent):
     # ||h||_F^2 underflows or overflows here, so the certificate rescales h
     # by a power of two; a spectrum far from every threshold still takes no
-    # eigh (at 2^-1000 and below every eigenvalue is inside +-psd_tol)
+    # eigh (at 2^-1000 and below every eigenvalue is inside +-_PSD_TOL)
     rng = np.random.default_rng(73)
     scale = 2.0 ** exponent
     for _ in range(20):
@@ -164,7 +162,7 @@ def test_zero_matrix_decides_as_eigvalsh(counts):
         assert cholesky_rules(zero) == eigh_rules(zero) == (True, False, (True, False))
         taken(counts)
         # the zero spectrum is exact: only the rank cutoff needs eigh
-        assert _psd(zero, TOL) and not _psd(zero, TOL, strict=True)
+        assert _psd(zero) and not _psd(zero, strict=True)
         assert taken(counts) == {}
 
 
@@ -190,7 +188,7 @@ def singular_boundary(rng, k=4, p=3, m=2):
 def test_witness_exists_iff_in_hull(exponent):
     # W = -1/2 Y Y^T - 2^j Z L L^T Z^T puts the gap matrix on the polar
     # cone's boundary, so its zero eigenvalue is a coin toss once 2^j eps
-    # passes psd_tol; the witness must take the toss the way in_hull does
+    # passes _PSD_TOL; the witness must take the toss the way in_hull does
     rng = np.random.default_rng(79)
     seen = set()
     for _ in range(150):

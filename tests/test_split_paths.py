@@ -15,7 +15,8 @@ bit for bit.
 import numpy as np
 import pytest
 
-from gmfrac import DEFAULT_TOL, ConstraintPair, InfeasiblePairError
+from gmfrac import ConstraintPair, InfeasiblePairError
+from gmfrac.linalg import _RANGE_TOL, _RANK_TOL
 from helpers import taken
 
 EPS = np.finfo(float).eps
@@ -79,12 +80,12 @@ def test_split_path_rank_basis_and_solutions(counts, A, path, homogeneous):
     p, n = A.shape
     B = _rhs(A, homogeneous)
     u, s, vh = np.linalg.svd(A)
-    r = int(np.count_nonzero(s > DEFAULT_TOL.rank_tol * s[0]))
+    r = int(np.count_nonzero(s > _RANK_TOL * s[0]))
     k = n - r
     ur, sr, vr = u[:, :r], s[:r], vh[:r].T
     taken(counts)
-    if np.linalg.norm(B - ur @ (ur.T @ B)) > DEFAULT_TOL.range_tol * max(1.0, np.linalg.norm(B)):
-        # only the row-scaled pair at s = 1e11: the cutoff at rank_tol * 1e11
+    if np.linalg.norm(B - ur @ (ur.T @ B)) > _RANGE_TOL * max(1.0, np.linalg.norm(B)):
+        # only the row-scaled pair at s = 1e11: the cutoff at _RANK_TOL * 1e11
         # drops the unit row, so the SVD's answer for this feasible manifold
         # is "infeasible", as the rank cutoff is not yet invariant under a
         # scaling of the rows of (A, B)
