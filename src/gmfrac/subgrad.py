@@ -85,7 +85,9 @@ def canonical_subgradient(dual, pair):
     complementarity holds for free and the subdifferential meets the graph
     set at every domain point.  The hull test on that point is free as
     well: a zero gap matrix is in the polar cone without a compression or a
-    factorization.
+    factorization.  The KKT solve is that of :func:`gmfrac.eval_support`,
+    so it is read from the memo when the same point was one of the two most
+    recent solved on the pair.
 
     Raises
     ------
@@ -107,8 +109,11 @@ def in_subdifferential(candidate, dual, pair):
     the candidate.  The domain test already places ``V`` in the cone, so of
     the normal-cone conditions only complementarity and ``Q^T (X - V Y) = 0``
     remain to check.  At a graph point such as the canonical subgradient the
-    gap matrix is exactly zero and the hull test forms no product, so the
-    call compresses only the domain's ``H = Q^T V Q``.
+    gap matrix is exactly zero and the hull test forms no product.  The
+    domain test reads the support solve's memo, so after
+    :func:`canonical_subgradient` at the same point the call compresses
+    nothing; a dual point not among the two most recent solved costs one
+    compression, of the domain's ``H = Q^T V Q``.
 
     Raises
     ------

@@ -33,10 +33,21 @@ Both pieces of ``A`` this needs, ``Q`` and ``Y0``, come from the one
 factorization of ``A`` taken when the :class:`ConstraintPair` is built: a QR
 of ``A^T`` where ``A`` is certified to have full row rank, an SVD elsewhere;
 ``M(V)`` itself is never formed.
+
+Each dual point is solved once.  The module keeps the outcome of the two
+most recent full solves, ``G* = H^+ R`` or "outside the domain", keyed by
+weak references to the frozen :class:`DualPoint` and to the
+:class:`ConstraintPair`.  A later call on the same two objects, as
+:func:`gmfrac.canonical_subgradient` and :func:`gmfrac.in_subdifferential`
+make after :func:`eval_support`, compresses and factorizes nothing: it
+rebuilds only ``Y*``, ``Z*`` and the value.  The memo keeps no point or
+pair alive, and a point equal to a solved one but not the same object is
+solved again.
 """
 
 from dataclasses import dataclass, fields
 from typing import Optional
+import weakref
 
 import numpy as np
 
@@ -229,7 +240,35 @@ def _check_point(point, pair):
         raise ValueError(f"{name} must be {pair.n}x{pair.m} for this pair, got {shape}")
 
 
+# The outcomes of the two most recent full reduced solves, newest first:
+# (weak reference to the point, weak reference to the pair, read-only G* or
+# None).  A lookup compares the referents by identity, so a dead point's
+# entry can never match a new point, and the memo keeps neither alive.  The
+# tuple is replaced whole and never edited, so threads racing on it can only
+# drop an entry.  Two entries serve one caller's value, subgradient and
+# subdifferential tests on one or two points, and nothing outlives the next
+# two points solved.
+_solved = ()
+
+
 def _reduced_solve(point, pair, solve=True):
+    # G* = H^+ R, or None when (X, V) is outside the domain, read from the
+    # memo when it holds this point and pair; with solve on, a computed
+    # outcome becomes the newest entry
+    global _solved
+    _check_point(point, pair)
+    for point_ref, pair_ref, g in _solved:
+        if point_ref() is point and pair_ref() is pair:
+            return g
+    g = _solve(point, pair, solve)
+    if solve:
+        if g is not None:
+            g.setflags(write=False)
+        _solved = ((weakref.ref(point), weakref.ref(pair), g),) + _solved[:1]
+    return g
+
+
+def _solve(point, pair, solve):
     # G* = H^+ R for H = sym(Q^T V Q) and R = Q^T (X - V Y0), or None when
     # (X, V) is outside the domain.  The sign test and the rank cutoff are
     # in_cone's decisions on the same H, both from _psd_kept: one Cholesky
@@ -239,7 +278,6 @@ def _reduced_solve(point, pair, solve=True):
     # solve off that case returns True, as the domain test needs no G.
     # Inside the band the kept eigenpairs give the range test and the
     # minimum-norm H^+ R.
-    _check_point(point, pair)
     kernel = pair.kernel
     h = _compress(point.V, kernel)
     psd, kept = _psd_kept(h)
@@ -274,7 +312,10 @@ def in_domain(point, pair):
     eigenvalue is kept when it exceeds ``1e-10`` times the largest; a
     negative one that passed the sign test is never kept.  This set is not
     closed: with ``A = B = 0`` and ``X != 0``, every ``V = eta I`` with
-    ``eta > 0`` is in the domain but the limit ``V = 0`` is not.
+    ``eta > 0`` is in the domain but the limit ``V = 0`` is not.  A point
+    that one of the two most recent :func:`eval_support` calls solved on
+    the same pair is answered from that solve, with no factorization; the
+    domain test itself adds nothing to the memo.
     """
     return _reduced_solve(point, pair, solve=False) is not None
 
@@ -297,7 +338,11 @@ def eval_support(point, pair):
     factorization and that solve.  Any other ``H`` inside the domain takes
     the pseudoinverse from the kept eigenpairs of its one ``eigh`` (see
     :func:`in_domain`); where ``H`` is singular the maximizers form the set
-    ``Y* + Q ker H`` and ``Y*`` is the one of minimum norm.
+    ``Y* + Q ker H`` and ``Y*`` is the one of minimum norm.  A repeat of
+    one of the two most recent solves, on the same point and pair objects,
+    reads ``H^+ R`` from the memo and takes no factorization; its
+    ``maximizer`` and ``multiplier`` are fresh arrays, bitwise equal to
+    those of the first call.
     """
     g = _reduced_solve(point, pair)
     if g is None:

@@ -18,6 +18,9 @@ reduced matrix takes one ``eigh`` on either path.
 The witness adds one ``eigh`` after its sign test has passed.  The names
 of the tests that say ``eigvalsh`` predate the Cholesky sign test and the
 move of every in-band decision to ``eigh``; each pin below is the count.
+The two most recent support solves are memoized by their point and pair:
+a repeated call on one of them takes no factorization, so each pin of a
+first solve is taken on a fresh ``DualPoint``.
 Subspace tests read the kernel basis ``Q`` and never factorize the n-by-n
 projector onto ``ker A``.  In the same way each n-by-n matrix is
 symmetrized at most once: a point when it is built; a gap matrix is
@@ -44,6 +47,7 @@ from gmfrac import (
     in_hull,
     in_hull_aff,
     in_hull_horizon,
+    in_hull_polar,
     in_hull_rint,
     in_normal_cone,
     in_subdifferential,
@@ -52,6 +56,7 @@ from helpers import (
     gauge_instance,
     hull_member,
     interior_dual,
+    projector,
     rand_pair,
     rand_zero_pair,
     rint_member,
@@ -105,7 +110,11 @@ def test_support_and_domain_decide_by_one_eigvalsh(counts, n, m, p):
     taken(counts)
     assert eval_support(point, pair).finite
     assert taken(counts) == {"cholesky": 1, "solve": 1}
+    # the same point again reads the memo of that solve
+    assert eval_support(point, pair).finite
     assert in_domain(point, pair)
+    assert taken(counts) == {}
+    assert in_domain(DualPoint(point.X, point.V), pair)
     assert taken(counts) == {"cholesky": 1}
     # H = -I: its diagonal proves the reject once the accept has failed
     outside = DualPoint(point.X, -np.eye(n))
@@ -119,10 +128,32 @@ def test_subdifferential_is_two_eigvalsh(counts, n, m, p):
     pair = rand_pair(rng, n, m, p)
     point = interior_dual(rng, pair)
     sub = canonical_subgradient(point, pair)
+    fresh = DualPoint(point.X, point.V)
     taken(counts)
     # the domain test's Cholesky; the graph point's gap matrix is exactly 0
-    assert in_subdifferential(sub.point, point, pair)
+    assert in_subdifferential(sub.point, fresh, pair)
     assert taken(counts) == {"cholesky": 1}
+    # the subgradient's own dual point reads the memo of its solve
+    assert in_subdifferential(sub.point, point, pair)
+    assert taken(counts) == {}
+
+
+def test_dual_solve_request_solves_each_point_once(counts):
+    # the calls of one perfbench dual-solve request, less its probe: 6
+    # support-layer calls on 3 dual points, of which 3 read the memo
+    rng = np.random.default_rng(2)
+    pair = rand_pair(rng, 50, 5, 20)
+    d = interior_dual(rng, pair)
+    half = DualPoint(0.5 * d.X, 0.5 * d.V)
+    out = DualPoint(d.X, d.V - (np.linalg.norm(d.V, 2) + 1.0) * projector(pair.kernel))
+    taken(counts)
+    assert eval_support(d, pair).finite
+    assert eval_support(half, pair).finite
+    sub = canonical_subgradient(d, pair)
+    assert in_subdifferential(sub.point, d, pair)
+    in_hull_polar(half, pair)
+    assert not eval_support(out, pair).finite
+    assert taken(counts) == {"cholesky": 3, "solve": 2}
 
 
 @pytest.mark.parametrize("n, p", [(4, 1), (6, 2), (3, 0)])
@@ -136,8 +167,10 @@ def test_singular_hessian_adds_one_eigh(counts, n, p):
     # decides its sign and rank and gives H^+
     assert eval_support(point, pair).finite
     assert taken(counts) == {"cholesky": 2, "eigh": 1}
-    assert in_domain(point, pair)
+    assert in_domain(DualPoint(point.X, point.V), pair)
     assert taken(counts) == {"cholesky": 2, "eigh": 1}
+    assert in_domain(point, pair)
+    assert taken(counts) == {}
 
 
 @pytest.mark.parametrize("n, m, p", [(4, 3, 2), (50, 5, 20), (6, 2, 0)])
@@ -322,10 +355,15 @@ def test_graph_point_gap_takes_no_compression(compressed, n, m, p):
     # only the cone test on V
     assert in_normal_cone(dual, point, pair)
     assert len(compressed) == 1 and compressed[0] is dual.V
+    # only the domain's H = Q^T V Q of a dual point not solved before
+    fresh = DualPoint(dual.X, dual.V)
     del compressed[:]
-    # only the domain's H = Q^T V Q
+    assert in_subdifferential(point, fresh, pair)
+    assert len(compressed) == 1 and compressed[0] is fresh.V
+    # none for the subgradient's own dual point, which reads the memo
+    del compressed[:]
     assert in_subdifferential(point, dual, pair)
-    assert len(compressed) == 1 and compressed[0] is dual.V
+    assert compressed == []
 
 
 @pytest.mark.parametrize("n, m, p", [(7, 2, 3), (50, 5, 20)])
