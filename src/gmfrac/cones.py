@@ -40,7 +40,8 @@ tests.
 
 The public tests take a raw matrix through one entry, ``_entry``, which
 rejects with ``ValueError`` a matrix that is not n-by-n for the subspace
-or not finite, and symmetrizes it once.
+or not finite, or a subspace whose basis or complement is not a finite
+2-D array with n rows, and symmetrizes the matrix once.
 The private predicates ``_in_cone``, ``_in_polar``, ``_in_aff_polar`` and
 ``_polar_form`` take a matrix that is symmetric by construction (a point's
 ``V`` or ``W``, or a gap matrix, built symmetric bit for bit); the
@@ -51,6 +52,7 @@ so no matrix is symmetrized twice.
 import numpy as np
 
 from .linalg import (
+    _checked_dim,
     _compress,
     _off_subspace,
     _outside,
@@ -74,9 +76,9 @@ def _entry(M, subspace):
     # the raw matrix of a public test, rejected unless n-by-n for the
     # subspace (the zero-W shortcut takes no product that would catch it)
     # and finite (a NaN would pass a Cholesky certificate), and symmetrized
-    # once
+    # once, against a subspace that linalg._checked_dim has checked
+    n = _checked_dim(subspace)
     M = np.asarray(M, dtype=float)
-    n = subspace.dim_ambient
     if M.shape != (n, n):
         raise ValueError(f"matrix must be {n}x{n} for this subspace, got shape {M.shape}")
     if not np.isfinite(M).all():

@@ -388,6 +388,21 @@ def _compress(V, subspace):
     return symmetrize(q.T @ V @ q)
 
 
+def _checked_dim(subspace):
+    # the ambient dimension n of a subspace handed to a public cone test,
+    # whose basis, and complement where stored, must be finite 2-D arrays
+    # with n rows: a NaN in Q passes a Cholesky certificate, and an inf in U
+    # escapes as a RuntimeWarning.  A pair's kernel, split from a finite A,
+    # reaches the private predicates unchecked
+    parts = [np.asarray(subspace.basis)]
+    if subspace.complement is not None:
+        parts.append(np.asarray(subspace.complement))
+    n = parts[0].shape[0] if parts[0].ndim == 2 else None
+    if any(b.ndim != 2 or b.shape[0] != n or not np.isfinite(b).all() for b in parts):
+        raise ValueError("subspace basis and complement must be finite 2-D arrays with n rows")
+    return n
+
+
 def _outside(C, subspace):
     # the part of C's columns outside the subspace, whose norm every range
     # test against the subspace reads: U^T C in the coordinates of the

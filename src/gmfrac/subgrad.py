@@ -110,10 +110,9 @@ def in_subdifferential(candidate, dual, pair):
     the normal-cone conditions only complementarity and ``Q^T (X - V Y) = 0``
     remain to check.  At a graph point such as the canonical subgradient the
     gap matrix is exactly zero and the hull test forms no product.  The
-    domain test reads the support solve's memo, so after
-    :func:`canonical_subgradient` at the same point the call compresses
-    nothing; a dual point not among the two most recent solved costs one
-    compression, of the domain's ``H = Q^T V Q``.
+    domain test is the support solve and shares its memo, so repeated
+    calls at one dual point, and calls after :func:`canonical_subgradient`
+    at it, compress and factorize it once.
 
     Raises
     ------

@@ -34,15 +34,13 @@ factorization of ``A`` taken when the :class:`ConstraintPair` is built: a QR
 of ``A^T`` where ``A`` is certified to have full row rank, an SVD elsewhere;
 ``M(V)`` itself is never formed.
 
-Each dual point is solved once.  The module keeps the outcome of the two
-most recent full solves, ``G* = H^+ R`` or "outside the domain", keyed by
-weak references to the frozen :class:`DualPoint` and to the
-:class:`ConstraintPair`.  A later call on the same two objects, as
-:func:`gmfrac.canonical_subgradient` and :func:`gmfrac.in_subdifferential`
-make after :func:`eval_support`, compresses and factorizes nothing: it
-rebuilds only ``Y*``, ``Z*`` and the value.  The memo keeps no point or
-pair alive, and a point equal to a solved one but not the same object is
-solved again.
+Each dual point is solved once, whichever of :func:`in_domain` and
+:func:`eval_support` asks first.  The module keeps the outcome of the two
+most recent solves, ``G* = H^+ R`` or "outside the domain", keyed by weak
+references to the frozen :class:`DualPoint` and to the
+:class:`ConstraintPair`.  A later call on the same two objects compresses
+and factorizes nothing.  The memo keeps no point or pair alive, and a
+point equal to a solved one but not the same object is solved again.
 """
 
 from dataclasses import dataclass, fields
@@ -240,7 +238,7 @@ def _check_point(point, pair):
         raise ValueError(f"{name} must be {pair.n}x{pair.m} for this pair, got {shape}")
 
 
-# The outcomes of the two most recent full reduced solves, newest first:
+# The outcomes of the two most recent reduced solves, newest first:
 # (weak reference to the point, weak reference to the pair, read-only G* or
 # None).  A lookup compares the referents by identity, so a dead point's
 # entry can never match a new point, and the memo keeps neither alive.  The
@@ -251,31 +249,29 @@ def _check_point(point, pair):
 _solved = ()
 
 
-def _reduced_solve(point, pair, solve=True):
+def _reduced_solve(point, pair):
     # G* = H^+ R, or None when (X, V) is outside the domain, read from the
-    # memo when it holds this point and pair; with solve on, a computed
-    # outcome becomes the newest entry
+    # memo when it holds this point and pair; a computed outcome becomes the
+    # newest entry
     global _solved
     _check_point(point, pair)
     for point_ref, pair_ref, g in _solved:
         if point_ref() is point and pair_ref() is pair:
             return g
-    g = _solve(point, pair, solve)
-    if solve:
-        if g is not None:
-            g.setflags(write=False)
-        _solved = ((weakref.ref(point), weakref.ref(pair), g),) + _solved[:1]
+    g = _solve(point, pair)
+    if g is not None:
+        g.setflags(write=False)
+    _solved = ((weakref.ref(point), weakref.ref(pair), g),) + _solved[:1]
     return g
 
 
-def _solve(point, pair, solve):
+def _solve(point, pair):
     # G* = H^+ R for H = sym(Q^T V Q) and R = Q^T (X - V Y0), or None when
     # (X, V) is outside the domain.  The sign test and the rank cutoff are
     # in_cone's decisions on the same H, both from _psd_kept: one Cholesky
     # outside the rounding band, one eigh inside it.  Where the Cholesky
     # certifies that the rank cutoff keeps every eigenvalue, H is
-    # nonsingular, R lies in its range and G* = H^-1 R is one LU solve; with
-    # solve off that case returns True, as the domain test needs no G.
+    # nonsingular, R lies in its range and G* = H^-1 R is one LU solve.
     # Inside the band the kept eigenpairs give the range test and the
     # minimum-norm H^+ R.
     kernel = pair.kernel
@@ -283,8 +279,6 @@ def _solve(point, pair, solve):
     psd, kept = _psd_kept(h)
     if not psd:
         return None
-    if kept is None and not solve:
-        return True
     r = kernel.basis.T @ (point.X - point.V @ pair.min_norm_solution)
     if kept is None:
         return np.linalg.solve(h, r)
@@ -312,12 +306,10 @@ def in_domain(point, pair):
     eigenvalue is kept when it exceeds ``1e-10`` times the largest; a
     negative one that passed the sign test is never kept.  This set is not
     closed: with ``A = B = 0`` and ``X != 0``, every ``V = eta I`` with
-    ``eta > 0`` is in the domain but the limit ``V = 0`` is not.  A point
-    that one of the two most recent :func:`eval_support` calls solved on
-    the same pair is answered from that solve, with no factorization; the
-    domain test itself adds nothing to the memo.
+    ``eta > 0`` is in the domain but the limit ``V = 0`` is not.  The test
+    is the solve of :func:`eval_support`, and shares its memo.
     """
-    return _reduced_solve(point, pair, solve=False) is not None
+    return _reduced_solve(point, pair) is not None
 
 
 def eval_support(point, pair):
@@ -338,11 +330,10 @@ def eval_support(point, pair):
     factorization and that solve.  Any other ``H`` inside the domain takes
     the pseudoinverse from the kept eigenpairs of its one ``eigh`` (see
     :func:`in_domain`); where ``H`` is singular the maximizers form the set
-    ``Y* + Q ker H`` and ``Y*`` is the one of minimum norm.  A repeat of
-    one of the two most recent solves, on the same point and pair objects,
-    reads ``H^+ R`` from the memo and takes no factorization; its
-    ``maximizer`` and ``multiplier`` are fresh arrays, bitwise equal to
-    those of the first call.
+    ``Y* + Q ker H`` and ``Y*`` is the one of minimum norm.  When this
+    point and pair are among the two most recent solved, by this function
+    or by :func:`in_domain`, ``H^+ R`` is read from the memo; the
+    ``maximizer`` and ``multiplier`` are fresh arrays on every call.
     """
     g = _reduced_solve(point, pair)
     if g is None:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gmfrac import (
+    SubspaceBasis,
     frobenius_inner,
     in_aff_polar,
     in_cone,
@@ -204,3 +205,27 @@ def test_public_tests_reject_a_matrix_of_the_wrong_size(test, matrix):
     # polar tests' shortcut, which forms no product that would reject it
     with pytest.raises(ValueError, match="3x3"):
         test(matrix, kernel_basis([[1.0, 0.0, 0.0]]))
+
+
+def _bad_subspaces():
+    # Q = e1 and U = e2 of R^2, each spoiled in turn
+    q, u = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    for bad in (np.nan, np.inf):
+        yield f"{bad} basis", np.array([[bad], [0.0]]), None
+        yield f"{bad} complement", q, np.array([[0.0], [bad]])
+    yield "1-D basis", np.ones(2), None
+    yield "1-D complement", q, np.ones(2)
+    yield "complement rows", q, np.zeros((3, 1))
+
+
+@pytest.mark.parametrize(
+    "basis, complement",
+    [case[1:] for case in _bad_subspaces()],
+    ids=[case[0] for case in _bad_subspaces()],
+)
+@pytest.mark.parametrize("test", [in_cone, in_int_cone, in_polar_cone, in_aff_polar, in_rint_polar])
+def test_public_tests_reject_a_bad_subspace(test, basis, complement):
+    # a NaN basis passed in_cone's Cholesky certificate, and an inf in the
+    # complement escaped as numpy's RuntimeWarning
+    with pytest.raises(ValueError, match="finite 2-D"):
+        test(np.eye(2), SubspaceBasis(basis, complement))

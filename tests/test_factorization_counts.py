@@ -18,9 +18,10 @@ reduced matrix takes one ``eigh`` on either path.
 The witness adds one ``eigh`` after its sign test has passed.  The names
 of the tests that say ``eigvalsh`` predate the Cholesky sign test and the
 move of every in-band decision to ``eigh``; each pin below is the count.
-The two most recent support solves are memoized by their point and pair:
-a repeated call on one of them takes no factorization, so each pin of a
-first solve is taken on a fresh ``DualPoint``.
+The two most recent support solves are memoized by their point and pair,
+whether ``eval_support`` or ``in_domain`` took them: a repeated call on one
+of them takes no factorization, so each pin of a first solve is taken on a
+fresh ``DualPoint``, and the domain test costs what the solve does.
 Subspace tests read the kernel basis ``Q`` and never factorize the n-by-n
 projector onto ``ker A``.  In the same way each n-by-n matrix is
 symmetrized at most once: a point when it is built; a gap matrix is
@@ -43,6 +44,7 @@ from gmfrac import (
     caratheodory_witness,
     eval_gauge,
     eval_support,
+    graph_point,
     in_domain,
     in_hull,
     in_hull_aff,
@@ -53,6 +55,7 @@ from gmfrac import (
     in_subdifferential,
 )
 from helpers import (
+    feasible_matrix,
     gauge_instance,
     hull_member,
     interior_dual,
@@ -103,7 +106,7 @@ def test_unconstrained_pair_needs_no_factorization(counts):
 
 
 @pytest.mark.parametrize("n, m, p", [(4, 3, 2), (50, 5, 20), (6, 2, 0)])
-def test_support_and_domain_decide_by_one_eigvalsh(counts, n, m, p):
+def test_support_and_domain_decide_by_one_eigvalsh(counts, compressed, n, m, p):
     rng = np.random.default_rng(1)
     pair = rand_pair(rng, n, m, p)
     point = interior_dual(rng, pair)
@@ -114,8 +117,15 @@ def test_support_and_domain_decide_by_one_eigvalsh(counts, n, m, p):
     assert eval_support(point, pair).finite
     assert in_domain(point, pair)
     assert taken(counts) == {}
-    assert in_domain(DualPoint(point.X, point.V), pair)
-    assert taken(counts) == {"cholesky": 1}
+    # the domain test is the same solve, so it costs what eval_support does,
+    # and a support call after it reads the memo: one compression in all
+    fresh = DualPoint(point.X, point.V)
+    del compressed[:]
+    assert in_domain(fresh, pair)
+    assert taken(counts) == {"cholesky": 1, "solve": 1}
+    assert eval_support(fresh, pair).finite
+    assert taken(counts) == {}
+    assert len(compressed) == 1
     # H = -I: its diagonal proves the reject once the accept has failed
     outside = DualPoint(point.X, -np.eye(n))
     assert not eval_support(outside, pair).finite
@@ -123,16 +133,22 @@ def test_support_and_domain_decide_by_one_eigvalsh(counts, n, m, p):
 
 
 @pytest.mark.parametrize("n, m, p", [(4, 3, 2), (50, 5, 20)])
-def test_subdifferential_is_two_eigvalsh(counts, n, m, p):
+def test_subdifferential_is_two_eigvalsh(counts, compressed, n, m, p):
     rng = np.random.default_rng(2)
     pair = rand_pair(rng, n, m, p)
     point = interior_dual(rng, pair)
     sub = canonical_subgradient(point, pair)
+    others = [graph_point(feasible_matrix(rng, pair)) for _ in range(2)]
     fresh = DualPoint(point.X, point.V)
     taken(counts)
-    # the domain test's Cholesky; the graph point's gap matrix is exactly 0
+    del compressed[:]
+    # the domain test's solve, once for three calls at the fresh dual; a
+    # graph point's gap matrix is exactly 0 and takes no hull test
     assert in_subdifferential(sub.point, fresh, pair)
-    assert taken(counts) == {"cholesky": 1}
+    for other in others:
+        in_subdifferential(other, fresh, pair)
+    assert taken(counts) == {"cholesky": 1, "solve": 1}
+    assert len(compressed) == 1 and compressed[0] is fresh.V
     # the subgradient's own dual point reads the memo of its solve
     assert in_subdifferential(sub.point, point, pair)
     assert taken(counts) == {}

@@ -52,6 +52,19 @@ def test_graph_points_are_members():
         assert in_hull(graph_point(feasible_matrix(rng, pair)), pair)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_graph_point_of_a_vector_is_that_of_its_column(n):
+    # a 1-D y is one column: W = -1/2 y y^T is n-by-n, not the scalar
+    # -1/2 y^T y
+    y = np.random.default_rng(n).standard_normal(n)
+    point = graph_point(y)
+    column = graph_point(y.reshape(-1, 1))
+    assert point.Y.shape == (n, 1) and point.W.shape == (n, n)
+    assert point.Y.tobytes() == column.Y.tobytes()
+    assert point.W.tobytes() == column.W.tobytes()
+    assert np.array_equal(point.W, symmetrize(-0.5 * np.outer(y, y)))
+
+
 def test_in_hull_examples(pair_f1):
     y = [0.0, 1.0]
     assert in_hull(primal(y, np.diag([0.0, -1.0])), pair_f1)

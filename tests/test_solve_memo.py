@@ -1,12 +1,12 @@
 """The memo of the reduced support solve.
 
 ``eval_support`` and ``in_domain`` keep the outcome ``G* = H^+ R`` (or
-"outside the domain") of the two most recent full solves, keyed by weak
-references to the point and the pair.  A repeated call on one of them
-reads the entry and takes no factorization; these tests check that a hit
-answers bit for bit as a fresh solve of an equal point does, that the memo
-holds two entries and no references, and that threads sharing it get the
-serial answers.
+"outside the domain") of the two most recent solves, whichever of them
+took it, keyed by weak references to the point and the pair.  A repeated
+call on one of them reads the entry and takes no factorization; these
+tests check that a hit answers bit for bit as a fresh solve of an equal
+point does, that the memo holds two entries and no references, and that
+threads sharing it get the serial answers.
 """
 
 import gc
@@ -74,6 +74,12 @@ def test_hit_equals_a_fresh_solve_bitwise(counts, kind):
     assert taken(counts)
     assert outcome(hit) == outcome(solved) == outcome(first)
     assert inside == hit.finite == (kind != "outside")
+    # the domain test's solve serves a later support call just as well
+    other = DualPoint(point.X, point.V)
+    assert in_domain(other, pair) == inside
+    assert taken(counts)
+    assert outcome(eval_support(other, pair)) == outcome(solved)
+    assert taken(counts) == {}
 
 
 def test_hit_returns_fresh_arrays():
@@ -107,16 +113,20 @@ def test_third_point_evicts_the_oldest(counts):
     assert taken(counts) == {"cholesky": 1, "solve": 1}
     assert in_domain(b, pair) and in_domain(c, pair)
     assert taken(counts) == {}
-    # the domain test alone reads the memo and does not write to it, on
-    # either side of the Cholesky certificate's rounding band
+    # the domain test writes the memo as the solve does, on either side of
+    # the Cholesky certificate's rounding band, and evicts the oldest entry
     assert in_domain(a, pair)
     assert in_domain(a, pair)
-    assert taken(counts) == {"cholesky": 2}
+    assert eval_support(a, pair).finite
+    assert taken(counts) == {"cholesky": 1, "solve": 1}
     singular = singular_hessian_point(rng, pair, False)
     taken(counts)
     assert in_domain(singular, pair)
     assert in_domain(singular, pair)
-    assert taken(counts) == {"cholesky": 4, "eigh": 2}
+    assert eval_support(singular, pair).finite
+    assert taken(counts) == {"cholesky": 2, "eigh": 1}
+    assert in_domain(c, pair)
+    assert taken(counts) == {"cholesky": 1, "solve": 1}
 
 
 def test_same_point_on_another_pair_misses(counts):
