@@ -22,16 +22,21 @@ means gauge zero, e.g. ``Y = 0`` with ``W`` in the polar cone.
 The domain test is the polar-cone test on ``W``, the sign test of ``-C =
 -Q^T W Q`` that :func:`gmfrac.cones.in_polar_cone` takes.  On the polar
 cone ``W = Q C Q^T``, so ``(-W)^+ = Q (-C)^+ Q^T``, and ``rge Y`` inside
-``Q rge C`` is ``rge Y subset ker A intersect rge W``.  The gauge reads
-``(-C)^+`` the way the reduced support solve reads ``H^+``, from one call,
-``linalg._psd_kept``, that also takes the sign test, so the polar test hands
-its answer back: where one Cholesky factorization certifies that the rank
-cutoff keeps every eigenvalue of ``-C``, ``Q rge C`` is ``ker A``, the
-range test is the residual of ``Y`` outside ``ker A`` (``linalg._outside``),
-and ``(-C)^+ = (-C)^-1`` is one LU solve, with no eigensolve.  Inside that
-certificate's rounding band the one ``eigh`` that took the sign test gives
-the kept eigenpairs of ``-C``; an eigenvalue that is negative, which the
-sign test counted as zero, is never kept, so the gauge is finite only where
+``Q rge C`` is ``rge Y subset ker A intersect rge W``.  It is tested in two
+steps: the residual of ``Y`` outside ``ker A`` (``linalg._outside``)
+against ``||Y||_F``, and then ``rge Q^T Y`` inside ``rge C``.  The second
+step and ``(-C)^+`` are the package's one pseudo-inverse rule,
+``linalg._pinv_solve``, the one that gives the reduced support solve's
+``H^+ R``, applied to ``t = Q^T U_r S_r = Q^T Y V_r``, whose norm is that
+of ``Q^T Y``.  It reads what ``linalg._psd_kept`` returned when it took
+the polar test's sign test, so that test hands its answer back: where one
+Cholesky factorization certifies that the rank cutoff keeps every
+eigenvalue of ``-C``, ``Q rge C`` is ``ker A`` and ``(-C)^+ t = (-C)^-1 t``
+is one LU solve, with no eigensolve.  Inside that certificate's rounding
+band the one ``eigh`` that took the sign test gives the kept eigenpairs
+of ``-C``, the residual of ``t`` outside their span and the minimum-norm
+``(-C)^+ t``; an eigenvalue that is negative, which the sign test counted
+as zero, is never kept, so the gauge is finite only where
 :func:`gmfrac.hull.in_hull` can accept the point.  ``W`` is never
 factorized as an n-by-n matrix, and this module applies no rank or sign
 rule of its own.  :func:`in_scaled_hull` is the hull's own test,
@@ -44,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import _eig_kept, _outside, _small, _svd_kept, symmetrize
+from .linalg import _eig_kept, _outside, _pinv_solve, _small, _svd_kept, symmetrize
 from .cones import _polar_form
 from .support import PreconditionError, _check_point, eval_support
 from .hull import _gap, _in_hull
@@ -113,12 +118,15 @@ def eval_gauge(point, pair):
 
     Returns an infinite result unless ``W`` lies in the polar cone and
     ``rge Y subset ker A intersect rge W``, tested as ``rge Y`` inside
-    ``Q rge C`` for ``C = Q^T W Q``.  On that domain the value is
-    ``1/2 / sigma_min`` of the critical matrix (see module docstring); a
-    numerically zero ``Y`` gives gauge 0.  A ``-C`` certified nonsingular
-    by the one Cholesky factorization that passes its sign test takes one
-    LU solve and no eigensolve of ``-C``: then ``Q rge C = ker A`` and
-    ``(-W)^+ = Q (-C)^-1 Q^T``.  Any other ``-C`` takes its kept eigenpairs
+    ``Q rge C`` for ``C = Q^T W Q``: ``Y`` outside ``ker A`` against
+    ``||Y||_F``, then ``Q^T Y`` outside ``rge C`` against ``||Q^T Y||_F``.
+    On that domain the value is ``1/2 / sigma_min`` of the critical matrix
+    (see module docstring); a numerically zero ``Y`` gives gauge 0.  The
+    range test on ``rge C`` and ``(-C)^+`` come from one rule, the one the
+    support solve applies to ``H``: a ``-C`` certified nonsingular by the
+    one Cholesky factorization that passes its sign test takes one LU solve
+    and no eigensolve of ``-C``, since then ``Q rge C = ker A`` and
+    ``(-W)^+ = Q (-C)^-1 Q^T``; any other ``-C`` takes its kept eigenpairs
     from the one ``eigh`` that decided its sign test.
 
     Raises
@@ -131,32 +139,21 @@ def eval_gauge(point, pair):
     Y = point.Y
     kernel = pair.kernel
     polar = _polar_form(point.W, kernel, rank=True)
-    if polar is None:
-        return GaugeResult.infinite()
-    # a certified nonsingular -C keeps every eigenvalue: Q rge C = ker A and
-    # (-W)^+ = Q (-C)^-1 Q^T, with no eigensolve.  Otherwise the kept
-    # eigenpairs of -C give Q rge C and (-W)^+ = Q (-C)^+ Q^T
-    neg, kept = polar
-    if kept is None:
-        outside = _outside(Y, kernel)
-    else:
-        lam_k, v = kept
-        vk = kernel.basis @ v
-        outside = Y - vk @ (vk.T @ Y)
-    if not _small(outside, Y):
+    if polar is None or not _small(_outside(Y, kernel), Y):
         return GaugeResult.infinite()
     if _small(Y, 0.0):
         return GaugeResult(finite=True, value=0.0)
+    # (-W)^+ = Q (-C)^+ Q^T on the polar cone, so Y^T (-W)^+ Y = V_r t^T
+    # (-C)^+ t V_r^T for t = Q^T U_r S_r = Q^T Y V_r.  The package's one
+    # pseudo-inverse rule applies (-C)^+ to t and tests rge t inside rge C,
+    # against ||t|| = ||Q^T Y||; the compressed form is PSD by construction,
+    # and its top eigenvalue decides the gauge
     ur, sr, vr = _svd_kept(Y)
-    # compressed form of Y^T (-W)^+ Y, PSD by construction; its top
-    # eigenvalue decides the gauge
-    if kept is None:
-        t = kernel.basis.T @ ur
-        inner = t.T @ np.linalg.solve(neg, t)
-    else:
-        t = vk.T @ ur
-        inner = (t.T / lam_k) @ t
-    reduced = symmetrize(inner * np.outer(sr, sr))
+    t = (kernel.basis.T @ ur) * sr
+    g = _pinv_solve(*polar, t)
+    if g is None:
+        return GaugeResult.infinite()
+    reduced = symmetrize(t.T @ g)
     lam, q = _eig_kept(reduced)
     if lam.size == 0:
         return GaugeResult(finite=True, value=0.0)

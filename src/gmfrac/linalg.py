@@ -32,13 +32,18 @@ gauge's ``-Q^T W Q`` take their sign test, their rank and their kept
 eigenpairs from one call, ``_psd_kept``: outside its rounding band one
 Cholesky certificate, shifted by the rank threshold, decides the sign and
 proves that the rank cutoff keeps every eigenvalue, so a pseudoinverse is
-an inverse, one LU solve; inside it one ``eigh`` decides all three.  The
-kept eigenpairs are those that ``_kept`` keeps once the negative
-eigenvalues, which the sign test counted as zero, are set to zero, and the
-hull witness and the gauge's reduced matrix read them from ``_eig_kept``
-by the same rule.  Every decision inside a band reads the one routine, so
-a cone test and the domain or gauge test of the same matrix never take a
-coin toss apart.
+an inverse; inside it one ``eigh`` decides all three.  One rule,
+``_pinv_solve``, then applies the pseudoinverse for both, from what
+``_psd_kept`` returned: one LU solve where the certificate holds, and
+otherwise the residual of the right-hand side outside the kept
+eigenvectors' span, tested by ``_small`` against the right-hand side, and
+the minimum-norm solution; no other module reads the layout of that
+result.  The kept eigenpairs are those that ``_kept`` keeps once the
+negative eigenvalues, which the sign test counted as zero, are set to
+zero, and the hull witness and the gauge's reduced matrix read them from
+``_eig_kept`` by the same rule.  Every decision inside a band reads the
+one routine, so a cone test and the domain or gauge test of the same
+matrix never take a coin toss apart.
 ``ker A`` likewise has one body, ``_split``, for both
 :class:`gmfrac.support.ConstraintPair` and :func:`kernel_basis`.  Where one
 Cholesky factorization of ``A A^T`` certifies that the rank cutoff keeps
@@ -46,7 +51,7 @@ every singular value of ``A`` (``_full_row_rank``, an accept of ``_above``),
 ``ker A`` is the trailing block of one Householder QR of ``A^T``; everywhere
 else one SVD of ``A`` and the rank cutoff decide it.  The gauge's rank of
 ``Y`` is ``_svd_kept``, a reduced SVD and the same cutoff.  No other module
-calls ``svd``, ``qr``, ``inv`` or ``_kept``.
+calls ``svd``, ``qr``, ``inv``, ``solve`` or ``_kept``.
 
 Symmetry is established once and never re-checked on the hot path.  The
 public cone tests symmetrize a raw matrix once, at entry; the points of
@@ -237,6 +242,22 @@ def _psd_kept(h):
         return ok, None
     w, u = np.linalg.eigh(h)
     return bool(w[0] >= -_PSD_TOL), _pairs_kept(w, u)
+
+
+def _pinv_solve(h, kept, r):
+    # h^+ r for a symmetric k-by-k h that passed _psd_kept's sign test, read
+    # through the kept it returned, or None when r fails the range test.
+    # Where kept is None the Cholesky proved h nonsingular, so r lies in its
+    # range and h^+ r = h^-1 r is one LU solve.  Otherwise the kept
+    # eigenpairs (w, u) give the residual of r outside rge u, tested by
+    # _small against r, and the minimum-norm h^+ r = u (u^T r / w)
+    if kept is None:
+        return np.linalg.solve(h, r)
+    w, u = kept
+    coef = u.T @ r
+    if not _small(r - u @ coef, r):
+        return None
+    return u @ (coef / w[:, None])
 
 
 def _pairs_kept(w, u):

@@ -21,13 +21,16 @@ and ``R = Q^T (X - V Y0)``.  The domain is ``H >= 0`` and ``rge R`` inside
 rank cutoff on ``H`` come from one call, ``linalg._psd_kept``, whose sign
 test is that of :func:`gmfrac.cones.in_cone`: one Cholesky factorization of
 ``H`` shifted by the rank threshold certifies both away from their
-thresholds, and there ``R`` is in range and ``H^+ R = H^-1 R`` is one LU
-solve.  Inside Cholesky's rounding band one ``eigh`` of ``H`` decides the
-sign and gives the kept eigenpairs, for the range test and the
-minimum-norm ``H^+ R``: a negative eigenvalue that passed the sign test
-counts as zero, so a direction of ``H`` within ``1e-9`` below zero
-makes the value ``+inf`` unless ``R``'s part along it passes the residual
-test.  The
+thresholds; inside Cholesky's rounding band one ``eigh`` of ``H`` decides
+the sign and gives the kept eigenpairs.  The package's one pseudo-inverse
+rule, ``linalg._pinv_solve``, which the gauge's ``(-C)^+`` also reads, then
+gives the range test and ``H^+ R`` from that call's result: where the
+Cholesky certified ``H``, ``R`` is in range and ``H^+ R = H^-1 R`` is one
+LU solve; elsewhere the kept eigenpairs give the residual of ``R``
+outside their span, tested against ``||R||_F``, and the minimum-norm
+``H^+ R``.  A negative eigenvalue that passed the sign test counts as
+zero, so a direction of ``H`` within ``1e-9`` below zero makes the value
+``+inf`` unless ``R``'s part along it passes the residual test.  The
 multiplier ``Z*`` is the minimum-norm solution of ``A^T Z = X - V Y*``.
 Both pieces of ``A`` this needs, ``Q`` and ``Y0``, come from the one
 factorization of ``A`` taken when the :class:`ConstraintPair` is built: a QR
@@ -52,6 +55,7 @@ import numpy as np
 from .linalg import (
     _compress,
     _norm,
+    _pinv_solve,
     _psd_kept,
     _small,
     _split,
@@ -269,24 +273,17 @@ def _solve(point, pair):
     # G* = H^+ R for H = sym(Q^T V Q) and R = Q^T (X - V Y0), or None when
     # (X, V) is outside the domain.  The sign test and the rank cutoff are
     # in_cone's decisions on the same H, both from _psd_kept: one Cholesky
-    # outside the rounding band, one eigh inside it.  Where the Cholesky
-    # certifies that the rank cutoff keeps every eigenvalue, H is
-    # nonsingular, R lies in its range and G* = H^-1 R is one LU solve.
-    # Inside the band the kept eigenpairs give the range test and the
-    # minimum-norm H^+ R.
+    # outside the rounding band, one eigh inside it.  The package's one
+    # pseudo-inverse rule, linalg._pinv_solve, then takes the range test and
+    # H^+ R from what _psd_kept returned: one LU solve where the Cholesky
+    # certified H nonsingular, the kept eigenpairs otherwise.
     kernel = pair.kernel
     h = _compress(point.V, kernel)
     psd, kept = _psd_kept(h)
     if not psd:
         return None
     r = kernel.basis.T @ (point.X - point.V @ pair.min_norm_solution)
-    if kept is None:
-        return np.linalg.solve(h, r)
-    w, u = kept
-    coef = u.T @ r
-    if not _small(r - u @ coef, r):
-        return None
-    return u @ (coef / w[:, None])
+    return _pinv_solve(h, kept, r)
 
 
 def in_domain(point, pair):

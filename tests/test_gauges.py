@@ -14,6 +14,7 @@ from gmfrac import (
     eval_polar_gauge,
     eval_support,
     gauge_bisection,
+    graph_point,
     in_hull,
     in_polar_cone,
     in_scaled_hull,
@@ -22,7 +23,7 @@ from gmfrac import (
     symmetrize,
 )
 from gmfrac.linalg import _eig_kept, _psd_kept
-from helpers import gauge_instance, rand_zero_pair, scaled_point
+from helpers import gauge_instance, rand_zero_pair, scaled_point, taken
 
 EPS = np.finfo(float).eps
 
@@ -316,3 +317,35 @@ def test_gauge_on_ill_conditioned_w_matches_mpmath():
             exact = float(max(mpmath.eigsy((reduced + reduced.T) / 2, eigvals_only=True)) / 2)
         cond = lam[-1] / lam[0]
         assert abs(res.value - exact) <= 10 * cond * EPS * exact
+
+
+GRAPH_SHAPES = [
+    (n, m, p) for n in range(3, 9) for p in range(0, n - 1) for m in range(1, n - p)
+]
+
+
+@pytest.mark.parametrize("n,m,p", GRAPH_SHAPES)
+def test_gauge_of_a_graph_point_is_one(n, m, p, counts):
+    # (Y, -1/2 Y Y^T) with Y in ker A lies on the graph set, so its gauge is
+    # 1.  With m < k, -C = 1/2 Q^T Y Y^T Q is singular: the sign test falls
+    # back to eigh and (-C)^+ comes from the kept eigenpairs.  Y moved by
+    # 1e-6 ||Y|| along a direction in ker A orthogonal to rge Y stays in
+    # ker A but leaves rge W, and the range test on those eigenpairs must
+    # read +inf
+    rng = np.random.default_rng(100 * n + 10 * m + p)
+    pair = rand_zero_pair(rng, n, m, p)
+    q = pair.kernel.basis
+    for _ in range(3):
+        y = q @ rng.standard_normal((q.shape[1], m))
+        point = graph_point(y)
+        taken(counts)
+        res = eval_gauge(point, pair)
+        got = taken(counts)
+        assert got["eigh"] == 2 and "solve" not in got
+        assert res.finite and res.value == pytest.approx(1.0, abs=1e-10)
+        d = q @ rng.standard_normal(q.shape[1])
+        d -= y @ np.linalg.lstsq(y, d, rcond=None)[0]
+        d /= np.linalg.norm(d)
+        c = rng.standard_normal(m)
+        off = y + 1e-6 * np.linalg.norm(y) * np.outer(d, c / np.linalg.norm(c))
+        assert not eval_gauge(PrimalPoint(off, point.W), pair).finite

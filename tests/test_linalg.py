@@ -453,10 +453,11 @@ def test_tolerance_config_has_one_field_per_rule():
 
 
 def test_sign_factorizations_are_called_only_in_linalg():
-    # every sign decision is one predicate of linalg, and every kept spectrum
-    # is _psd_kept's or _eig_kept's: no other module calls cholesky or eigh,
-    # and no module calls eigvalsh, so every decision inside a band reads eigh
-    for name in ("cholesky", "eigh"):
+    # every sign decision is one predicate of linalg, every kept spectrum is
+    # _psd_kept's or _eig_kept's, and every pseudo-inverse is _pinv_solve's:
+    # no other module calls cholesky, eigh or solve, and no module calls
+    # eigvalsh, so every decision inside a band reads eigh
+    for name in ("cholesky", "eigh", "solve"):
         assert _callers(name) == {"linalg.py"}, name
     assert _callers("eigvalsh") == set()
 
