@@ -15,9 +15,12 @@ intersect rge W``, ``W`` in the polar cone.  Equivalently the value is
 ``-Y^T W^+ Y``; note the block of the inverse here, not the inverse of the
 block: compressing ``W`` itself to ``rge Y`` would drop the coupling
 between ``rge Y`` and the rest of the kernel and can understate the gauge.
-The reduced SVD of ``Y`` and its rank cut are ``linalg._svd_kept``'s, and a
-missing nonzero singular value (one above ``1e-10`` times the largest)
-means gauge zero, e.g. ``Y = 0`` with ``W`` in the polar cone.
+The reduced SVD of ``Y`` and its rank cut are ``linalg._svd_kept``'s, and
+the gauge has one zero path, its formula's: a reduced matrix with no kept
+eigenvalue.  An exact ``Y = 0`` with ``W`` in the polar cone reaches it,
+as ``Y`` has no nonzero singular value and the reduced matrix is empty;
+no threshold on ``||Y||`` decides it, so no rescaling ``(t Y, t^2 W)``,
+under which the hull is unchanged, turns a nonzero ``Y`` into gauge 0.
 
 The domain test is the polar-cone test on ``W``, the sign test of ``-C =
 -Q^T W Q`` that :func:`gmfrac.cones.in_polar_cone` takes.  On the polar
@@ -121,7 +124,8 @@ def eval_gauge(point, pair):
     ``Q rge C`` for ``C = Q^T W Q``: ``Y`` outside ``ker A`` against
     ``||Y||_F``, then ``Q^T Y`` outside ``rge C`` against ``||Q^T Y||_F``.
     On that domain the value is ``1/2 / sigma_min`` of the critical matrix
-    (see module docstring); a numerically zero ``Y`` gives gauge 0.  The
+    (see module docstring), and the one zero path is its formula's: an
+    exact ``Y = 0`` keeps no singular value and gives gauge 0.  The
     range test on ``rge C`` and ``(-C)^+`` come from one rule, the one the
     support solve applies to ``H``: a ``-C`` certified nonsingular by the
     one Cholesky factorization that passes its sign test takes one LU solve
@@ -141,8 +145,6 @@ def eval_gauge(point, pair):
     polar = _polar_form(point.W, kernel, rank=True)
     if polar is None or not _small(_outside(Y, kernel), Y):
         return GaugeResult.infinite()
-    if _small(Y, 0.0):
-        return GaugeResult(finite=True, value=0.0)
     # (-W)^+ = Q (-C)^+ Q^T on the polar cone, so Y^T (-W)^+ Y = V_r t^T
     # (-C)^+ t V_r^T for t = Q^T U_r S_r = Q^T Y V_r.  The package's one
     # pseudo-inverse rule applies (-C)^+ to t and tests rge t inside rge C,

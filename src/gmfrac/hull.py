@@ -151,9 +151,13 @@ def in_hull_polar(dual, pair):
 
 
 def in_hull_horizon(point, pair):
-    """Horizon (recession) cone membership: ``Y = 0`` and ``W`` in the polar cone."""
+    """Horizon (recession) cone membership: ``Y = 0`` and ``W`` in the polar cone.
+
+    ``Y = 0`` is exact, every entry zero, with no threshold: the horizon
+    cone holds no point with ``Y != 0`` at any scale.
+    """
     _check_point(point, pair)
-    return _small(point.Y, 0.0) and _in_polar(point.W, pair.kernel)
+    return not point.Y.any() and _in_polar(point.W, pair.kernel)
 
 
 def in_hull_polar_horizon(dual, pair):

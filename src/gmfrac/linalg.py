@@ -121,7 +121,8 @@ def _norm(x):
 def _small(resid, ref):
     # the residual test ||resid|| <= _RANGE_TOL * max(1, ||ref||), both norms
     # by _norm; resid and ref may be arrays or scalars, and a scalar ref of 0
-    # makes the test absolute
+    # makes the test absolute, as only the scalar tests on ||B|| and on a
+    # support value take it
     return _norm(resid) <= _RANGE_TOL * max(1.0, _norm(ref))
 
 

@@ -12,8 +12,10 @@ import gmfrac.verify
 from gmfrac import (
     ConvexWitness,
     DualPoint,
+    GaugeResult,
     PreconditionError,
     PrimalPoint,
+    SupportResult,
     canonical_subgradient,
     caratheodory_witness,
     eval_gauge,
@@ -299,13 +301,26 @@ def _hull_rejecting_every_other_call():
     return lambda point, pair: next(calls) % 2 == 0 and in_hull(point, pair)
 
 
+def _gauge_raised_by_one_percent(point, pair):
+    res = eval_gauge(point, pair)
+    return replace(res, value=1.01 * res.value)
+
+
+# each wrong closed form fails the check named with it, through a branch of
+# its own: a support value below the sampled bound or +inf, a gauge +inf or
+# off the bisection's value
 @pytest.mark.parametrize(
     "name, wrong, failing",
     [
         ("eval_support", lambda: _support_lowered_by_one, "support-dominance"),
         ("in_hull", _hull_rejecting_every_other_call, "hull-convexity-fuzz"),
+        ("eval_support", lambda: lambda point, pair: SupportResult.infinite(),
+         "support-dominance"),
+        ("eval_gauge", lambda: lambda point, pair: GaugeResult.infinite(),
+         "gauge-bisection-agreement"),
+        ("eval_gauge", lambda: _gauge_raised_by_one_percent, "gauge-bisection-agreement"),
     ],
-    ids=["eval_support", "in_hull"],
+    ids=["eval_support", "in_hull", "support-infinite", "gauge-infinite", "gauge-off"],
 )
 def test_verify_fails_on_a_wrong_closed_form(capsys, f1_files, monkeypatch, name, wrong, failing):
     argv = ["verify", "--A", f1_files["A"], "--B", f1_files["B"], "--trials", "20", "--seed", "0"]

@@ -481,6 +481,43 @@ def test_svd_and_kept_are_called_only_in_linalg():
         assert _callers(name) == {"linalg.py"}, name
 
 
+def _absolute_small_calls(tree, scope=""):
+    # the qualified names of the functions whose body calls _small with the
+    # literal reference 0.0, once per call
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            found += _absolute_small_calls(node, scope + node.name + ".")
+        else:
+            found += [
+                scope.rstrip(".")
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "_small"
+                and len(call.args) == 2
+                and isinstance(call.args[1], ast.Constant)
+                and call.args[1].value == 0.0
+            ]
+    return found
+
+
+def test_only_scalar_tests_compare_with_nothing():
+    # _small(resid, 0.0) is an absolute test, which a cone's rescaling
+    # moves; only the scalar tests on ||B|| and on a support value keep it.
+    # The horizon test reads Y = 0 exactly, and the gauge's only zero path
+    # is its formula's
+    calls = sorted(
+        (path.name, name)
+        for path in _package_files()
+        for name in _absolute_small_calls(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert calls == [
+        ("hull.py", "in_hull_polar"),
+        ("hull.py", "in_hull_polar_horizon"),
+        ("support.py", "ConstraintPair.homogeneous"),
+    ]
+
+
 def test_cli_reads_no_tolerance_and_imports_no_oracle():
     # the oracle suite lives in gmfrac.verify, so the CLI compares nothing
     # with a threshold itself
