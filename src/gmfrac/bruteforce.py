@@ -31,11 +31,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """How many points to draw, from which seed, at which spread."""
+    """How many points to draw, and from which seed."""
 
     count: int = 1000
     rng_seed: int = 0
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.count < 1:
@@ -46,14 +45,14 @@ def sample_feasible(pair, sc):
     """Draw random points of the manifold ``{Y : A Y = B}``.
 
     Each sample is ``Y0 + Q G`` with ``Y0`` the minimum-norm solution, ``Q``
-    the kernel basis, and ``G`` standard normal scaled by ``sc.scale``.
+    the kernel basis, and ``G`` standard normal.
 
     Returns
     -------
     ndarray, shape (count, n, m)
     """
     rng = np.random.default_rng(sc.rng_seed)
-    return _draw(pair, pair.min_norm_solution, sc.count, sc.scale, rng)
+    return _draw(pair, pair.min_norm_solution, sc.count, 1.0, rng)
 
 
 def _draw(pair, base, count, scale, rng):
@@ -70,26 +69,28 @@ def _objective(dual, ys):
     return lin - 0.5 * quad
 
 
-def support_lower_bound(dual, pair, sc, center=None, center_spread=1e-2):
+def support_lower_bound(dual, pair, sc, center=None):
     """Certified lower bound on the support value by sampled maximization.
 
     Maximizes ``<X, Y> - 1/2 <V, Y Y^T>`` over feasible samples.  When a
     ``center`` is given (typically a candidate maximizer), half the samples
     are drawn as tight Gaussian perturbations of it inside the feasible
-    manifold, which sharpens the bound far beyond what global sampling can
-    reach.
+    manifold, standard normal times ``1e-2``, which sharpens the bound far
+    beyond what global sampling can reach.
     """
     rng = np.random.default_rng(sc.rng_seed)
     n_global = sc.count if center is None else sc.count - sc.count // 2
-    ys = _draw(pair, pair.min_norm_solution, n_global, sc.scale, rng)
+    ys = _draw(pair, pair.min_norm_solution, n_global, 1.0, rng)
     if center is not None:
-        near = _draw(pair, center, sc.count // 2, center_spread * sc.scale, rng)
+        near = _draw(pair, center, sc.count // 2, _SPREAD, rng)
         ys = np.concatenate([ys, near], axis=0)
     return float(_objective(dual, ys).max())
 
 
-# gauge_bisection's bracket: a gauge above _T_MAX reads as +inf, and the
-# bracket is halved _ITERS times
+# support_lower_bound's spread of the draws around a center; gauge_bisection's
+# bracket: a gauge above _T_MAX reads as +inf, and the bracket is halved
+# _ITERS times
+_SPREAD = 1e-2
 _T_MAX = 1e12
 _ITERS = 100
 

@@ -12,10 +12,11 @@ projector onto S.  Both residuals outside S, ``linalg._outside`` for the
 affine hull and ``linalg._off_subspace`` for the polar cone, choose in
 :mod:`gmfrac.linalg` the basis they are read from: the n-by-r basis ``U``
 of the complement where the :class:`gmfrac.linalg.SubspaceBasis` stores
-it, which it does when ``r < k``, and ``Q`` otherwise.  Each cone test is
-one sign test ``_psd`` of :mod:`gmfrac.linalg` on a k-by-k compression: a
-Cholesky factorization decides it outside a rounding band, and ``eigh``
-inside; on the zero subspace the empty spectrum passes it.
+it, which it does when it was split from ``A`` with ``r < k``, and ``Q``
+otherwise.  Each cone test is one sign test ``_psd`` of
+:mod:`gmfrac.linalg` on a k-by-k compression: a Cholesky factorization
+decides it outside a rounding band, and ``eigh`` inside; on the zero
+subspace the empty spectrum passes it.
 
 A polar test is the AND of a sign test and a support test, and
 ``_polar_form`` takes them in order of cost, for every caller: the polar
@@ -38,10 +39,12 @@ it.  The thresholds are applied by the rules of
 :mod:`gmfrac.linalg`, and ``_polar_form`` keeps only the order of the
 tests.
 
-The public tests take a raw matrix through one entry, ``_entry``, which
+The subspace is checked once, when its :class:`gmfrac.linalg.SubspaceBasis`
+is built, which rejects a basis that is not a finite 2-D array; only the
+split of ``ker A`` stores a complement, so no test here checks one.  The
+public tests take a raw matrix through one entry, ``_entry``, which
 rejects with ``ValueError`` a matrix that is not n-by-n for the subspace
-or not finite, or a subspace whose basis or complement is not a finite
-2-D array with n rows, and symmetrizes the matrix once.
+or not finite, and symmetrizes the matrix once.
 The private predicates ``_in_cone``, ``_in_polar``, ``_in_aff_polar`` and
 ``_polar_form`` take a matrix that is symmetric by construction (a point's
 ``V`` or ``W``, or a gap matrix, built symmetric bit for bit); the
@@ -52,7 +55,6 @@ so no matrix is symmetrized twice.
 import numpy as np
 
 from .linalg import (
-    _checked_dim,
     _compress,
     _off_subspace,
     _outside,
@@ -76,8 +78,8 @@ def _entry(M, subspace):
     # the raw matrix of a public test, rejected unless n-by-n for the
     # subspace (the zero-W shortcut takes no product that would catch it)
     # and finite (a NaN would pass a Cholesky certificate), and symmetrized
-    # once, against a subspace that linalg._checked_dim has checked
-    n = _checked_dim(subspace)
+    # once, against a subspace that was checked when it was built
+    n = subspace.dim_ambient
     M = np.asarray(M, dtype=float)
     if M.shape != (n, n):
         raise ValueError(f"matrix must be {n}x{n} for this subspace, got shape {M.shape}")

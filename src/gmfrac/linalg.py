@@ -5,9 +5,11 @@ domains, hull geometry, gauges) reduces to a k-by-k compression of a
 symmetric matrix onto a subspace (``_compress``), or the part of a matrix
 outside it (``_outside``, and ``_off_subspace`` for the polar test's
 support residual ``W - Q C Q^T``), and a few rules applied to them.  A
-:class:`SubspaceBasis` keeps the basis of the orthogonal complement only
-where it is the narrower basis, and the part outside the subspace is read
-from whichever basis has fewer columns; only this module reads that
+:class:`SubspaceBasis` is checked once, when it is built: its basis must
+be a finite 2-D array, and it is kept as a read-only copy.  Only the split
+of ``ker A``, ``_split``, stores the basis of the orthogonal complement, and
+only where it is the narrower basis; the part outside the subspace is read
+from whichever basis has fewer columns, and only this module reads that
 complement or chooses between the bases.  All rank and membership decisions
 are governed by three fixed thresholds and applied only here, by three
 private rules that every other module calls: ``_kept`` (the rank cutoff,
@@ -63,7 +65,7 @@ construction.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -310,10 +312,14 @@ class SubspaceBasis:
     """An orthonormal basis of a subspace of R^n, and of its complement.
 
     ``basis`` is n-by-k with orthonormal columns ``Q`` spanning the
-    subspace; ``k = 0`` encodes the zero subspace.  ``complement`` is
-    ``None``, or n-by-r with orthonormal columns ``U`` spanning the
-    orthogonal complement, ``r = n - k``; :func:`kernel_basis` and
-    :class:`gmfrac.support.ConstraintPair` store it exactly when it is the
+    subspace; ``k = 0`` encodes the zero subspace.  It is checked once,
+    when the basis is built, and stored as a read-only C-order float copy,
+    so a later change to the caller's array cannot change the subspace; a
+    non-finite or non-2-D ``basis`` raises ``ValueError``.  ``complement``
+    is not an argument: it is ``None``, or n-by-r with orthonormal columns
+    ``U`` spanning the orthogonal complement, ``r = n - k``, which only the
+    split of ``ker A`` behind :func:`kernel_basis` and
+    :class:`gmfrac.support.ConstraintPair` stores, exactly when it is the
     narrower basis, ``r < k``.  Every subspace test in this package reads
     ``Q`` through the k-by-k compression ``Q^T V Q`` of a matrix, and the
     part of a matrix outside the subspace through ``U`` where it is stored
@@ -323,7 +329,16 @@ class SubspaceBasis:
     """
 
     basis: np.ndarray
-    complement: Optional[np.ndarray] = None
+    complement: Optional[np.ndarray] = field(default=None, init=False)
+
+    def __post_init__(self):
+        # a NaN in Q would pass a Cholesky certificate; subok keeps a
+        # caller's ndarray subclass, such as one that records products
+        q = np.array(self.basis, dtype=float, order="C", subok=True)
+        if q.ndim != 2 or not np.isfinite(q).all():
+            raise ValueError(f"subspace basis must be a finite 2-D array, got shape {q.shape}")
+        q.setflags(write=False)
+        object.__setattr__(self, "basis", q)
 
     @property
     def dim_ambient(self):
@@ -367,9 +382,10 @@ def _full_row_rank(A):
 
 def _split(A, range_factor=True):
     # ker A and the range factors of a p-by-n float A of rank r, as
-    # (kernel, V_r, G, U_r): the kernel basis, which carries V_r, the basis
-    # of rge A^T, as its complement when r < k = n - r, so that a residual
-    # outside ker A costs n^2 r, not 2 n^2 k; V_r; the p-by-r range factor G
+    # (kernel, V_r, G, U_r): the kernel basis, built once after the three
+    # branches, which carries a read-only copy of V_r, the basis of rge A^T,
+    # as its complement when r < k = n - r, so that a residual outside ker A
+    # costs n^2 r, not 2 n^2 k; V_r; the p-by-r range factor G
     # with A^+ = V_r G^T and (A^T)^+ = G G^T A; and U_r, the basis of rge A
     # that the feasibility of A Y = B is tested against, or None where every
     # B is feasible.  p = 0 takes no factorization and has r = 0.  Where
@@ -385,21 +401,25 @@ def _split(A, range_factor=True):
         raise ValueError("A must have finite entries")
     p, n = A.shape
     if p == 0:
-        kernel = SubspaceBasis(np.eye(n), np.zeros((n, 0)) if n else None)
-        return kernel, np.zeros((n, 0)), np.zeros((0, 0)), None
-    if p <= n and _full_row_rank(A):
-        q, rf = np.linalg.qr(A.T, mode="complete")
-        vr = q[:, :p]
-        kernel = SubspaceBasis(q[:, p:].copy(), vr.copy() if p < n - p else None)
-        return kernel, vr, np.linalg.inv(rf[:p]) if range_factor else None, None
-    u, s, vh = np.linalg.svd(A)
-    r = np.count_nonzero(_kept(s))
-    # copies of what is kept, so that the full p-by-p and n-by-n factors are
-    # freed once the caller has used V_r
-    vr = vh[:r].T
-    ur = u[:, :r]
-    kernel = SubspaceBasis(vh[r:].T.copy(), vr.copy() if r < n - r else None)
-    return kernel, vr, ur / s[:r], ur
+        q, vr, g, ur = np.eye(n), np.zeros((n, 0)), np.zeros((0, 0)), None
+    elif p <= n and _full_row_rank(A):
+        f, rf = np.linalg.qr(A.T, mode="complete")
+        q, vr, ur = f[:, p:], f[:, :p], None
+        g = np.linalg.inv(rf[:p]) if range_factor else None
+    else:
+        u, s, vh = np.linalg.svd(A)
+        r = np.count_nonzero(_kept(s))
+        q, vr, ur = vh[r:].T, vh[:r].T, u[:, :r]
+        g = ur / s[:r]
+    # the kernel basis copies what it keeps, so that the full factors are
+    # freed once the caller has used V_r, and V_r is copied as its
+    # complement where it is the narrower basis
+    kernel = SubspaceBasis(q)
+    if vr.shape[1] < kernel.dim:
+        comp = vr.copy()
+        comp.setflags(write=False)
+        object.__setattr__(kernel, "complement", comp)
+    return kernel, vr, g, ur
 
 
 def _compress(V, subspace):
@@ -408,21 +428,6 @@ def _compress(V, subspace):
     # the k-by-k product is, because gemm rounding leaves it asymmetric
     q = subspace.basis
     return symmetrize(q.T @ V @ q)
-
-
-def _checked_dim(subspace):
-    # the ambient dimension n of a subspace handed to a public cone test,
-    # whose basis, and complement where stored, must be finite 2-D arrays
-    # with n rows: a NaN in Q passes a Cholesky certificate, and an inf in U
-    # escapes as a RuntimeWarning.  A pair's kernel, split from a finite A,
-    # reaches the private predicates unchecked
-    parts = [np.asarray(subspace.basis)]
-    if subspace.complement is not None:
-        parts.append(np.asarray(subspace.complement))
-    n = parts[0].shape[0] if parts[0].ndim == 2 else None
-    if any(b.ndim != 2 or b.shape[0] != n or not np.isfinite(b).all() for b in parts):
-        raise ValueError("subspace basis and complement must be finite 2-D arrays with n rows")
-    return n
 
 
 def _outside(C, subspace):

@@ -98,7 +98,10 @@ class ConstraintPair:
     Notes
     -----
     ``A`` and ``B`` are stored as read-only copies, so a later change to the
-    caller's arrays cannot leave the cached factorization stale.  One
+    caller's arrays cannot leave the cached factorization stale, and every
+    cached array (the kernel basis and its complement, the minimum-norm
+    solution and the range factor) is read-only, so an in-place write to
+    one raises ``ValueError`` instead of rewriting the pair.  One
     factorization of ``A`` (none when ``p = 0``), taken by the same body as
     :func:`gmfrac.linalg.kernel_basis`, gives its rank, the orthonormal
     kernel basis and the minimum-norm solution of ``A Y = B``: where one
@@ -136,7 +139,9 @@ class ConstraintPair:
                 raise InfeasiblePairError(
                     "rge B is not contained in rge A: the manifold {A Y = B} is empty"
                 )
+        g.setflags(write=False)
         self._min_norm = vr @ (g.T @ B)
+        self._min_norm.setflags(write=False)
         self._range_factor = g
 
     @property
@@ -177,6 +182,8 @@ def _freeze_point(point):
     # the square one symmetrized once, finite entries and matching row counts
     a_name, s_name = (f.name for f in fields(point))
     a = np.array(getattr(point, a_name), dtype=float)
+    if a.ndim not in (1, 2):
+        raise ValueError(f"{a_name} must be a 1-D or 2-D array, got shape {a.shape}")
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     s = symmetrize(getattr(point, s_name))

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from gmfrac import (
+    ConstraintPair,
     SubspaceBasis,
     frobenius_inner,
     in_aff_polar,
@@ -13,6 +16,7 @@ from gmfrac import (
     sample_polar,
     symmetrize,
 )
+from gmfrac import linalg
 from helpers import cone_member, rand_sym, zero_subspace
 
 E2 = kernel_basis(np.array([[1.0, 0.0]]))  # span{e2}
@@ -225,7 +229,52 @@ def _bad_subspaces():
 )
 @pytest.mark.parametrize("test", [in_cone, in_int_cone, in_polar_cone, in_aff_polar, in_rint_polar])
 def test_public_tests_reject_a_bad_subspace(test, basis, complement):
-    # a NaN basis passed in_cone's Cholesky certificate, and an inf in the
-    # complement escaped as numpy's RuntimeWarning
-    with pytest.raises(ValueError, match="finite 2-D"):
-        test(np.eye(2), SubspaceBasis(basis, complement))
+    # the basis is checked once, when the SubspaceBasis is built, so no
+    # public test sees a NaN (which would pass in_cone's Cholesky certificate),
+    # inf or 1-D basis; a complement is not an argument, so a spoiled one
+    # cannot be built at all
+    if complement is None:
+        with pytest.raises(ValueError, match="finite 2-D"):
+            test(np.eye(2), SubspaceBasis(basis))
+    else:
+        with pytest.raises(TypeError):
+            test(np.eye(2), SubspaceBasis(basis, complement))
+
+
+def test_a_subspace_is_checked_once_when_built():
+    # one init field, checked and frozen in __post_init__; no per-call check
+    assert not hasattr(linalg, "_checked_dim")
+    assert [f.name for f in fields(SubspaceBasis) if f.init] == ["basis"]
+    q = np.eye(3)[:, :2]
+    for build in (lambda: SubspaceBasis(q, q), lambda: SubspaceBasis(q, complement=q)):
+        with pytest.raises(TypeError):
+            build()
+    # a read-only copy: a later write to the caller's array leaves it as built
+    raw = q.copy()
+    subspace = SubspaceBasis(raw)
+    raw[0, 0] = 5.0
+    assert subspace.basis[0, 0] == 1.0 and subspace.complement is None
+    with pytest.raises(ValueError):
+        subspace.basis[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("p", [0, 1, 3, 4])
+def test_split_kernels_are_read_only(p):
+    # r < k stores the complement (p = 0 counts as r = 0), r >= k does not
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((p, 5))
+    pair = ConstraintPair(a, np.zeros((p, 1)))
+    for kernel in (kernel_basis(a), pair.kernel):
+        assert (kernel.complement is not None) == (p < 5 - p)
+        for part in (kernel.basis, kernel.complement):
+            if part is not None:
+                assert not part.flags.writeable
+                with pytest.raises(ValueError):
+                    part += 1.0
+
+
+@pytest.mark.parametrize("test", [in_polar_cone, in_aff_polar])
+def test_hand_built_subspace_reads_the_q_form(test):
+    # -I has a part off span{e1}, so it lies in neither set; no complement
+    # can be handed in beside the basis, so both tests read the Q form
+    assert test(-np.eye(4), SubspaceBasis(np.eye(4)[:, :1])) is False

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gmfrac import ConstraintPair, kernel_basis
+from gmfrac import ConstraintPair, DualPoint, PrimalPoint, kernel_basis
 from gmfrac.cli import main
 
 HEADER_CASES = [
@@ -80,6 +80,24 @@ def test_cli_refuses_an_unwritable_witness_file(capsys, tmp_path):
     ids=["1-D A", "1-D B", "3-D A", "NaN B", "inf B", "1-D kernel A", "3-D kernel A"],
 )
 def test_library_refuses_a_malformed_constraint(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DualPoint(1.0, [[1.0]]), "X must be a 1-D or 2-D array, got shape ()"),
+        (lambda: PrimalPoint(2.0, [[-1.0]]), "Y must be a 1-D or 2-D array, got shape ()"),
+        (lambda: DualPoint(np.ones((2, 1, 1)), np.eye(2)), "X must be a 1-D or 2-D array"),
+        (lambda: PrimalPoint(np.ones((2, 1, 1)), -np.eye(2)), "Y must be a 1-D or 2-D array"),
+    ],
+    ids=["0-D X", "0-D Y", "3-D X", "3-D Y"],
+)
+def test_library_refuses_a_malformed_point(build, message):
+    # the first field is a matrix or one column, refused when the point is
+    # built rather than by a later check against a pair
     with pytest.raises(ValueError) as info:
         build()
     assert message in str(info.value)

@@ -584,9 +584,9 @@ def _is_reconstruction(node):
 def test_compression_and_reconstruction_have_one_home():
     # _compress is called only by the modules that own the subspace tests,
     # and the n-by-n support residual W - Q C Q^T is formed only in
-    # linalg._off_subspace; the complement basis U is read only by the two
-    # residuals outside the subspace, _outside and _off_subspace, and by the
-    # public cone tests' check that it is finite, _checked_dim
+    # linalg._off_subspace; the complement basis U, which only linalg._split
+    # attaches, is read only by the two residuals outside the subspace,
+    # _outside and _off_subspace
     compressing, reconstructing, complementing = set(), set(), set()
     for path in _package_files():
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -607,5 +607,4 @@ def test_compression_and_reconstruction_have_one_home():
     assert complementing == {
         ("linalg.py", "_outside"),
         ("linalg.py", "_off_subspace"),
-        ("linalg.py", "_checked_dim"),
     }

@@ -16,6 +16,8 @@ in-band decision to ``eigh``; the rule each test compares with is the
 ``eigh`` rule.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,54 @@ def test_zero_matrix_decides_as_eigvalsh(counts):
         # the zero spectrum is exact: only the rank cutoff needs eigh
         assert _psd(zero) and not _psd(zero, strict=True)
         assert taken(counts) == {}
+
+
+# the range of ||h||_F^2 in which linalg._above does not rescale h, written
+# out here so that the planted scales do not move with it
+SAFE = (2.0 ** -800, 2.0 ** 800)
+
+
+def safe_edges(h):
+    """``{j: inside}`` for the exponents that put ``||2^j h||_F^2`` just
+    inside and just outside ``SAFE`` at either end, and for ``j = +-410``
+    and ``+-500``, all outside."""
+    sq = float(np.vdot(h, h))
+    top = max(j for j in range(500) if math.ldexp(sq, 2 * j) < SAFE[1])
+    bottom = min(j for j in range(-500, 0) if math.ldexp(sq, 2 * j) > SAFE[0])
+    edges = {top: True, top + 1: False, bottom: True, bottom - 1: False}
+    edges.update(dict.fromkeys((-500, -410, 410, 500), False))
+    return edges
+
+
+@pytest.mark.parametrize("kind", ["definite", "singular", "indefinite"])
+@pytest.mark.parametrize("k", [2, 5, 12])
+def test_safe_band_edges_decide_as_eigh(counts, k, kind):
+    # 2^j times a planted spectrum, with ||h||_F^2 on either side of each end
+    # of SAFE, inside which _above does not rescale h.  Every sign and the
+    # kept count are the eigh rule's.  Outside SAFE the rescaled
+    # certificate decides a positive definite h with no eigh; just inside the
+    # lower end it cannot, as the band's half-width carries the absolute
+    # _PSD_TOL, so no count is pinned inside
+    rng = np.random.default_rng(89 + k)
+    u, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    lam = rng.uniform(0.5, 1.0, k)
+    lam[0] = {"definite": lam[0], "singular": 0.0, "indefinite": -0.5}[kind]
+    base = (u * lam) @ u.T
+    base = 0.5 * (base + base.T)
+    for j, inside in safe_edges(base).items():
+        h = np.ldexp(base, j)
+        assert (SAFE[0] < float(np.vdot(h, h)) < SAFE[1]) == inside, j
+        w = np.linalg.eigh(h)[0]
+        taken(counts)
+        assert _psd(h) == bool(w[0] >= -_PSD_TOL), j
+        assert _psd(h, strict=True) == bool(w[0] > _PSD_TOL), j
+        psd, kept = _psd_kept(h)
+        assert psd == bool(w[0] >= -_PSD_TOL), j
+        if psd:
+            count = k if kept is None else kept[0].size
+            assert count == np.count_nonzero(_kept(np.maximum(w, 0.0))), j
+        if kind == "definite" and not inside:
+            assert "eigh" not in taken(counts), j
 
 
 def integer_kernel_pair(rng, k, p, m):

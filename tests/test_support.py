@@ -244,6 +244,20 @@ def test_pair_keeps_read_only_copies_of_a_and_b():
         pair.B[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("n, m, p", [(2, 4, 1), (5, 2, 0), (6, 2, 4)])
+def test_pair_cached_arrays_are_read_only(n, m, p):
+    # an in-place write to a cached array would rewrite the pair: a later
+    # support value would move and Y0 would leave {A Y = B}
+    rng = np.random.default_rng(10)
+    pair = rand_pair(rng, n, m, p)
+    y0 = pair.min_norm_solution.copy()
+    for cached in (pair.min_norm_solution, pair._range_factor):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached += 1.0
+    np.testing.assert_array_equal(pair.min_norm_solution, y0)
+
+
 def test_points_keep_read_only_copies():
     rng = np.random.default_rng(9)
     pair = rand_pair(rng, 5, 2, 2)
