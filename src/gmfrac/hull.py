@@ -15,6 +15,8 @@ Every primal test reads the gap matrix ``1/2 Y Y^T + W``, built in one
 n-by-n buffer.  It is symmetric by construction, bit for bit (numpy forms
 ``Y Y^T`` by a symmetric rank-k update and mirrors it, and the point's
 ``W`` is symmetric since the point was built), so it is never symmetrized.
+For the same reason a graph point's ``W = -1/2 Y Y^T`` and the witness's
+induced ``W`` are not symmetrized when their points are built.
 
 The witness keeps ``N + 1 = n(n+1)/2 + 2`` components, all but at most
 ``rank + 1`` of them copies of the minimum-norm solution ``Z0``; that count
@@ -30,7 +32,8 @@ import numpy as np
 
 from .linalg import _eig_kept, _norm, _small, frobenius_inner
 from .cones import _in_aff_polar, _in_polar, _polar_form
-from .support import ConstraintPair, PreconditionError, _check_point, _freeze_point, eval_support
+from .support import ConstraintPair, PreconditionError, eval_support
+from .support import _check_point, _freeze_point, _symmetric_point
 
 __all__ = [
     "PrimalPoint",
@@ -56,8 +59,11 @@ class PrimalPoint:
     The point is frozen: ``W`` is symmetrized once, on entry, and ``Y`` and
     ``W`` are stored as read-only copies that cannot be rebound, so a later
     change to the caller's arrays cannot change the point and every test may
-    read ``W`` as symmetric without symmetrizing it again.  Every operation
-    that takes the point with a :class:`gmfrac.support.ConstraintPair` first
+    read ``W`` as symmetric without symmetrizing it again.  The points of
+    :func:`graph_point` and :meth:`ConvexWitness.induced_point` are built
+    with a ``W`` that is symmetric bit for bit, which is not symmetrized
+    again but otherwise checked and frozen alike.  Every operation that
+    takes the point with a :class:`gmfrac.support.ConstraintPair` first
     checks that ``Y`` is n-by-m for it, and raises ``ValueError`` if not.
     """
 
@@ -69,11 +75,21 @@ class PrimalPoint:
 
 
 def graph_point(Y):
-    """The graph set point ``(Y, -1/2 Y Y^T)``."""
-    Y = np.asarray(Y, dtype=float)
+    """The graph set point ``(Y, -1/2 Y Y^T)``.
+
+    ``Y`` may be 1-D, as one column.  ``W = -1/2 Y Y^T`` is formed from an
+    aligned C-order copy of ``Y``, for which numpy's symmetric rank-k update
+    makes it symmetric bit for bit, so it is kept as formed, not symmetrized
+    again; the point equals ``PrimalPoint(Y, -1/2 Y Y^T)`` built from that
+    copy bit for bit, except where an entry of ``W`` lies below
+    ``2^-1021``, whose last bit the public constructor's symmetrize drops.
+    A ``Y`` whose ``Y Y^T`` is not finite raises ``ValueError``, as the
+    public constructor does.
+    """
+    Y = np.array(Y, dtype=float, order="C")
     if Y.ndim == 1:
         Y = Y.reshape(-1, 1)
-    return PrimalPoint(Y, -0.5 * (Y @ Y.T))
+    return _symmetric_point(PrimalPoint, Y, -0.5 * (Y @ Y.T))
 
 
 def pairing(dual, primal):
@@ -212,7 +228,7 @@ class ConvexWitness:
         cols = np.empty((n, runs, m))
         np.multiply(ys.transpose(1, 0, 2), np.sqrt(w)[:, None], out=cols)
         cols = cols.reshape(n, runs * m)
-        return PrimalPoint(np.tensordot(w, ys, axes=1), -0.5 * (cols @ cols.T))
+        return _symmetric_point(PrimalPoint, np.tensordot(w, ys, axes=1), -0.5 * (cols @ cols.T))
 
     def distance_to(self, point):
         return distance(self.induced_point(), point)

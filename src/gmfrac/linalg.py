@@ -58,10 +58,12 @@ calls ``svd``, ``qr``, ``inv``, ``solve`` or ``_kept``.
 Symmetry is established once and never re-checked on the hot path.  The
 public cone tests symmetrize a raw matrix once, at entry; the points of
 :mod:`gmfrac.support` and :mod:`gmfrac.hull` are frozen and symmetrized once
-when built; the hull's gap matrix is symmetric by construction and never
-symmetrized; and the private kernels (``_compress``, ``_psd``,
-``_psd_kept``, ``_eig_kept``) take operands that are symmetric by
-construction.
+when built, except a graph point and the witness's induced point, whose
+``W`` is formed as ``-1/2 Y Y^T`` by numpy's symmetric rank-k update and is
+symmetric bit for bit without it; the hull's gap matrix is symmetric by
+construction and never symmetrized; and the private kernels
+(``_compress``, ``_psd``, ``_psd_kept``, ``_eig_kept``) take operands that
+are symmetric by construction.
 """
 
 import math

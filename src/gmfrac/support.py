@@ -37,13 +37,20 @@ factorization of ``A`` taken when the :class:`ConstraintPair` is built: a QR
 of ``A^T`` where ``A`` is certified to have full row rank, an SVD elsewhere;
 ``M(V)`` itself is never formed.
 
-Each dual point is solved once, whichever of :func:`in_domain` and
-:func:`eval_support` asks first.  The module keeps the outcome of the two
-most recent solves, ``G* = H^+ R`` or "outside the domain", keyed by weak
+Each dual point is solved to the end once, whichever of :func:`in_domain`
+and :func:`eval_support` asks first.  The module keeps the outcome of the
+two most recent solves, the finished solution ``(Y*, Z*, value)`` with
+``Y*`` and ``Z*`` read-only, or "outside the domain", keyed by weak
 references to the frozen :class:`DualPoint` and to the
-:class:`ConstraintPair`.  A later call on the same two objects compresses
-and factorizes nothing.  The memo keeps no point or pair alive, and a
-point equal to a solved one but not the same object is solved again.
+:class:`ConstraintPair`.  A later call on the same two objects compresses,
+factorizes and assembles nothing: a support value, subgradient or polar
+test after it copies ``Y*`` and ``Z*`` at most.  So a first call of
+:func:`in_domain` alone forms ``Y*`` and ``Z*`` too, which at
+``(n, m, p) = (200, 10, 100)`` adds about a fifth to the solve; of the
+package's callers, ``in_subdifferential`` pays it only at a dual point not
+solved before, and the ``domain`` subcommand once per call.  The memo keeps
+no point or pair alive, and a point equal to a solved one but not the same
+object is solved again.
 """
 
 from dataclasses import dataclass, fields
@@ -176,17 +183,18 @@ class ConstraintPair:
         return f"ConstraintPair(p={self.p}, n={self.n}, m={self.m})"
 
 
-def _freeze_point(point):
+def _freeze_point(point, symmetric=None):
     # the body shared by DualPoint and PrimalPoint, whose fields are a matrix
     # and a square matrix: read-only copies, a 1-D first field as one column,
-    # the square one symmetrized once, finite entries and matching row counts
+    # the square one symmetrized once, unless _symmetric_point hands it in
+    # as symmetric, finite entries and matching row counts
     a_name, s_name = (f.name for f in fields(point))
     a = np.array(getattr(point, a_name), dtype=float)
     if a.ndim not in (1, 2):
         raise ValueError(f"{a_name} must be a 1-D or 2-D array, got shape {a.shape}")
     if a.ndim == 1:
         a = a.reshape(-1, 1)
-    s = symmetrize(getattr(point, s_name))
+    s = symmetrize(getattr(point, s_name)) if symmetric is None else symmetric
     a.setflags(write=False)
     s.setflags(write=False)
     object.__setattr__(point, a_name, a)
@@ -197,6 +205,18 @@ def _freeze_point(point):
         raise ValueError(
             f"{a_name} has {a.shape[0]} rows but {s_name} is {s.shape[0]}x{s.shape[1]}"
         )
+
+
+def _symmetric_point(cls, a, s):
+    # a point of cls whose square field s is a fresh float array symmetric
+    # bit for bit, such as -1/2 Y Y^T, which numpy forms by a symmetric
+    # rank-k update and mirrors: the public constructor but the symmetrize,
+    # which would return s unchanged but for entries below 2^-1021, whose
+    # halving drops a bit
+    point = object.__new__(cls)
+    object.__setattr__(point, fields(cls)[0].name, a)
+    _freeze_point(point, s)
+    return point
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,48 +269,55 @@ def _check_point(point, pair):
         raise ValueError(f"{name} must be {pair.n}x{pair.m} for this pair, got {shape}")
 
 
-# The outcomes of the two most recent reduced solves, newest first:
-# (weak reference to the point, weak reference to the pair, read-only G* or
-# None).  A lookup compares the referents by identity, so a dead point's
-# entry can never match a new point, and the memo keeps neither alive.  The
-# tuple is replaced whole and never edited, so threads racing on it can only
-# drop an entry.  Two entries serve one caller's value, subgradient and
-# subdifferential tests on one or two points, and nothing outlives the next
-# two points solved.
+# The outcomes of the two most recent solves, newest first: (weak reference
+# to the point, weak reference to the pair, the read-only solution
+# (Y*, Z*, value), or None outside the domain).  A lookup compares the
+# referents by identity, so a dead point's entry can never match a new
+# point, and the memo keeps neither alive.  The tuple is replaced whole and
+# never edited, so threads racing on it can only drop an entry.  Two entries
+# serve one caller's value, subgradient and subdifferential tests on one or
+# two points, and nothing outlives the next two points solved.
 _solved = ()
 
 
 def _reduced_solve(point, pair):
-    # G* = H^+ R, or None when (X, V) is outside the domain, read from the
-    # memo when it holds this point and pair; a computed outcome becomes the
-    # newest entry
+    # the solution (Y*, Z*, value), or None when (X, V) is outside the
+    # domain, read from the memo when it holds this point and pair; a
+    # computed outcome becomes the newest entry
     global _solved
     _check_point(point, pair)
-    for point_ref, pair_ref, g in _solved:
+    for point_ref, pair_ref, sol in _solved:
         if point_ref() is point and pair_ref() is pair:
-            return g
-    g = _solve(point, pair)
-    if g is not None:
-        g.setflags(write=False)
-    _solved = ((weakref.ref(point), weakref.ref(pair), g),) + _solved[:1]
-    return g
+            return sol
+    sol = _solve(point, pair)
+    _solved = ((weakref.ref(point), weakref.ref(pair), sol),) + _solved[:1]
+    return sol
 
 
 def _solve(point, pair):
-    # G* = H^+ R for H = sym(Q^T V Q) and R = Q^T (X - V Y0), or None when
-    # (X, V) is outside the domain.  The sign test and the rank cutoff are
-    # in_cone's decisions on the same H, both from _psd_kept: one Cholesky
-    # outside the rounding band, one eigh inside it.  The package's one
-    # pseudo-inverse rule, linalg._pinv_solve, then takes the range test and
-    # H^+ R from what _psd_kept returned: one LU solve where the Cholesky
-    # certified H nonsingular, the kept eigenpairs otherwise.
+    # the read-only maximizer Y* = Y0 + Q H^+ R, the multiplier Z* and the
+    # value for H = sym(Q^T V Q) and R = Q^T (X - V Y0), or None when (X, V)
+    # is outside the domain.  The sign test and the rank cutoff are in_cone's
+    # decisions on the same H, both from _psd_kept: one Cholesky outside the
+    # rounding band, one eigh inside it.  The package's one pseudo-inverse
+    # rule, linalg._pinv_solve, then takes the range test and H^+ R from what
+    # _psd_kept returned: one LU solve where the Cholesky certified H
+    # nonsingular, the kept eigenpairs otherwise.
     kernel = pair.kernel
     h = _compress(point.V, kernel)
     psd, kept = _psd_kept(h)
     if not psd:
         return None
     r = kernel.basis.T @ (point.X - point.V @ pair.min_norm_solution)
-    return _pinv_solve(h, kept, r)
+    g = _pinv_solve(h, kept, r)
+    if g is None:
+        return None
+    y_star = pair.min_norm_solution + kernel.basis @ g
+    z_star = pair._transpose_solve(point.X - point.V @ y_star)
+    y_star.setflags(write=False)
+    z_star.setflags(write=False)
+    value = 0.5 * (frobenius_inner(point.X, y_star) + frobenius_inner(pair.B, z_star))
+    return y_star, z_star, value
 
 
 def in_domain(point, pair):
@@ -311,7 +338,10 @@ def in_domain(point, pair):
     negative one that passed the sign test is never kept.  This set is not
     closed: with ``A = B = 0`` and ``X != 0``, every ``V = eta I`` with
     ``eta > 0`` is in the domain but the limit ``V = 0`` is not.  The test
-    is the solve of :func:`eval_support`, and shares its memo.
+    is the solve of :func:`eval_support`, and shares its memo, which holds
+    the finished solution: on a point not solved before, this call also
+    forms ``Y*`` and ``Z*``, so that a later support value, subgradient or
+    polar test at the point assembles nothing.
     """
     return _reduced_solve(point, pair) is not None
 
@@ -336,13 +366,12 @@ def eval_support(point, pair):
     :func:`in_domain`); where ``H`` is singular the maximizers form the set
     ``Y* + Q ker H`` and ``Y*`` is the one of minimum norm.  When this
     point and pair are among the two most recent solved, by this function
-    or by :func:`in_domain`, ``H^+ R`` is read from the memo; the
-    ``maximizer`` and ``multiplier`` are fresh arrays on every call.
+    or by :func:`in_domain`, the solution ``(Y*, Z*, value)`` is read from
+    the memo and nothing is recomputed; the ``maximizer`` and
+    ``multiplier`` are fresh copies on every call.
     """
-    g = _reduced_solve(point, pair)
-    if g is None:
+    sol = _reduced_solve(point, pair)
+    if sol is None:
         return SupportResult.infinite()
-    y_star = pair.min_norm_solution + pair.kernel.basis @ g
-    z_star = pair._transpose_solve(point.X - point.V @ y_star)
-    value = 0.5 * (frobenius_inner(point.X, y_star) + frobenius_inner(pair.B, z_star))
-    return SupportResult(finite=True, value=value, maximizer=y_star, multiplier=z_star)
+    y, z, value = sol
+    return SupportResult(finite=True, value=value, maximizer=y.copy(), multiplier=z.copy())

@@ -301,7 +301,7 @@ def test_each_n_by_n_matrix_is_symmetrized_once(symmetrized, n, m, p):
         return sum(shape == (n, n) for shape in symmetrized)
 
     # the subgradient's W, when its point is built
-    assert square(lambda: canonical_subgradient(dual, pair)) == 1
+    assert square(lambda: canonical_subgradient(dual, pair)) == 0
     # a gap matrix, symmetric by construction (test_hull's bitwise check),
     # or the point's own V or W, symmetric since it was built
     assert square(lambda: in_hull(point, pair)) == 0

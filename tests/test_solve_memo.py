@@ -1,7 +1,7 @@
 """The memo of the reduced support solve.
 
-``eval_support`` and ``in_domain`` keep the outcome ``G* = H^+ R`` (or
-"outside the domain") of the two most recent solves, whichever of them
+``eval_support`` and ``in_domain`` keep the outcome ``(Y*, Z*, value)``
+(or "outside the domain") of the two most recent solves, whichever of them
 took it, keyed by weak references to the point and the pair.  A repeated
 call on one of them reads the entry and takes no factorization; these
 tests check that a hit answers bit for bit as a fresh solve of an equal
@@ -93,11 +93,38 @@ def test_hit_returns_fresh_arrays():
 
 def test_cached_solution_is_read_only():
     point, pair = case("zero row")
-    g = _reduced_solve(point, pair)
-    assert not g.flags.writeable
-    assert _reduced_solve(point, pair) is g
-    with pytest.raises(ValueError):
-        g[0, 0] = 1.0
+    sol = _reduced_solve(point, pair)
+    y_star, z_star, _ = sol
+    assert not y_star.flags.writeable and not z_star.flags.writeable
+    assert _reduced_solve(point, pair) is sol
+    for cached in (y_star, z_star):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kind", ["p = 0", "zero row", "singular H"])
+def test_a_hit_assembles_nothing(monkeypatch, counts, kind):
+    # the entry is the finished solution: a later subgradient or polar test
+    # at the point forms no multiplier, as it takes no factorization
+    point, pair = case(kind)
+    calls = []
+    original = ConstraintPair._transpose_solve
+
+    def counted(self, C):
+        calls.append(C.shape)
+        return original(self, C)
+
+    monkeypatch.setattr(ConstraintPair, "_transpose_solve", counted)
+    res = eval_support(point, pair)
+    assert len(calls) == 1
+    taken(counts)
+    sub = canonical_subgradient(point, pair)
+    polar = in_hull_polar(point, pair)
+    assert calls == [point.X.shape] and taken(counts) == {}
+    assert bits(sub.point.Y) == bits(res.maximizer)
+    assert bits(sub.multiplier) == bits(res.multiplier)
+    assert bits(sub.value) == bits(res.value)
+    assert polar == (res.value <= 1.0 + 1e-9)
 
 
 def test_third_point_evicts_the_oldest(counts):
