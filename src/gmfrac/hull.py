@@ -18,6 +18,17 @@ n-by-n buffer.  It is symmetric by construction, bit for bit (numpy forms
 For the same reason a graph point's ``W = -1/2 Y Y^T`` and the witness's
 induced ``W`` are not symmetrized when their points are built.
 
+A point of :func:`graph_point` has a gap that is exactly zero, bit for bit:
+its ``W`` is ``-1/2 Y Y^T`` formed from the very array the point stores as
+``Y``, so ``_gap`` rounds ``1/2 Y Y^T`` to the negation of ``W``.  This
+module marks each such point when it is built, and the normal-cone and
+subdifferential tests read the mark through ``_hull_test``: at a marked
+point feasibility alone decides the hull test, complementarity holds
+exactly, and no gap is formed.  The mark is held by weak reference and
+belongs to the object, not to its values, so a point built by any other
+path, the same values through the public constructor included, takes the
+general path.
+
 The witness keeps ``N + 1 = n(n+1)/2 + 2`` components, all but at most
 ``rank + 1`` of them copies of the minimum-norm solution ``Z0``; that count
 stays until perfbench's witness oracle, which pins it, is relaxed.  Its
@@ -26,6 +37,7 @@ so evaluating it costs ``O(runs n^2 m)``, not ``O(N n^2 m)``.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,22 +86,37 @@ class PrimalPoint:
         _freeze_point(self)
 
 
+# The points of graph_point, whose gap matrix is exactly zero (see the
+# module docstring); held weakly, so a dead point's mark goes with it and
+# can never match a new point
+_graph_points = weakref.WeakSet()
+
+
 def graph_point(Y):
     """The graph set point ``(Y, -1/2 Y Y^T)``.
 
     ``Y`` may be 1-D, as one column.  ``W = -1/2 Y Y^T`` is formed from an
-    aligned C-order copy of ``Y``, for which numpy's symmetric rank-k update
-    makes it symmetric bit for bit, so it is kept as formed, not symmetrized
-    again; the point equals ``PrimalPoint(Y, -1/2 Y Y^T)`` built from that
-    copy bit for bit, except where an entry of ``W`` lies below
-    ``2^-1021``, whose last bit the public constructor's symmetrize drops.
-    A ``Y`` whose ``Y Y^T`` is not finite raises ``ValueError``, as the
-    public constructor does.
+    aligned C-order copy of ``Y``, which the point keeps as its ``Y``, and
+    for which numpy's symmetric rank-k update makes ``W`` symmetric bit for
+    bit, so it is kept as formed, not symmetrized again; the point equals
+    ``PrimalPoint(Y, -1/2 Y Y^T)`` built from that copy bit for bit, except
+    where an entry of ``W`` lies below ``2^-1021``, whose last bit the
+    public constructor's symmetrize drops.  The point's gap matrix
+    ``1/2 Y Y^T + W`` is exactly zero, and the point is marked as such, so
+    :func:`gmfrac.in_normal_cone` and :func:`gmfrac.in_subdifferential` at
+    it form no gap: feasibility alone decides its hull test, and
+    complementarity holds with every ``V``.  A ``Y`` whose ``Y Y^T`` is not
+    finite raises ``ValueError``, as the public constructor does, and no
+    overflow warning.
     """
     Y = np.array(Y, dtype=float, order="C")
     if Y.ndim == 1:
         Y = Y.reshape(-1, 1)
-    return _symmetric_point(PrimalPoint, Y, -0.5 * (Y @ Y.T))
+    with np.errstate(over="ignore"):
+        W = -0.5 * (Y @ Y.T)
+    point = _symmetric_point(PrimalPoint, Y, W)
+    _graph_points.add(point)
+    return point
 
 
 def pairing(dual, primal):
@@ -129,6 +156,17 @@ def _feasible(point, pair):
 def _in_hull(point, gap, pair):
     # the test of in_hull, given the point's gap matrix
     return _feasible(point, pair) and _in_polar(gap, pair.kernel)
+
+
+def _hull_test(point, pair):
+    # (the test of in_hull, the point's gap matrix), with None for the gap
+    # of a point of graph_point: it is exactly zero, in the polar cone, so
+    # feasibility alone decides, and orthogonal to every V.  The one place
+    # the mark is read
+    if point in _graph_points:
+        return _feasible(point, pair), None
+    gap = _gap(point)
+    return _in_hull(point, gap, pair), gap
 
 
 def in_hull(point, pair):
@@ -218,6 +256,12 @@ class ConvexWitness:
     epsilon: float
 
     def induced_point(self):
+        """The point ``(sum_i w_i Y_i, -1/2 sum_i w_i Y_i Y_i^T)``.
+
+        It is built as :func:`graph_point`'s are, checked and frozen but not
+        symmetrized, and it is not marked as a graph point.  A ``W`` that is
+        not finite raises ``ValueError``, and no overflow warning.
+        """
         starts = _runs(self.components)
         w = np.add.reduceat(self.weights, starts)
         ys = self.components[starts]
@@ -228,7 +272,9 @@ class ConvexWitness:
         cols = np.empty((n, runs, m))
         np.multiply(ys.transpose(1, 0, 2), np.sqrt(w)[:, None], out=cols)
         cols = cols.reshape(n, runs * m)
-        return _symmetric_point(PrimalPoint, np.tensordot(w, ys, axes=1), -0.5 * (cols @ cols.T))
+        with np.errstate(over="ignore"):
+            W = -0.5 * (cols @ cols.T)
+        return _symmetric_point(PrimalPoint, np.tensordot(w, ys, axes=1), W)
 
     def distance_to(self, point):
         return distance(self.induced_point(), point)

@@ -6,6 +6,14 @@ with ``V`` PSD on ``ker A``, complementarity ``<V, 1/2 Y Y^T + W> = 0``, and
 this characterizes the subdifferential of the support function, and the KKT
 solve of :func:`gmfrac.support.eval_support` yields one canonical
 subgradient at every domain point.
+
+The canonical subgradient is a point of :func:`gmfrac.graph_point`, whose
+gap matrix ``1/2 Y Y^T + W`` is exactly zero and marked so when the point
+is built (see :mod:`gmfrac.hull`).  At such a point both tests here form no
+gap: feasibility decides the hull test, complementarity holds exactly, and
+only the cone test on ``V`` (normal cone only) and the residual
+``Q^T (X - V Y)`` remain.  Any other point, the same values built through
+``PrimalPoint`` included, forms its gap and tests all of it.
 """
 
 from dataclasses import dataclass
@@ -15,7 +23,7 @@ import numpy as np
 from .linalg import _norm, _small, frobenius_inner
 from .cones import _in_cone
 from .support import PreconditionError, _check_point, eval_support, in_domain
-from .hull import PrimalPoint, _gap, _in_hull, graph_point
+from .hull import PrimalPoint, _hull_test, graph_point
 
 __all__ = [
     "SubgradientResult",
@@ -49,7 +57,10 @@ def in_normal_cone(dual, base, pair):
     ``1e-9 * max(1, ||V|| ||1/2 Y Y^T + W||)``, and
     ``||Q^T (X - V Y)||_F <= 1e-9 * max(1, ||X - V Y||_F)`` (existence of
     a multiplier ``Z`` with ``X - V Y = A^T Z``, since ``rge A^T`` is the
-    orthogonal complement of ``ker A``).
+    orthogonal complement of ``ker A``).  At a point of
+    :func:`gmfrac.graph_point` the gap matrix is exactly zero: the base is
+    in the hull when it is feasible, complementarity holds, and no gap is
+    formed.
 
     Raises
     ------
@@ -57,8 +68,8 @@ def in_normal_cone(dual, base, pair):
         If ``base`` is not in the hull.
     """
     _check_point(dual, pair)
-    gap = _gap(base)
-    if not _in_hull(base, gap, pair):
+    inside, gap = _hull_test(base, pair)
+    if not inside:
         raise PreconditionError("normal cone is only defined at hull points")
     if not _in_cone(dual.V, pair.kernel):
         return False
@@ -66,12 +77,13 @@ def in_normal_cone(dual, base, pair):
 
 
 def _normal_conditions(dual, base, gap, pair):
-    # complementarity and Q^T (X - V Y) = 0 for the base's gap matrix: the
-    # normal-cone conditions left once hull membership of the base and the
-    # cone test on V are known; ||Q^T R||_F = ||Q Q^T R||_F since Q has
-    # orthonormal columns
+    # complementarity and Q^T (X - V Y) = 0 for the base's gap matrix, None
+    # where it is exactly zero and complementarity holds: the normal-cone
+    # conditions left once hull membership of the base and the cone test on
+    # V are known; ||Q^T R||_F = ||Q Q^T R||_F since Q has orthonormal
+    # columns
     V = dual.V
-    if not _small(frobenius_inner(V, gap), _norm(V) * _norm(gap)):
+    if gap is not None and not _small(frobenius_inner(V, gap), _norm(V) * _norm(gap)):
         return False
     resid = dual.X - V @ base.Y
     return _small(pair.kernel.basis.T @ resid, resid)
@@ -81,13 +93,14 @@ def canonical_subgradient(dual, pair):
     """One explicit subgradient of the support function at a domain point.
 
     Takes ``(Y*, Z*)`` from the KKT solve and returns the graph-set
-    representative ``(Y*, -1/2 Y* Y*^T)``; its gap matrix is exactly zero, so
+    representative ``(Y*, -1/2 Y* Y*^T)``, built by
+    :func:`gmfrac.graph_point`; its gap matrix is exactly zero, so
     complementarity holds for free and the subdifferential meets the graph
-    set at every domain point.  The hull test on that point is free as
-    well: a zero gap matrix is in the polar cone without a compression or a
-    factorization.  The KKT solve is that of :func:`gmfrac.eval_support`,
-    so it is read from the memo when the same point was one of the two most
-    recent solved on the pair.
+    set at every domain point.  The point is marked as a graph point, so
+    :func:`in_subdifferential` and :func:`in_normal_cone` at it form no gap:
+    its hull test is the feasibility test alone.  The KKT solve is that of
+    :func:`gmfrac.eval_support`, so it is read from the memo when the same
+    point was one of the two most recent solved on the pair.
 
     Raises
     ------
@@ -108,11 +121,13 @@ def in_subdifferential(candidate, dual, pair):
     Equivalent to hull membership plus normal-cone membership of the dual at
     the candidate.  The domain test already places ``V`` in the cone, so of
     the normal-cone conditions only complementarity and ``Q^T (X - V Y) = 0``
-    remain to check.  At a graph point such as the canonical subgradient the
-    gap matrix is exactly zero and the hull test forms no product.  The
-    domain test is the support solve and shares its memo, so repeated
-    calls at one dual point, and calls after :func:`canonical_subgradient`
-    at it, compress and factorize it once.
+    remain to check.  At a point of :func:`gmfrac.graph_point`, such as the
+    canonical subgradient, the gap matrix is exactly zero and is not formed:
+    feasibility decides the hull test, complementarity holds, and only the
+    residual ``Q^T (X - V Y)`` is tested.  The domain test is the support
+    solve and shares its memo, so repeated calls at one dual point, and
+    calls after :func:`canonical_subgradient` at it, compress and factorize
+    it once.
 
     Raises
     ------
@@ -121,7 +136,7 @@ def in_subdifferential(candidate, dual, pair):
     """
     if not in_domain(dual, pair):
         raise PreconditionError("dual point is outside the support-function domain")
-    gap = _gap(candidate)
-    if not _in_hull(candidate, gap, pair):
+    inside, gap = _hull_test(candidate, pair)
+    if not inside:
         return False
     return _normal_conditions(dual, candidate, gap, pair)

@@ -186,10 +186,13 @@ class ConstraintPair:
 def _freeze_point(point, symmetric=None):
     # the body shared by DualPoint and PrimalPoint, whose fields are a matrix
     # and a square matrix: read-only copies, a 1-D first field as one column,
-    # the square one symmetrized once, unless _symmetric_point hands it in
-    # as symmetric, finite entries and matching row counts
+    # the square one symmetrized once, unless _symmetric_point hands in both
+    # as fresh float arrays, the square one symmetric, which are kept as they
+    # are; finite entries and matching row counts
     a_name, s_name = (f.name for f in fields(point))
-    a = np.array(getattr(point, a_name), dtype=float)
+    a = getattr(point, a_name)
+    if symmetric is None:
+        a = np.array(a, dtype=float)
     if a.ndim not in (1, 2):
         raise ValueError(f"{a_name} must be a 1-D or 2-D array, got shape {a.shape}")
     if a.ndim == 1:
@@ -208,11 +211,12 @@ def _freeze_point(point, symmetric=None):
 
 
 def _symmetric_point(cls, a, s):
-    # a point of cls whose square field s is a fresh float array symmetric
-    # bit for bit, such as -1/2 Y Y^T, which numpy forms by a symmetric
-    # rank-k update and mirrors: the public constructor but the symmetrize,
-    # which would return s unchanged but for entries below 2^-1021, whose
-    # halving drops a bit
+    # a point of cls with the fresh float arrays a and s as its fields, s
+    # symmetric bit for bit, such as -1/2 Y Y^T, which numpy forms by a
+    # symmetric rank-k update and mirrors: the public constructor but its
+    # copies and the symmetrize, which would return s unchanged but for
+    # entries below 2^-1021, whose halving drops a bit.  a is kept, not
+    # copied, so s = -1/2 a a^T is formed from the array the point stores
     point = object.__new__(cls)
     object.__setattr__(point, fields(cls)[0].name, a)
     _freeze_point(point, s)

@@ -1,12 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 
+import gmfrac.hull
 from gmfrac import (
     DualPoint,
     PreconditionError,
     PrimalPoint,
     canonical_subgradient,
     eval_support,
+    graph_point,
     in_hull,
     in_normal_cone,
     in_subdifferential,
@@ -14,10 +18,12 @@ from gmfrac import (
     sample_polar,
 )
 from helpers import (
+    feasible_matrix,
     hull_member,
     interior_dual,
     point_norm,
     rand_pair,
+    rand_zero_pair,
     saddle_matrix,
     scaled_point,
 )
@@ -187,3 +193,79 @@ def test_normal_cone_members_against_recession_shifts(pair_f1):
         diff = PrimalPoint(shifted.Y - base.Y, shifted.W - base.W)
         scale = max(1.0, point_norm(cand) * point_norm(diff))
         assert pairing(cand, diff) <= 1e-8 * scale
+
+
+@pytest.fixture
+def gaps(monkeypatch):
+    """The points whose gap matrix is formed, through every gmfrac binding of ``_gap``."""
+    formed = []
+    original = gmfrac.hull._gap
+
+    def recorded(point, t=1.0):
+        formed.append(point)
+        return original(point, t)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gmfrac" or name.startswith("gmfrac."):
+            if getattr(module, "_gap", None) is original:
+                monkeypatch.setattr(module, "_gap", recorded)
+    return formed
+
+
+def _planted(rng, pair):
+    """``(Y, dual, in_subdifferential, in_normal_cone)``: each answer known by construction."""
+    q = pair.kernel.basis
+    d = interior_dual(rng, pair)
+    V = d.V
+    y_star = eval_support(d, pair).maximizer
+    y = feasible_matrix(rng, pair)
+    z = rng.standard_normal((pair.p, pair.m))
+    c = rng.standard_normal((pair.kernel.dim, pair.m))
+    # V minus a multiple of q_1 q_1^T larger than ||V||: indefinite on ker A
+    indefinite = V - (2.0 * np.linalg.norm(V) + 1.0) * np.outer(q[:, 0], q[:, 0])
+    cases = [
+        # the subgradient of d, and y with the dual that X = V y + A^T z plants at it
+        (y_star, d, True, True),
+        (y, DualPoint(V @ y + pair.A.T @ z, V), True, True),
+        # y is not d's maximizer, which is unique as V is definite on ker A
+        (y, d, False, False),
+        # X - V y with a part Q c in ker A
+        (y, DualPoint(V @ y + pair.A.T @ z + q @ c, V), False, False),
+        # duals outside the domain: V indefinite on ker A, and V = 0 with X in ker A
+        (y, DualPoint(d.X, indefinite), PreconditionError, False),
+        (y, DualPoint(q @ c, np.zeros_like(V)), PreconditionError, False),
+    ]
+    if pair.p:
+        # y off the manifold: outside the hull
+        off = y + pair.A.T @ rng.standard_normal((pair.p, pair.m))
+        cases.append((off, d, False, PreconditionError))
+    return cases
+
+
+def _answer(test, *args):
+    try:
+        return test(*args)
+    except PreconditionError:
+        return PreconditionError
+
+
+@pytest.mark.parametrize("n, m, p", [(1, 1, 0), (4, 2, 0), (5, 3, 2), (6, 1, 3), (30, 4, 10)])
+@pytest.mark.parametrize("make_pair", [rand_pair, rand_zero_pair], ids=["B", "B=0"])
+def test_graph_point_answers_as_its_public_twin(gaps, make_pair, n, m, p):
+    # a graph point's gap is exactly zero, so it forms none; its twin, the
+    # same fields through the public constructor, forms its gap and tests it
+    rng = np.random.default_rng([33, n, m, p])
+    pair = make_pair(rng, n, m, p)
+    for y, dual, want_sub, want_normal in _planted(rng, pair):
+        graph = graph_point(y)
+        twin = PrimalPoint(graph.Y, graph.W)
+        assert twin.W.tobytes() == graph.W.tobytes()
+        for point in (graph, twin):
+            del gaps[:]
+            assert _answer(in_subdifferential, point, dual, pair) == want_sub
+            # the domain test raises before the hull test
+            formed = want_sub is not PreconditionError and point is twin
+            assert gaps == [twin] * formed
+            del gaps[:]
+            assert _answer(in_normal_cone, dual, point, pair) == want_normal
+            assert gaps == [twin] * (point is twin)

@@ -12,13 +12,21 @@ where an entry of ``W`` lies below ``2^-1021``: there the public
 constructor's halve-then-double in ``symmetrize`` drops the entry's last
 bit, and the point now keeps ``W = -1/2 Y Y^T`` exactly.  Every hull
 decision is checked unchanged on draws in that band.
+
+Since ``W`` is formed from the very ``Y`` the point stores, a graph point's
+gap matrix ``1/2 Y Y^T + W`` is exactly zero in every layout, shape and
+scale, the band included; the normal-cone and subdifferential tests read a
+mark that only ``graph_point`` sets in place of forming it.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from gmfrac import (
     ConstraintPair,
+    ConvexWitness,
     PrimalPoint,
     caratheodory_witness,
     graph_point,
@@ -28,6 +36,7 @@ from gmfrac import (
     in_hull_horizon,
     in_hull_rint,
 )
+from gmfrac.hull import _gap, _graph_points
 from helpers import hull_member, rand_pair
 
 SHAPES = [(1, 1), (5, 1), (7, 3), (33, 17), (200, 10)]
@@ -65,6 +74,12 @@ def public(Y):
     return PrimalPoint(Y, -0.5 * (Y @ Y.T))
 
 
+def assert_graph_point(point):
+    """The point carries the graph-point mark, and its gap is exactly zero."""
+    assert point in _graph_points
+    assert not _gap(point).any()
+
+
 def assert_same_point(got, want):
     for name in ("Y", "W"):
         a, b = getattr(got, name), getattr(want, name)
@@ -84,6 +99,7 @@ def test_graph_point_is_the_public_constructors_bitwise(shape):
             c = c_copy(Y)
             assert got.W.tobytes() == (-0.5 * (c @ c.T)).tobytes()
             assert_same_point(got, public(Y))
+            assert_graph_point(got)
             assert got.W.tobytes() == np.ascontiguousarray(got.W.T).tobytes()
             # a copy: the caller's array is neither kept nor frozen
             assert Y.flags.writeable and not np.shares_memory(got.Y, Y)
@@ -92,9 +108,36 @@ def test_graph_point_is_the_public_constructors_bitwise(shape):
 @pytest.mark.parametrize("layout", ["C", "F", "strided", "unaligned", "1-D"])
 def test_an_overflowing_graph_point_raises_as_the_public_constructor(layout):
     Y = layouts(np.full((3, 2), 1e160))[layout]
-    for build in (graph_point, public):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite entries"):
-            build(Y)
+    # no errstate around graph_point: warnings are errors, so an overflow
+    # warning from its product would reach the caller in place of the
+    # ValueError; the public constructor is handed the caller's own product
+    with pytest.raises(ValueError, match="finite entries"):
+        graph_point(Y)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite entries"):
+        public(Y)
+
+
+def test_an_overflowing_induced_point_raises_value_error():
+    # no errstate, as for graph_point above
+    wit = ConvexWitness(np.array([0.5, 0.5]), np.full((2, 3, 2), 1e160), 0.5)
+    with pytest.raises(ValueError, match="finite entries"):
+        wit.induced_point()
+
+
+def test_only_graph_point_marks_its_points():
+    rng = np.random.default_rng(34)
+    pair = rand_pair(rng, 6, 2, 2)
+    graph = graph_point(rng.standard_normal((6, 2)))
+    assert_graph_point(graph)
+    wit = caratheodory_witness(hull_member(rng, pair), pair, 0.1)
+    unmarked = [
+        PrimalPoint(graph.Y, -0.5 * (graph.Y @ graph.Y.T)),
+        type(graph)(graph.Y, graph.W),
+        dataclasses.replace(graph),
+        wit.induced_point(),
+    ]
+    for point in unmarked:
+        assert point not in _graph_points
 
 
 def _band_draws():
@@ -114,6 +157,7 @@ def test_the_subnormal_band_keeps_w_exact_and_every_hull_decision():
         exact = -0.5 * (y @ y.T)
         assert got.W.tobytes() == exact.tobytes()
         assert got.Y.tobytes() == want.Y.tobytes()
+        assert_graph_point(got)
         moved += got.W.tobytes() != want.W.tobytes()
         a = rng.standard_normal((max(n - 2, 0), n))
         pairs = [ConstraintPair(a, a @ y), ConstraintPair(np.zeros((0, n)), np.zeros((0, m)))]
