@@ -37,7 +37,11 @@ call, ``linalg._psd_kept``, whose one Cholesky decides the first two
 outside its rounding band and whose one ``eigh`` decides all three inside
 it.  The thresholds are applied by the rules of
 :mod:`gmfrac.linalg`, and ``_polar_form`` keeps only the order of the
-tests.
+tests.  The hull tests hand ``_polar_form`` and ``_in_aff_polar`` a record
+of the tests already taken on a point's gap, from the memo of
+:mod:`gmfrac.hull`, with a function that builds the gap: a test the record
+holds is read from it, in the same order, and the gap is built only for a
+test it does not hold.
 
 The subspace is checked once, when its :class:`gmfrac.linalg.SubspaceBasis`
 is built, which rejects a basis that is not a finite 2-D array; only the
@@ -56,6 +60,7 @@ import numpy as np
 
 from .linalg import (
     _compress,
+    _norm,
     _off_subspace,
     _outside,
     _psd,
@@ -115,7 +120,7 @@ def _in_cone(V, subspace, strict=False):
     return _psd(_compress(V, subspace), strict)
 
 
-def _polar_form(W, subspace, strict=False, rank=False):
+def _polar_form(W, subspace, strict=False, rank=False, record=None):
     # -C for C = sym(Q^T W Q) if the symmetric W lies in the polar cone (in
     # its relative interior when strict), and None if it does not; with
     # rank, the pair (-C, kept) in place of -C, where kept is
@@ -123,19 +128,46 @@ def _polar_form(W, subspace, strict=False, rank=False):
     # nonsingular, else the kept eigenpairs of the eigh that took the sign
     # test.  The tests run in order of cost: an exactly zero W has C = 0 and
     # needs no product; otherwise the k-by-k sign test of -C runs first, and
-    # the support residual only once it has passed.  That residual, of norm ||W - Q C Q^T||_F, is
-    # linalg._off_subspace's, which chooses the basis it is read from.  Only
-    # the k-by-k C is symmetrized, by _compress.
-    zero = not W.any()
-    if zero:
-        neg = np.zeros((subspace.dim, subspace.dim))
+    # the support residual only once it has passed.  That residual, of norm
+    # ||W - Q C Q^T||_F, is linalg._off_subspace's, which chooses the basis
+    # it is read from.  Only the k-by-k C is symmetrized, by _compress.
+    # With record, the dict of the tests already taken on one matrix (a
+    # hull memo entry's, see gmfrac.hull), W is a function that builds the
+    # matrix, called at most once and only when a test the record does not
+    # hold needs it, and each test taken here is recorded: "neg", the
+    # read-only -C (zero for a zero W, whose support test then passes with
+    # no product); "sign" and "strict", the two sign tests; "support"; and
+    # "aff", the test of _in_aff_polar, read from the support residual's own
+    # product where that is U^T W.  The rank form takes no record.
+    if record is None:
+        record, build = {}, None
     else:
-        c = _compress(W, subspace)
-        neg = -c
-    psd, kept = _psd_kept(neg) if rank else (_psd(neg, strict), None)
+        build, W = W, None
+    neg = record.get("neg")
+    if neg is None:
+        W = build() if W is None else W
+        if W.any():
+            neg = -_compress(W, subspace)
+        else:
+            neg = np.zeros((subspace.dim, subspace.dim))
+            record["support"] = True
+        neg.setflags(write=False)
+        record["neg"] = neg
+    test = "strict" if strict else "sign"
+    psd, kept = _psd_kept(neg) if rank else (record.get(test), None)
+    if psd is None:
+        psd = record[test] = _psd(neg, strict)
     if not psd:
         return None
-    if not zero and not _small(_off_subspace(W, c, subspace), W):
+    support = record.get("support")
+    if support is None:
+        W = build() if W is None else W
+        resid, outside = _off_subspace(W, neg, subspace)
+        norm = _norm(W)
+        support = record["support"] = _small(resid, norm)
+        if outside is not None:
+            record["aff"] = _small(outside, norm)
+    if not support:
         return None
     return (neg, kept) if rank else neg
 
@@ -156,10 +188,10 @@ def in_polar_cone(W, subspace):
     return _in_polar(_entry(W, subspace), subspace)
 
 
-def _in_polar(W, subspace, strict=False):
+def _in_polar(W, subspace, strict=False, record=None):
     # polar-cone membership of a symmetric W, of its relative interior when
-    # strict
-    return _polar_form(W, subspace, strict) is not None
+    # strict; with a record, W and the record are as in _polar_form
+    return _polar_form(W, subspace, strict, record=record) is not None
 
 
 def in_aff_polar(W, subspace):
@@ -172,9 +204,16 @@ def in_aff_polar(W, subspace):
     return _in_aff_polar(_entry(W, subspace), subspace)
 
 
-def _in_aff_polar(W, subspace):
-    # the test of in_aff_polar on a symmetric W
-    return _small(_outside(W, subspace), W)
+def _in_aff_polar(W, subspace, record=None):
+    # the test of in_aff_polar on a symmetric W; with a record, W and the
+    # record are as in _polar_form, and the test is read from the record
+    # where a support test through U or an earlier call took it
+    if record is None:
+        return _small(_outside(W, subspace), W)
+    aff = record.get("aff")
+    if aff is None:
+        aff = record["aff"] = _in_aff_polar(W(), subspace)
+    return aff
 
 
 def in_rint_polar(W, subspace):

@@ -29,6 +29,24 @@ belongs to the object, not to its values, so a point built by any other
 path, the same values through the public constructor included, takes the
 general path.
 
+Each primal point's gap is tested once.  The module keeps a memo of the
+two most recent points tested by :func:`in_hull`, :func:`in_hull_rint`,
+:func:`in_hull_aff`, :func:`caratheodory_witness` and the normal-cone and
+subdifferential tests, keyed by weak references to the frozen point and to
+the pair, through the same helper as the support solve's memo (see
+:mod:`gmfrac.support`): lookup by identity, the tuple replaced whole, no
+point or pair kept alive.  An entry records whether ``A Y = B``, the
+k-by-k ``-C`` of the gap's compression (zero for an exactly zero gap), and
+each test of the gap once it has been taken: the two sign tests, the
+support test and the affine-hull test, the last read from the support
+test's own product ``U^T gap`` where the complement ``U`` of ``ker A`` is
+stored.  It holds no n-by-n array: a later test that needs the gap builds
+it again, and ``cones._polar_form`` still fixes the order of the tests.  A
+point of :func:`graph_point` never enters the memo, nor do the scaled
+hull's gap (:func:`gmfrac.in_scaled_hull`), the horizon test and the
+gauge, which read ``W`` and not the gap; a point equal to a tested one but
+not the same object is tested again.
+
 The witness keeps ``N + 1 = n(n+1)/2 + 2`` components, all but at most
 ``rank + 1`` of them copies of the minimum-norm solution ``Z0``; that count
 stays until perfbench's witness oracle, which pins it, is relaxed.  Its
@@ -39,13 +57,14 @@ so evaluating it costs ``O(runs n^2 m)``, not ``O(N n^2 m)``.
 import math
 import weakref
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .linalg import _eig_kept, _norm, _small, frobenius_inner
 from .cones import _in_aff_polar, _in_polar, _polar_form
 from .support import ConstraintPair, PreconditionError, eval_support
-from .support import _check_point, _freeze_point, _symmetric_point
+from .support import _Memo, _check_point, _freeze_point, _symmetric_point
 
 __all__ = [
     "PrimalPoint",
@@ -154,34 +173,73 @@ def _feasible(point, pair):
 
 
 def _in_hull(point, gap, pair):
-    # the test of in_hull, given the point's gap matrix
+    # the test of in_hull, given a gap matrix: the scaled hull's, which the
+    # memo does not keep
     return _feasible(point, pair) and _in_polar(gap, pair.kernel)
+
+
+# The records of the tests on the gap matrices of the two most recent primal
+# points tested (see the module docstring): a dict as cones._polar_form
+# reads and writes, or None where A Y != B
+_tested = _Memo()
+
+
+def _new_record(point, pair):
+    return {} if _feasible(point, pair) else None
+
+
+def _record(point, pair):
+    # the point's record, from the memo where it holds this point and pair;
+    # a point of graph_point never enters it
+    if point in _graph_points:
+        return _new_record(point, pair)
+    return _tested.recall(point, pair, _new_record)
 
 
 def _hull_test(point, pair):
     # (the test of in_hull, the point's gap matrix), with None for the gap
     # of a point of graph_point: it is exactly zero, in the polar cone, so
     # feasibility alone decides, and orthogonal to every V.  The one place
-    # the mark is read
+    # the mark is read for the normal-cone tests.  Any other point forms its
+    # gap, which complementarity reads, and takes the test through the memo
     if point in _graph_points:
         return _feasible(point, pair), None
     gap = _gap(point)
-    return _in_hull(point, gap, pair), gap
+    record = _tested.recall(point, pair, _new_record)
+    return record is not None and _in_polar(lambda: gap, pair.kernel, record=record), gap
 
 
 def in_hull(point, pair):
-    """Hull membership: ``A Y = B`` and ``1/2 Y Y^T + W`` in the polar cone."""
-    return _in_hull(point, _gap(point), pair)
+    """Hull membership: ``A Y = B`` and ``1/2 Y Y^T + W`` in the polar cone.
+
+    Reads and writes the memo of the two most recent points tested (see
+    the module docstring).
+    """
+    record = _record(point, pair)
+    return record is not None and _in_polar(partial(_gap, point), pair.kernel, record=record)
 
 
 def in_hull_rint(point, pair):
-    """Relative-interior membership: the gap matrix lies in rint of the polar."""
-    return _feasible(point, pair) and _in_polar(_gap(point), pair.kernel, strict=True)
+    """Relative-interior membership: the gap matrix lies in rint of the polar.
+
+    Reads and writes the memo of :func:`in_hull`: after it on the same
+    point and pair, only the strict sign test of the kept ``-C`` is taken.
+    """
+    record = _record(point, pair)
+    return record is not None and _in_polar(
+        partial(_gap, point), pair.kernel, strict=True, record=record
+    )
 
 
 def in_hull_aff(point, pair):
-    """Affine-hull membership: ``A Y = B`` and ``rge(1/2 Y Y^T + W) subset ker A``."""
-    return _feasible(point, pair) and _in_aff_polar(_gap(point), pair.kernel)
+    """Affine-hull membership: ``A Y = B`` and ``rge(1/2 Y Y^T + W) subset ker A``.
+
+    Reads and writes the memo of :func:`in_hull`: after a polar test that
+    read its support residual through the complement of ``ker A``, the
+    answer is read from that test's product.
+    """
+    record = _record(point, pair)
+    return record is not None and _in_aff_polar(partial(_gap, point), pair.kernel, record)
 
 
 def in_free_hull(point, strict=False):
@@ -299,6 +357,10 @@ def caratheodory_witness(point, pair, epsilon):
     The correction of ``Y_1`` by ``Z0`` keeps every component exactly
     feasible while preserving ``(1 - eps) Y_1 Y_1^T = Y Y^T + O(eps)``.
 
+    The test of :func:`in_hull` is read from the memo of the hull tests
+    where it holds the point and pair, and there the witness's one ``eigh``
+    is its only factorization.
+
     Parameters
     ----------
     point : PrimalPoint
@@ -321,7 +383,8 @@ def caratheodory_witness(point, pair, epsilon):
     if pair.m == 0:
         raise ValueError("witness construction needs at least one column (m >= 1)")
     # the test of in_hull, then the kept eigenpairs of the matrix it passed
-    neg = _polar_form(_gap(point), pair.kernel) if _feasible(point, pair) else None
+    record = _record(point, pair)
+    neg = None if record is None else _polar_form(partial(_gap, point), pair.kernel, record=record)
     if neg is None:
         raise PreconditionError("point is not in the hull; no witness exists")
 

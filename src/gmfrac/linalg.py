@@ -27,6 +27,8 @@ threshold, and its answer is the one ``eigh`` gives.  It is decided by a
 Cholesky factorization of the shifted matrix wherever Cholesky's rounding
 error provably cannot change that answer (``_above``), and by ``eigh`` only
 inside that band, so no module calls ``eigh`` or ``cholesky`` but this one.
+A matrix with a NaN or infinite entry, which numpy's Cholesky would pass,
+raises ``ValueError`` in ``_above`` instead of being certified.
 On the zero subspace (k = 0) the empty spectrum lies above every
 threshold, so ``_above`` accepts with no factorization, and no sign test or
 solve branches on k = 0.  The reduced Hessian of the support solve and the
@@ -180,6 +182,9 @@ def _above(h, t, reject=None, rel=0.0):
     # eigh calls.  An h whose ||h||_F^2 would overflow or underflow is
     # scaled by an exact power of two, with thresholds beyond every
     # eigenvalue clamped first; the zero matrix has the exact spectrum 0.
+    # An h with a NaN or infinite entry, whose sum is NaN or inf and so
+    # always takes that branch, raises ValueError there: numpy's Cholesky
+    # would pass it.
     k = h.shape[0]
     if k == 0:
         return True
@@ -191,6 +196,8 @@ def _above(h, t, reject=None, rel=0.0):
     sq = float(np.vdot(h, h))
     if not _SAFE[0] < sq < _SAFE[1]:
         s = float(np.abs(h).max())
+        if not s < math.inf:
+            raise ValueError("a sign test needs a matrix with finite entries")
         if s == 0.0:
             return True if t < 0.0 else False if reject > 0.0 else None
         e = -math.frexp(s)[1]
@@ -444,15 +451,19 @@ def _outside(C, subspace):
     return C - q @ (q.T @ C)
 
 
-def _off_subspace(W, c, subspace):
-    # the polar test's support residual of a symmetric W whose compression is
-    # c = sym(Q^T W Q), the part of W not of the form Q C Q^T: where the
-    # complement U is stored, hypot(||U^T W||_F, ||U^T W Q||_F), which forms
-    # no n-by-n matrix, and the n-by-n W - Q c Q^T otherwise; the two have one
-    # norm, since Q Q^T + U U^T = I, and _small reads either
+def _off_subspace(W, neg, subspace):
+    # (the polar test's support residual, the aff residual or None) of a
+    # symmetric W whose compression C = sym(Q^T W Q) has negation neg: the
+    # part of W not of the form Q C Q^T, where the complement U is stored
+    # hypot(||U^T W||_F, ||U^T W Q||_F), which forms no n-by-n matrix, and
+    # the n-by-n W + Q neg Q^T otherwise; the two have one norm, since
+    # Q Q^T + U U^T = I, and _small reads either.  Where U is stored, the aff
+    # residual ||U^T W||_F of _outside is read from the same product, bit for
+    # bit; otherwise it is None
     u = subspace.complement
     q = subspace.basis
     if u is not None:
         out = u.T @ W
-        return math.hypot(_norm(out), _norm(out @ q))
-    return W - q @ c @ q.T
+        outside = _norm(out)
+        return math.hypot(outside, _norm(out @ q)), outside
+    return W + q @ neg @ q.T, None

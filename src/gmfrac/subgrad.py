@@ -13,7 +13,10 @@ is built (see :mod:`gmfrac.hull`).  At such a point both tests here form no
 gap: feasibility decides the hull test, complementarity holds exactly, and
 only the cone test on ``V`` (normal cone only) and the residual
 ``Q^T (X - V Y)`` remain.  Any other point, the same values built through
-``PrimalPoint`` included, forms its gap and tests all of it.
+``PrimalPoint`` included, forms its gap, which complementarity reads, and
+takes its hull test through the memo of the hull tests (see
+:mod:`gmfrac.hull`): a point just tested by :func:`gmfrac.in_hull` or
+another test of its gap compresses and factorizes nothing for it.
 """
 
 from dataclasses import dataclass
@@ -60,7 +63,8 @@ def in_normal_cone(dual, base, pair):
     orthogonal complement of ``ker A``).  At a point of
     :func:`gmfrac.graph_point` the gap matrix is exactly zero: the base is
     in the hull when it is feasible, complementarity holds, and no gap is
-    formed.
+    formed.  At any other base the hull test is read from the memo of the
+    hull tests where it holds the base and pair.
 
     Raises
     ------
@@ -127,7 +131,8 @@ def in_subdifferential(candidate, dual, pair):
     residual ``Q^T (X - V Y)`` is tested.  The domain test is the support
     solve and shares its memo, so repeated calls at one dual point, and
     calls after :func:`canonical_subgradient` at it, compress and factorize
-    it once.
+    it once; the hull test of any other candidate shares the memo of the
+    hull tests in the same way.
 
     Raises
     ------

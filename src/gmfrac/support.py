@@ -50,7 +50,9 @@ test after it copies ``Y*`` and ``Z*`` at most.  So a first call of
 package's callers, ``in_subdifferential`` pays it only at a dual point not
 solved before, and the ``domain`` subcommand once per call.  The memo keeps
 no point or pair alive, and a point equal to a solved one but not the same
-object is solved again.
+object is solved again.  One private helper, ``_Memo``, looks up, inserts
+and evicts the entries of this memo and of the hull tests' memo of primal
+points (:mod:`gmfrac.hull`).
 """
 
 from dataclasses import dataclass, fields
@@ -273,29 +275,44 @@ def _check_point(point, pair):
         raise ValueError(f"{name} must be {pair.n}x{pair.m} for this pair, got {shape}")
 
 
-# The outcomes of the two most recent solves, newest first: (weak reference
-# to the point, weak reference to the pair, the read-only solution
-# (Y*, Z*, value), or None outside the domain).  A lookup compares the
-# referents by identity, so a dead point's entry can never match a new
-# point, and the memo keeps neither alive.  The tuple is replaced whole and
-# never edited, so threads racing on it can only drop an entry.  Two entries
-# serve one caller's value, subgradient and subdifferential tests on one or
-# two points, and nothing outlives the next two points solved.
-_solved = ()
+class _Memo:
+    # The outcomes of the two most recent computations on a (point, pair),
+    # newest first: (weak reference to the point, weak reference to the
+    # pair, outcome).  A lookup compares the referents by identity, so a dead
+    # point's entry can never match a new point, and the memo keeps neither
+    # alive.  The tuple is replaced whole and never edited, so threads racing
+    # on it can only drop an entry.  The one body of the support solve's memo
+    # and the hull's (gmfrac.hull)
+
+    __slots__ = ("entries",)
+
+    def __init__(self):
+        self.entries = ()
+
+    def recall(self, point, pair, compute):
+        # the outcome for this point and pair, from the memo when it holds
+        # them, else compute(point, pair), which becomes the newest entry
+        for point_ref, pair_ref, outcome in self.entries:
+            if point_ref() is point and pair_ref() is pair:
+                return outcome
+        outcome = compute(point, pair)
+        self.entries = ((weakref.ref(point), weakref.ref(pair), outcome),) + self.entries[:1]
+        return outcome
+
+
+# The read-only solution (Y*, Z*, value) of the two most recent solves, or
+# None outside the domain.  Two entries serve one caller's value,
+# subgradient and subdifferential tests on one or two points, and nothing
+# outlives the next two points solved.
+_solved = _Memo()
 
 
 def _reduced_solve(point, pair):
     # the solution (Y*, Z*, value), or None when (X, V) is outside the
     # domain, read from the memo when it holds this point and pair; a
     # computed outcome becomes the newest entry
-    global _solved
     _check_point(point, pair)
-    for point_ref, pair_ref, sol in _solved:
-        if point_ref() is point and pair_ref() is pair:
-            return sol
-    sol = _solve(point, pair)
-    _solved = ((weakref.ref(point), weakref.ref(pair), sol),) + _solved[:1]
-    return sol
+    return _solved.recall(point, pair, _solve)
 
 
 def _solve(point, pair):

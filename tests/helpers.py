@@ -126,7 +126,7 @@ def rint_member(rng, pair, margin=0.5):
     return PrimalPoint(y, -0.5 * (y @ y.T) - 0.5 * (neg + neg.T))
 
 
-def residual_first_polar_form(W, subspace, strict=False, rank=False):
+def residual_first_polar_form(W, subspace, strict=False, rank=False, record=None):
     """``cones._polar_form`` with its two tests in the earlier order.
 
     The n-by-n support residual ``W - Q C Q^T`` is formed for every ``W``,
@@ -134,8 +134,13 @@ def residual_first_polar_form(W, subspace, strict=False, rank=False):
     residual has passed.  Returns ``-C`` or ``None`` as ``_polar_form``
     does, and ``(-C, kept)`` with ``rank``, the sign test then read from
     ``linalg._psd_kept`` with the kept eigenpairs; the equivalence tests swap
-    it in as the reference.
+    it in as the reference.  With a hull memo ``record``, ``W`` is the
+    function that returns the matrix, as ``_polar_form`` takes it; the
+    reference builds the matrix, takes every test afresh and neither reads
+    nor writes the record.
     """
+    if record is not None:
+        W = W()
     q = subspace.basis
     c = _compress(W, subspace)
     if not _small(W - q @ c @ q.T, W):

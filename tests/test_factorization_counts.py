@@ -21,7 +21,12 @@ move of every in-band decision to ``eigh``; each pin below is the count.
 The two most recent support solves are memoized by their point and pair,
 whether ``eval_support`` or ``in_domain`` took them: a repeated call on one
 of them takes no factorization, so each pin of a first solve is taken on a
-fresh ``DualPoint``, and the domain test costs what the solve does.
+fresh ``DualPoint``, and the domain test costs what the solve does.  The
+hull tests keep a memo of the two most recent primal points in the same
+way, holding each test of the point's gap once it has been taken: after
+``in_hull`` on one point, ``in_hull_rint`` takes only its strict sign test,
+``in_hull_aff`` nothing, and the witness only its ``eigh``; each pin of a
+first hull test is taken on a point not tested before.
 Subspace tests read the kernel basis ``Q`` and never factorize the n-by-n
 projector onto ``ker A``.  In the same way each n-by-n matrix is
 symmetrized at most once: a point when it is built; a gap matrix is
@@ -199,6 +204,42 @@ def test_hull_rint_is_one_eigvalsh_and_aff_is_none(counts, n, m, p):
     assert taken(counts) == {"cholesky": 1}
     assert in_hull_aff(point, pair)
     assert taken(counts) == {}
+
+
+@pytest.mark.parametrize("n, m, p", [(4, 3, 2), (50, 5, 20), (6, 2, 0), (6, 2, 4)])
+def test_hull_tests_after_in_hull_read_its_memo(counts, compressed, n, m, p):
+    rng = np.random.default_rng(3)
+    pair = rand_pair(rng, n, m, p)
+    point = rint_member(rng, pair)
+    assert in_hull(point, pair)
+    taken(counts)
+    del compressed[:]
+    # the strict sign test of the kept -C, and no compression
+    assert in_hull_rint(point, pair)
+    assert taken(counts) == {"cholesky": 1}
+    assert compressed == []
+    assert in_hull_aff(point, pair)
+    assert taken(counts) == {}
+    # on a point not tested before, in_hull_aff after in_hull_rint takes
+    # nothing either
+    other = rint_member(rng, pair)
+    assert in_hull_rint(other, pair)
+    taken(counts)
+    assert in_hull_aff(other, pair)
+    assert taken(counts) == {}
+
+
+@pytest.mark.parametrize("n, m, p", [(4, 3, 2), (30, 2, 10), (5, 1, 0)])
+def test_witness_after_in_hull_takes_only_its_eigh(counts, compressed, n, m, p):
+    rng = np.random.default_rng(5)
+    pair = rand_pair(rng, n, m, p)
+    point = hull_member(rng, pair)
+    assert in_hull(point, pair)
+    taken(counts)
+    del compressed[:]
+    caratheodory_witness(point, pair, 1e-3)
+    assert taken(counts) == {"eigh": 1}
+    assert compressed == []
 
 
 @pytest.fixture

@@ -28,12 +28,15 @@ from gmfrac import (
     caratheodory_witness,
     eval_gauge,
     in_cone,
+    in_free_hull,
     in_hull,
+    in_hull_aff,
+    in_hull_rint,
     in_int_cone,
     in_polar_cone,
     in_rint_polar,
 )
-from gmfrac.linalg import _PSD_TOL, _RANK_TOL, _compress, _kept, _psd, _psd_kept
+from gmfrac.linalg import _PSD_TOL, _RANK_TOL, _above, _compress, _kept, _psd, _psd_kept
 from helpers import taken
 
 EPS = np.finfo(float).eps
@@ -267,3 +270,35 @@ def test_gauge_is_finite_only_on_the_polar_cone(exponent):
         assert polar or not finite
         if exponent == 0:
             assert finite
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_matrix_is_refused_not_certified(bad):
+    # numpy's Cholesky passes a NaN, so a sign test would certify it; the
+    # sum of squares that _above reads is then NaN or inf, and its rescaling
+    # branch refuses the matrix
+    h = np.eye(3)
+    h[0, 0] = bad
+    for rule in (lambda: _above(h, -_PSD_TOL, -_PSD_TOL), lambda: _psd(h), lambda: _psd_kept(h)):
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            rule()
+
+
+def test_an_overflowing_gap_is_refused():
+    # 1/2 Y Y^T overflows to inf, so the gap is not finite and its
+    # compression holds NaN: no sign test may certify it.  With p = 0 every
+    # matrix has its range in ker A, so the affine hull still answers
+    pair = ConstraintPair(np.zeros((0, 3)), np.zeros((0, 1)))
+    point = PrimalPoint(np.full((3, 1), 1e200), np.zeros((3, 3)))
+    with np.errstate(all="ignore"):
+        # the second in_hull reads the memo's record, which took no sign
+        # test, and refuses again
+        for test in (in_hull, in_hull_rint, in_hull):
+            with pytest.raises(ValueError):
+                test(point, pair)
+        for strict in (False, True):
+            with pytest.raises(ValueError):
+                in_free_hull(point, strict)
+        with pytest.raises(ValueError):
+            caratheodory_witness(point, pair, 1e-3)
+        assert in_hull_aff(point, pair)
